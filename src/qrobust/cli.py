@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import coset, oracle, states, tolerances, verify, wootters
+from . import coset, oracle, states, tolerances, verify
 from .robustness import RankDeficient, robustness
 
 EXIT_OK = 0
@@ -74,11 +74,10 @@ def _fmt(value) -> str:
 
 def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback: bool,
                      seed: int, tol: tolerances.Tolerances) -> tuple[dict, int]:
-    decomp = wootters.decompose(rho, tol)
-    report = {"decomposition": decomp.to_report()}
     try:
         cert = robustness(rho, tol)
     except RankDeficient as exc:
+        report = {"decomposition": exc.decomposition.to_report()}
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
@@ -91,8 +90,8 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
             "note": str(exc),
         }
         return report, EXIT_OK
-    report["method"] = "closed_form"
-    report["certificate"] = cert.to_report()
+    report = {"decomposition": cert.decomposition.to_report(), "method": "closed_form",
+              "certificate": cert.to_report()}
     if run_oracle:
         report["verification"] = oracle.verify_certificate(
             rho, cert, oracle_budget=_FALLBACK_BUDGET, seed=seed, tolerances=tol)
@@ -102,7 +101,7 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
 def cmd_analyze(args, tol) -> int:
     try:
         rho = states.read_state(args.in_path, tol)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (states.ParseError, states.ValidationError) as exc:
@@ -137,13 +136,12 @@ def _sample_rows(args, tol):
             k_agreement = float(np.max(np.abs(coset.k_closed_form(params) - direct)))
         else:
             rho = states.sample_state(ensemble, seed, tol)
-        decomp = wootters.decompose(rho, tol)
         try:
             cert = robustness(rho, tol)
-            s_formula = cert.s
+            decomp, s_formula = cert.decomposition, cert.s
             s_bisection = oracle.bisect_relative_robustness(rho, cert.rho_pp, tolerances=tol)
-        except RankDeficient:
-            s_formula = s_bisection = math.nan
+        except RankDeficient as exc:
+            decomp, s_formula, s_bisection = exc.decomposition, math.nan, math.nan
         k = decomp.k_norm
         min_pair = float(min(k[1] + k[2], k[1] + k[3], k[2] + k[3]))
         row = [str(i), _fmt(decomp.concurrence), _fmt(k[0]), _fmt(k[1]), _fmt(k[2]), _fmt(k[3]),
@@ -168,9 +166,13 @@ def cmd_sample(args, tol) -> int:
 
 
 def cmd_param(args, tol) -> int:
-    lam = [float(x) for x in args.lambdas.split(",")]
-    if len(lam) != 4:
-        print("error: --lambda needs four comma-separated values", file=sys.stderr)
+    try:
+        lam = [float(x) for x in args.lambdas.split(",")]
+        if len(lam) != 4:
+            raise ValueError
+    except ValueError:
+        print(f"error: --lambda needs four comma-separated numbers, got {args.lambdas!r}",
+              file=sys.stderr)
         return EXIT_VALIDATION
     try:
         params = coset.CosetParams(

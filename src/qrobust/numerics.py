@@ -1,13 +1,17 @@
 """Fixed-size complex matrix kernel: Hermitian eigensolver and Takagi factorization.
 
-Both routines use cyclic Jacobi rotations, so identical input bits always
-produce identical output bits, and the ordering/orientation conventions below
-make every downstream report reproducible:
+Both routines run on LAPACK's Hermitian eigensolver (``np.linalg.eigh``) and
+fix the conventions LAPACK leaves open, so identical input bits give
+identical output bits on a given numpy/LAPACK build:
 
 * eigenvalues and singular values are sorted in descending order with a
   stable tie-break;
 * each eigenvector is rotated by a global phase so its largest-magnitude
   component is real and positive.
+
+Inside a degenerate eigenspace LAPACK returns an arbitrary basis.  Callers
+that report vectors from such a space fix the basis by their own written
+rule (see ``wootters.decompose``).
 """
 
 from __future__ import annotations
@@ -33,55 +37,32 @@ def _as_matrix(matrix, size: int = 4) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
-def _jacobi_hermitian(matrix: np.ndarray, convergence: float, max_sweeps: int = 60):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix of any small size."""
-    n = matrix.shape[0]
-    a = matrix.copy()
-    v = np.eye(n, dtype=complex)
-    norm = np.linalg.norm(a, "fro")
-    if norm == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off <= convergence * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = abs(a[p, q])
-                if b <= 1e-18 * norm:
-                    continue
-                u = a[p, q] / b
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
-                # stable smaller root of t^2 + 2 tau t - 1 = 0
-                if abs(tau) > 1e8:
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s * np.conj(u), c * np.conj(u)]])
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    else:
-        raise NumericalFailure("Jacobi sweep limit reached without convergence")
-    evals = np.diag(a).real.copy()
+def _eigh_descending(h: np.ndarray):
+    """LAPACK eigendecomposition of a Hermitian (or real symmetric) matrix,
+    eigenvalues descending, each eigenvector phased so that its
+    largest-magnitude component is real and positive."""
+    evals, v = np.linalg.eigh(h)
     order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    v = v[:, order]
-    for i in range(n):
-        j = int(np.argmax(np.abs(v[:, i])))
-        pivot = v[j, i]
-        if abs(pivot) > 0.0:
-            v[:, i] *= np.conj(pivot) / abs(pivot)
-    return evals, v
+    evals, v = evals[order], v[:, order]
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return evals, v * (np.conj(pivots) / np.abs(pivots))[None, :]
+
+
+def _tied_runs(values: np.ndarray, gap: float) -> list:
+    """Split a descending array into maximal runs of neighbours at most
+    ``gap`` apart; returns one index range per run, singletons included."""
+    runs, start = [], 0
+    for i in range(1, len(values)):
+        if values[i - 1] - values[i] > gap:
+            runs.append(range(start, i))
+            start = i
+    runs.append(range(start, len(values)))
+    return runs
 
 
 def hermitian_eig(matrix, tol: Tolerances = DEFAULT):
@@ -99,11 +80,10 @@ def hermitian_eig(matrix, tol: Tolerances = DEFAULT):
     dev = np.max(np.abs(m - m.conj().T))
     if dev > tol.hermiticity:
         raise NonHermitianInput(f"max |M - M^dag| = {dev:.3e} exceeds {tol.hermiticity:.3e}")
-    h = 0.5 * (m + m.conj().T)
-    return _jacobi_hermitian(h, tol.jacobi_convergence)
+    return _eigh_descending(0.5 * (m + m.conj().T))
 
 
-def _takagi_unitary_small(t: np.ndarray, convergence: float) -> np.ndarray:
+def _takagi_unitary_small(t: np.ndarray) -> np.ndarray:
     """Takagi vectors of a small complex symmetric block.
 
     Uses the real embedding [[Re T, Im T], [Im T, -Re T]]: eigenvectors with
@@ -111,9 +91,8 @@ def _takagi_unitary_small(t: np.ndarray, convergence: float) -> np.ndarray:
     block of eigenvectors yields a unitary k x k factor.
     """
     k = t.shape[0]
-    embedding = np.block([[t.real, t.imag], [t.imag, -t.real]]).astype(complex)
-    _, g = _jacobi_hermitian(embedding, convergence)
-    return g[:k, :k].real + 1j * g[k:, :k].real
+    _, g = _eigh_descending(np.block([[t.real, t.imag], [t.imag, -t.real]]))
+    return g[:k, :k] + 1j * g[k:, :k]
 
 
 def takagi(matrix, tol: Tolerances = DEFAULT):
@@ -137,36 +116,24 @@ def takagi(matrix, tol: Tolerances = DEFAULT):
     if dev > tol.symmetry:
         raise NonSymmetricInput(f"max |S - S^T| = {dev:.3e} exceeds {tol.symmetry:.3e}")
     s = 0.5 * (m + m.T)
-    n = s.shape[0]
 
-    gram = s @ np.conj(s)
-    evals, v = _jacobi_hermitian(gram, tol.jacobi_convergence)
+    evals, v = _eigh_descending(s @ np.conj(s))
     d = np.sqrt(np.clip(evals, 0.0, None))
     scale = max(d[0], 1.0)
-    cluster_gap = tol.takagi_cluster * scale
     zero_level = tol.takagi_zero * scale
 
-    clusters = []
-    start = 0
-    for i in range(1, n):
-        if d[i - 1] - d[i] > cluster_gap:
-            clusters.append(range(start, i))
-            start = i
-    clusters.append(range(start, n))
-    for idx in clusters:
-        idx = list(idx)
+    for idx in _tied_runs(d, tol.takagi_cluster * scale):
         if len(idx) < 2 or d[idx].mean() <= zero_level:
             continue
         vc = v[:, idx]
         restriction = vc.conj().T @ s @ np.conj(vc)
-        v[:, idx] = vc @ _takagi_unitary_small(restriction, tol.jacobi_convergence)
+        v[:, idx] = vc @ _takagi_unitary_small(restriction)
 
     # phase polish per column; |diagonal| refines d near the zero level
-    refined = np.zeros(n)
-    for i in range(n):
-        c = v[:, i].conj() @ s @ np.conj(v[:, i])
-        if abs(c) > zero_level * 1e-3:
-            v[:, i] *= np.exp(0.5j * np.angle(c))
-        refined[i] = abs(c)
+    v_bar = np.conj(v)
+    c = np.einsum("ji,jk,ki->i", v_bar, s, v_bar)
+    polish = np.abs(c) > zero_level * 1e-3
+    v[:, polish] *= np.exp(0.5j * np.angle(c[polish]))[None, :]
+    refined = np.abs(c)
     order = np.argsort(-refined, kind="stable")
     return v[:, order].conj().T, refined[order]

@@ -26,7 +26,15 @@ from .wootters import WoottersDecomposition
 
 
 class RankDeficient(ValueError):
-    """The closed form needs all four K_i; the state has deficient rank."""
+    """The closed form needs all four K_i; the state has deficient rank.
+
+    ``decomposition`` holds the decomposition that fell short, so callers
+    that report it need not decompose the state again.
+    """
+
+    def __init__(self, decomposition: WoottersDecomposition):
+        super().__init__(f"decomposition rank {decomposition.rank} < 4; K_i undefined")
+        self.decomposition = decomposition
 
 
 class BadWeights(ValueError):
@@ -35,13 +43,14 @@ class BadWeights(ValueError):
 
 # vertex index k -> the pair (i, j) of directions it mixes (1-based)
 _VERTEX_PAIRS = {1: (1, 2), 2: (3, 4), 3: (2, 4), 4: (2, 3)}
-# candidate pairs for the minimum, lexicographic for deterministic ties
+# candidate pairs for the minimum, in the lexicographic order that settles ties
 _MIN_PAIRS = ((2, 3), (2, 4), (3, 4))
 
 
 @dataclass(frozen=True)
 class RobustnessCertificate:
-    """Closed-form robustness value plus the separable pair witnessing it."""
+    """Closed-form robustness value plus the separable pair witnessing it,
+    and the decomposition both were built from."""
 
     s: float
     k_index: int
@@ -50,6 +59,7 @@ class RobustnessCertificate:
     rho_p: DensityMatrix
     rho_p_coords: np.ndarray
     residuals: dict
+    decomposition: WoottersDecomposition
 
     def to_report(self) -> dict:
         return {
@@ -63,7 +73,7 @@ class RobustnessCertificate:
 
 def _require_full_rank(decomp: WoottersDecomposition) -> None:
     if decomp.rank < 4:
-        raise RankDeficient(f"decomposition rank {decomp.rank} < 4; K_i undefined")
+        raise RankDeficient(decomp)
 
 
 def separability_gap(decomp: WoottersDecomposition) -> float:
@@ -85,7 +95,7 @@ def pair_vertex(decomp: WoottersDecomposition, i: int, j: int) -> DensityMatrix:
     k = decomp.k_norm
     a, b = i - 1, j - 1
     m = (np.outer(xp[:, a], xp[:, a].conj()) + np.outer(xp[:, b], xp[:, b].conj())) / (k[a] + k[b])
-    return DensityMatrix(m)
+    return DensityMatrix._by_construction(m)
 
 
 def sigma_vertex(decomp: WoottersDecomposition, k: int) -> DensityMatrix:
@@ -199,8 +209,9 @@ def robustness(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> RobustnessCerti
         lam_p = decomp.lambdas.copy()
         rho_p = rho
     else:
-        sums = [k[i - 1] + k[j - 1] for i, j in _MIN_PAIRS]
-        m = int(np.argmin(sums))
+        # the first pair, lexicographically, whose sum ties with the minimum
+        sums = np.array([k[i - 1] + k[j - 1] for i, j in _MIN_PAIRS])
+        m = int(np.flatnonzero(sums <= sums.min() * (1.0 + tol.tie))[0])
         cert_pair = _MIN_PAIRS[m]
         k_index = 9 - cert_pair[0] - cert_pair[1]
         s = 0.5 * sums[m] * c
@@ -209,7 +220,7 @@ def robustness(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> RobustnessCerti
         a[k_index - 2] = 1.0
         lam_p = rho_prime_coords(decomp, a)
         xp = decomp.x_prime()
-        rho_p = DensityMatrix((xp * lam_p[None, :]) @ xp.conj().T)
+        rho_p = DensityMatrix._by_construction((xp * lam_p[None, :]) @ xp.conj().T)
 
     pseudo = np.max(np.abs(rho.matrix - (1.0 + s) * rho_p.matrix + s * rho_pp.matrix))
     plane = lam_p[0] - lam_p[1] - lam_p[2] - lam_p[3]
@@ -229,4 +240,5 @@ def robustness(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> RobustnessCerti
             "ppt_min_eig_rho_p": float(min_eig_p),
             "ppt_min_eig_rho_pp": float(min_eig_pp),
         },
+        decomposition=decomp,
     )

@@ -50,12 +50,12 @@ def _validate_density(matrix: np.ndarray, tol: Tolerances) -> None:
     asym = np.max(np.abs(matrix - matrix.conj().T))
     if asym > tol.hermiticity:
         raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {asym:.3e} exceeds {tol.hermiticity:.3e}")
-    tr = np.trace(matrix).real
+    tr = matrix.trace().real
     if abs(tr - 1.0) > tol.trace:
         raise ValidationError(f"trace deviates from 1 by {tr - 1.0:.3e} (allowed {tol.trace:.3e})")
-    evals, _ = numerics.hermitian_eig(matrix, tol)
-    if evals[-1] < -tol.psd:
-        raise ValidationError(f"not positive semidefinite: min eigenvalue {evals[-1]:.3e} below {-tol.psd:.3e}")
+    min_eig = np.linalg.eigvalsh(matrix)[0]
+    if min_eig < -tol.psd:
+        raise ValidationError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} below {-tol.psd:.3e}")
 
 
 class DensityMatrix:
@@ -64,10 +64,23 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT):
-        m = numerics._as_matrix(matrix)
+        try:
+            m = numerics._as_matrix(matrix)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
         _validate_density(m, tol)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _by_construction(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix that is a state by construction (a convex mixture of
+        projectors built in this package), skipping the validation."""
+        state = object.__new__(cls)
+        m = np.array(matrix, dtype=complex)
+        m.setflags(write=False)
+        object.__setattr__(state, "matrix", m)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -269,7 +282,7 @@ def read_state(path, tol: Tolerances = DEFAULT) -> DensityMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("state file must contain a JSON object")

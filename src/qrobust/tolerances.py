@@ -25,7 +25,6 @@ class Tolerances:
     su2: float = 1e-12               # local unitary factors: unitarity and det
 
     # eigensolver / Takagi kernel
-    jacobi_convergence: float = 1e-14   # off-diagonal mass relative to |H|_F
     eig_residual: float = 1e-10         # |H v - mu v| <= eig_residual * (1 + |H|_max)
     eig_orthonormality: float = 1e-12
     takagi_cluster: float = 1e-6        # relative gap that groups singular values
@@ -36,6 +35,7 @@ class Tolerances:
 
     # decomposition and derived quantities
     rank_threshold: float = 1e-8        # relative cutoff for the Wootters rank
+    tie: float = 1e-12                  # relative difference at which lambdas, K_i or pair sums tie
     decompose_failure: float = 1e-7     # hard failure if the factorization residual exceeds this
     defining_relation: float = 1e-9     # |<x_i|~x_j> - lambda_i delta_ij|
     reconstruction: float = 1e-9

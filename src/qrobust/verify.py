@@ -162,15 +162,14 @@ def _check_certificates(corpus: int, seed: int, tol: Tolerances) -> PropertyResu
         worst = max(worst, cert.residuals["plane"])
         ok = ok and cert.residuals["ppt_min_eig_rho_p"] >= -tol.ppt
         ok = ok and cert.residuals["ppt_min_eig_rho_pp"] >= -tol.ppt
-        dec = wootters.decompose(rho, tol)
         lam_p = cert.rho_p_coords
-        worst = max(worst, abs(float(np.sum(lam_p * dec.k_norm)) - 1.0))
+        worst = max(worst, abs(float(np.sum(lam_p * cert.decomposition.k_norm)) - 1.0))
         # entanglement dies exactly at s along the witness vertex
         mix_at = DensityMatrix((rho.matrix + cert.s * cert.rho_pp.matrix) / (1.0 + cert.s))
         worst = max(worst, wootters.concurrence(mix_at, tol))
         shrunk = 0.999 * cert.s
-        mix_before = DensityMatrix((rho.matrix + shrunk * cert.rho_pp.matrix) / (1.0 + shrunk))
-        ok = ok and wootters.concurrence(mix_before, tol) > 1e-6
+        mix_before = (rho.matrix + shrunk * cert.rho_pp.matrix) / (1.0 + shrunk)
+        ok = ok and states.ppt_min_eig(mix_before) < -tol.ppt
         ok = ok and wootters.decompose(cert.rho_pp, tol).rank <= 2
     passed = ok and worst <= tol.pseudomixture
     return PropertyResult("robustness certificates (soundness, boundary, pseudomixture)",
@@ -184,7 +183,7 @@ def _check_plane_dominance(corpus: int, seed: int, tol: Tolerances) -> PropertyR
         cert = robustness(rho, tol)
         if cert.s == 0.0:
             continue
-        dec = wootters.decompose(rho, tol)
+        dec = cert.decomposition
         for _ in range(100):
             weights = rng.dirichlet(np.ones(3))
             values = [plane_robustness_s1(dec, weights)]

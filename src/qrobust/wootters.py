@@ -7,6 +7,13 @@ of rho rho~.  The construction here: spectrally decompose rho into
 subnormalized eigenvectors |v_i>, form the complex symmetric Gram matrix
 tau_ij = <v_i|~v_j>, find a unitary U with U tau U^T = diag(lambda) via the
 Takagi kernel, and set |x_i> = sum_j conj(U_ij) |v_j>.
+
+The vectors are unique only up to sign, and inside a cluster of tied lambdas
+only up to a real orthogonal rotation, which the eigensolver leaves
+arbitrary.  The written rule that fixes both (``_fix_free_rotations``):
+rotate each cluster onto the eigenvectors of Re(X_c^dag X_c), so its K_i come
+out descending, align every group of still-tied K_i with the magic basis in
+Bell order, and orient each vector by its largest magic-basis coefficient.
 """
 
 from __future__ import annotations
@@ -68,6 +75,47 @@ class WoottersDecomposition:
         }
 
 
+# Magic basis: the Bell states of ``states.BELL_STATES``, in Bell order, with
+# the phases that make each one invariant under the spin flip.
+_MAGIC = states.BELL_STATES * np.array([1j, 1.0, 1j, 1.0])[None, :]
+
+
+def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> None:
+    """Fix, in place, the freedom the defining relation leaves in the columns.
+
+    Each |x_i> is unique only up to sign, and inside a cluster of lambdas
+    tied within ``tol.tie * lambda_1`` only up to a real orthogonal rotation;
+    both keep the defining relation and rho = X X^dag.  The rule:
+
+    1. rotate each cluster onto the eigenvectors of Re(X_c^dag X_c), so its
+       K_i are that matrix's eigenvalues, descending;
+    2. inside each group of K_i tied within ``tol.tie * K_max``, rotate so
+       that the real magic-basis coefficients are lower triangular on the
+       Bell indices that carry the most weight, taken in Bell order;
+    3. give every column the sign that makes its largest real magic-basis
+       coefficient positive (ties go to the lower Bell index).
+
+    A Bell-diagonal state thus gets columns proportional to the magic
+    vectors in Bell order, whatever basis the eigensolver returned.
+    """
+    for cluster in numerics._tied_runs(lambdas, tol.tie * lambdas[0]):
+        if len(cluster) < 2:
+            continue
+        xc = x[:, cluster]
+        k, rot = numerics._eigh_descending((xc.conj().T @ xc).real)
+        xc = xc @ rot
+        for group in numerics._tied_runs(k, tol.tie * k[0]):
+            if len(group) > 1:
+                xg = xc[:, group]
+                coeffs = (_MAGIC.conj().T @ xg).real        # full column rank
+                rows = np.sort(np.argsort(-np.sum(coeffs ** 2, axis=1), kind="stable")[:len(group)])
+                xc[:, group] = xg @ np.linalg.qr(coeffs[rows].T)[0]   # coeffs[rows] @ q = r.T
+        x[:, cluster] = xc
+    coeffs = (_MAGIC.conj().T @ x).real
+    pivots = coeffs[np.argmax(np.abs(coeffs), axis=0), np.arange(x.shape[1])]
+    x *= np.where(pivots < 0.0, -1.0, 1.0)[None, :]
+
+
 def decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> WoottersDecomposition:
     """Construct the tilde-orthogonal decomposition of ``rho``.
 
@@ -88,6 +136,8 @@ def decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> WoottersDecompos
     eps_rank = tol.rank_threshold * max(lambdas[0], 1e-30)
     rank = int(np.sum(lambdas > eps_rank))
     x[:, rank:] = 0.0
+    if rank > 0:
+        _fix_free_rotations(x, lambdas[:rank], tol)
     p_coord = np.sum(np.abs(x) ** 2, axis=0)
     k_norm = np.full(4, np.nan)
     k_norm[:rank] = p_coord[:rank] / lambdas[:rank]

@@ -1,8 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qrobust
 from qrobust.cli import main
 from qrobust.states import BellWeights, DensityMatrix, bell_diagonal, read_state, werner, write_state
 
@@ -177,3 +183,59 @@ def test_state_written_by_param_round_trips(tmp_path):
     second = tmp_path / "rewritten.json"
     write_state(rho, second)
     assert out.read_bytes() == second.read_bytes()
+
+
+def run_cli(*argv, env=None):
+    """Run the command in a fresh interpreter, as a user would."""
+    src = str(Path(qrobust.__file__).resolve().parent.parent)
+    full_env = {**os.environ, **(env or {}),
+                "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "qrobust.cli", *argv], env=full_env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_analyze_nan_entry_is_a_validation_error(tmp_path):
+    state = tmp_path / "nan.json"
+    write_state(DensityMatrix(np.eye(4) / 4.0), state)
+    payload = json.loads(state.read_text())
+    payload["im"][1][2] = float("nan")
+    state.write_text(json.dumps(payload))
+    proc = run_cli("analyze", "--in", str(state))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "finite" in proc.stderr
+
+
+def test_analyze_directory_is_an_io_error(tmp_path):
+    proc = run_cli("analyze", "--in", str(tmp_path))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+def test_param_non_numeric_lambda_is_a_validation_error(tmp_path):
+    proc = run_cli("param", *BELL_ARGS[:-1], "a,b,c,d", "--out", str(tmp_path / "x.json"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--lambda" in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("seed", [45000, 46000])
+def test_verify_weakly_entangled_corpus(seed, capsys):
+    # states 45040 (C = 8.0e-4) and 46011 (C = 1.2e-4): entanglement just
+    # before s must be seen through the PT spectrum, not through C
+    assert main(["verify", "--corpus", "50", "--seed", str(seed)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_verify_zero_tolerance_names_residuals():
+    proc = run_cli("verify", "--corpus", "10", env={"QROBUST_TOL": "0"})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "NumericalFailure" not in proc.stdout
+    failing = [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert failing
+    for line in failing:
+        # a measured residual against its bound, or an exception that names both
+        assert "worst nan" not in line or re.search(r"(exceeds|allowed|below) [-+0-9.e]+", line), line

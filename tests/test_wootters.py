@@ -3,7 +3,9 @@ import pytest
 
 from conftest import concurrence_by_spectrum, ginibre_corpus
 from qrobust import concurrence, decompose, tilde_distance, tilde_norm
+from qrobust.coset import CosetParams, density_from_params
 from qrobust.states import (
+    BELL_STATES,
     SIGMA_YY,
     BellWeights,
     DensityMatrix,
@@ -14,6 +16,7 @@ from qrobust.states import (
     spin_flip,
     werner,
 )
+from qrobust.tolerances import DEFAULT
 
 MIXED = DensityMatrix(np.eye(4) / 4.0)
 SINGLET = werner(1.0)
@@ -160,3 +163,87 @@ class TestTildeNormAndDistance:
         b = bell_diagonal(BellWeights(np.array([0.6, 0.2, 0.1, 0.1])))
         # both commute with the flip, so the distance is the weight distance
         assert abs(tilde_distance(a, b) - np.sqrt(0.02)) <= 1e-12
+
+
+MAGIC = BELL_STATES * np.array([1j, 1.0, 1j, 1.0])[None, :]
+TIED_WEIGHTS = (
+    [0.4, 0.4, 0.15, 0.05],     # two-fold ties
+    [0.5, 0.2, 0.2, 0.1],
+    [0.45, 0.35, 0.1, 0.1],
+    [0.7, 0.1, 0.1, 0.1],       # three-fold ties
+    [0.3, 0.3, 0.3, 0.1],
+    [0.25, 0.25, 0.25, 0.25],   # four-fold tie
+)
+
+
+class TestDegeneracyRule:
+    @pytest.mark.parametrize("weights", TIED_WEIGHTS)
+    def test_bell_diagonal_ties_give_bell_states_in_bell_order(self, weights):
+        dec = decompose(bell_diagonal(BellWeights(np.array(weights))))
+        assert dec.rank == 4
+        # column i is sqrt(p_i) times the flip-invariant Bell state psi_i
+        assert np.max(np.abs(dec.x - MAGIC * np.sqrt(weights)[None, :])) <= 1e-12
+
+    @pytest.mark.parametrize("weights", TIED_WEIGHTS)
+    def test_two_construction_routes_agree(self, weights):
+        direct = bell_diagonal(BellWeights(np.array(weights)))
+        zero_angles = dict(theta1=0.0, theta2=0.0, xi1=0.0, xi2=0.0, phi1=0.0, phi2=0.0)
+        via_orbit = density_from_params(CosetParams(**zero_angles, lam=np.array(weights)))
+        assert np.max(np.abs(direct.matrix - via_orbit.matrix)) <= 1e-15
+        a, b = decompose(direct), decompose(via_orbit)
+        assert np.max(np.abs(a.x - b.x)) <= 1e-12
+        assert np.max(np.abs(a.k_norm - b.k_norm)) <= 1e-12
+
+    def test_routes_differ_in_the_last_bits(self):
+        # the agreement above is not a tautology: the two matrices are not bit-equal
+        zero_angles = dict(theta1=0.0, theta2=0.0, xi1=0.0, xi2=0.0, phi1=0.0, phi2=0.0)
+        differ = 0
+        for weights in TIED_WEIGHTS:
+            direct = bell_diagonal(BellWeights(np.array(weights)))
+            via_orbit = density_from_params(CosetParams(**zero_angles, lam=np.array(weights)))
+            differ += not np.array_equal(direct.matrix, via_orbit.matrix)
+        assert differ > 0
+
+    def test_local_unitary_copy_keeps_tied_k(self):
+        # a rotated Bell-diagonal state still has unit K_i and the same weights
+        rho = apply_local_unitary(BELL_07, random_local_unitary(np.random.default_rng(4)))
+        dec = decompose(rho)
+        assert np.max(np.abs(dec.lambdas - [0.7, 0.1, 0.1, 0.1])) <= 1e-12
+        assert np.max(np.abs(dec.k_norm - 1.0)) <= 1e-12
+        assert np.max(np.abs(tilde_gram(dec.x) - np.diag(dec.lambdas))) <= 1e-12
+
+    def test_tied_cluster_k_come_out_descending(self):
+        # equal lambdas, unequal K: the cluster's K_i are sorted descending
+        angles = dict(theta1=0.4, theta2=-0.2, xi1=0.3, xi2=0.1, phi1=0.25, phi2=-0.5)
+        params = CosetParams(**angles, lam=np.array([0.55, 0.15, 0.15, 0.15]))
+        dec = decompose(density_from_params(params))
+        assert np.max(np.abs(np.diff(dec.lambdas[1:]))) <= 1e-12
+        assert np.all(np.diff(dec.k_norm[1:]) <= 0.0)
+        assert np.max(np.abs(tilde_gram(dec.x) - np.diag(dec.lambdas))) <= DEFAULT.defining_relation
+        assert np.max(np.abs(dec.x @ dec.x.conj().T - density_from_params(params).matrix)) <= 1e-12
+
+    def test_near_tie_is_not_rotated(self):
+        # lambdas 1e-8 apart are distinct: rotating them together would break
+        # the defining relation at the 1e-8 level
+        angles = dict(theta1=0.4, theta2=-0.2, xi1=0.3, xi2=0.1, phi1=0.25, phi2=-0.5)
+        params = CosetParams(**angles, lam=np.array([0.55, 0.15 + 2.2e-8, 0.15, 0.15 - 2.2e-8]))
+        rho = density_from_params(params)
+        dec = decompose(rho)
+        gaps = -np.diff(dec.lambdas[1:])
+        assert np.all(gaps > 5e-9) and np.all(gaps < 2e-8)
+        assert np.max(np.abs(tilde_gram(dec.x) - np.diag(dec.lambdas))) <= DEFAULT.defining_relation
+        assert np.max(np.abs(dec.x @ dec.x.conj().T - rho.matrix)) <= DEFAULT.reconstruction
+
+    def test_tied_cluster_basis_gives_the_smallest_pair_sum(self):
+        # any other real rotation of the tied cluster gives pair sums no smaller
+        angles = dict(theta1=0.4, theta2=-0.2, xi1=0.3, xi2=0.1, phi1=0.25, phi2=-0.5)
+        params = CosetParams(**angles, lam=np.array([0.55, 0.15, 0.15, 0.15]))
+        dec = decompose(density_from_params(params))
+        k = dec.k_norm
+        best = min(k[1] + k[2], k[1] + k[3], k[2] + k[3])
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            xc = dec.x[:, 1:] @ rot
+            kc = np.sum(np.abs(xc) ** 2, axis=0) / dec.lambdas[1:]
+            assert min(kc[0] + kc[1], kc[0] + kc[2], kc[1] + kc[2]) >= best - 1e-12

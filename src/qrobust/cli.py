@@ -6,8 +6,9 @@ parameters, and ``verify`` to run the property suite.  Everything is
 deterministic given the flags and seed, and numbers are printed at full
 double precision so outputs diff cleanly across runs.
 
-Exit codes: 0 success, 1 property failure, 2 input validation,
-3 unsupported input (rank deficient with --no-fallback), 4 I/O.
+Exit codes: 0 success, 1 property failure (including a residual inside a
+state's decomposition above its bound), 2 input validation, 3 unsupported
+input (rank deficient with --no-fallback), 4 I/O.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 import numpy as np
 
 from . import coset, oracle, states, tolerances, verify
+from .numerics import NonHermitianInput, NonSymmetricInput, NumericalFailure
 from .robustness import RankDeficient, robustness
 
 EXIT_OK = 0
@@ -267,7 +269,13 @@ def main(argv=None) -> int:
     if getattr(args, "n", 1) < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return EXIT_VALIDATION
-    return args.func(args, tol)
+    try:
+        return args.func(args, tol)
+    except (NumericalFailure, NonHermitianInput, NonSymmetricInput) as exc:
+        # a residual inside the decomposition of an already validated state
+        # exceeded its bound; the message names both
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
 
 
 if __name__ == "__main__":

@@ -91,10 +91,11 @@ class OracleResult:
 
 
 def _product_kets(angles: np.ndarray) -> np.ndarray:
-    tha, pha, thb, phb = angles.T
-    a = np.stack([np.cos(tha / 2.0), np.exp(1j * pha) * np.sin(tha / 2.0)], axis=1)
-    b = np.stack([np.cos(thb / 2.0), np.exp(1j * phb) * np.sin(thb / 2.0)], axis=1)
-    return np.einsum("ni,nj->nij", a, b).reshape(-1, 4)
+    """|a> x |b> for each row (theta_a, phi_a, theta_b, phi_b) of a (..., 4) array."""
+    tha, pha, thb, phb = np.moveaxis(angles, -1, 0)
+    a = np.stack([np.cos(tha / 2.0), np.exp(1j * pha) * np.sin(tha / 2.0)], axis=-1)
+    b = np.stack([np.cos(thb / 2.0), np.exp(1j * phb) * np.sin(thb / 2.0)], axis=-1)
+    return np.einsum("...i,...j->...ij", a, b).reshape(*angles.shape[:-1], 4)
 
 
 def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix,
@@ -140,28 +141,28 @@ def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix,
     return hi
 
 
-def _exact_relative_robustness(rho_pt: np.ndarray, direction_pt: np.ndarray) -> float:
-    """min s >= 0 with rho_pt + s * direction_pt >= 0, via a regularized pencil.
+def _relative_robustness(rho_pt: np.ndarray, weights: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Smallest s >= 0 with rho_pt + s D^Gamma >= 0 for each mixture D of a stack.
 
-    The tiny identity shift keeps the Cholesky factor well conditioned; it is
-    equivalent to mixing the direction with an O(1e-10) amount of the
-    maximally mixed state, which is still separable.
+    ``weights`` (m, n) and ``kets`` (m, n, 4) give m product mixtures.  Each
+    is solved through a regularized pencil: the tiny identity shift keeps the
+    Cholesky factor well conditioned and amounts to mixing D with O(1e-10) of
+    the maximally mixed state, which is still separable.  An entry whose
+    factorization fails scores inf without affecting the others.
     """
-    eps = 1e-10 * max(1.0, abs(np.trace(direction_pt).real))
-    chol = np.linalg.cholesky(direction_pt + eps * np.eye(4))
-    inv = np.linalg.inv(chol)
-    pencil = inv @ rho_pt @ inv.conj().T
-    return max(0.0, -float(np.linalg.eigvalsh(pencil)[0]))
+    w = weights / weights.sum(axis=1, keepdims=True)
+    d_pt = partial_transpose_matrix(np.einsum("bn,bni,bnj->bij", w, kets, kets.conj()))
+    eps = 1e-10 * np.maximum(1.0, np.abs(np.trace(d_pt, axis1=1, axis2=2).real))
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(d_pt + eps[:, None, None] * np.eye(4)))
+        lowest = np.linalg.eigvalsh(inv @ rho_pt @ inv.conj().swapaxes(1, 2))[:, 0]
+    except np.linalg.LinAlgError:  # score the entries one by one
+        return np.array([math.inf]) if len(w) == 1 else np.concatenate(
+            [_relative_robustness(rho_pt, weights[i:i + 1], kets[i:i + 1]) for i in range(len(w))])
+    return np.where(lowest < 0.0, -lowest, 0.0)
 
 
-def _coordinate_descent(rho_pt: np.ndarray, rng: np.random.Generator, *,
-                        n_terms: int, sweeps: int, weight_step: float,
-                        angle_step: float, counter: list):
-    """Derivative-free refinement of a random product mixture.
-
-    One parameter at a time, trying +step then -step, with both step sizes
-    halved after each sweep.
-    """
+def _random_start(rng: np.random.Generator, n_terms: int):
     weights = rng.dirichlet(np.ones(n_terms))
     angles = np.stack([
         np.arccos(rng.uniform(-1.0, 1.0, n_terms)),
@@ -169,40 +170,54 @@ def _coordinate_descent(rho_pt: np.ndarray, rng: np.random.Generator, *,
         np.arccos(rng.uniform(-1.0, 1.0, n_terms)),
         rng.uniform(0.0, 2.0 * np.pi, n_terms),
     ], axis=1)
+    return weights, angles
 
-    def evaluate(w, ang) -> float:
-        counter[0] += 1
-        kets = _product_kets(ang)
-        direction = np.einsum("n,ni,nj->ij", w / w.sum(), kets, kets.conj())
-        try:
-            return _exact_relative_robustness(rho_pt, partial_transpose_matrix(direction))
-        except np.linalg.LinAlgError:
-            return math.inf
 
-    best = evaluate(weights, angles)
-    w_step, a_step = weight_step, angle_step
-    for _ in range(sweeps):
+def _coordinate_descent(rho_pt: np.ndarray, seeds, *, n_terms: int, sweeps: int,
+                        weight_step: float, angle_step: float):
+    """Derivative-free refinement of one random product mixture per seed.
+
+    Each restart changes one parameter at a time, keeping +step if it
+    improves, else -step if it improves, with both steps halved after each
+    sweep.  The restarts advance in lockstep, every step scoring the trials
+    of all of them as one stack, yet each keeps what it would keep alone and
+    ``evaluations`` counts what a one-at-a-time run scores.  Returns
+    (values, weights, angles, evaluations).
+    """
+    starts = [_random_start(np.random.default_rng(seed), n_terms) for seed in seeds]
+    size = len(starts)
+    weights = np.array([w for w, _ in starts]).reshape(size, n_terms)
+    angles = np.array([a for _, a in starts]).reshape(size, n_terms, 4)
+    kets = _product_kets(angles)
+    best = _relative_robustness(rho_pt, weights, kets)
+    evaluations = size
+
+    def advance(w3, a3, k3):
+        # rows: +step trials, -step trials, current mixtures; skip weights summing to <= 0
+        nonlocal best, evaluations
+        valid = w3[:2 * size].sum(axis=1) > 0.0
+        trials = np.where(valid[:, None], w3[:2 * size], 1.0)
+        values = np.where(valid, _relative_robustness(rho_pt, trials, k3[:2 * size]), math.inf)
+        plus = values[:size] < best
+        minus = ~plus & (values[size:] < best)
+        evaluations += int(np.count_nonzero(valid[:size]) + np.count_nonzero(~plus & valid[size:]))
+        pick = np.arange(size) + np.where(plus, 0, np.where(minus, size, 2 * size))
+        best = np.concatenate([values, best])[pick]
+        return w3[pick], a3[pick], k3[pick]
+
+    for sweep in range(sweeps):
+        w_delta, a_delta = (np.repeat([step, -step], size) * 0.5 ** sweep
+                            for step in (weight_step, angle_step))
         for n in range(n_terms):
-            for delta in (w_step, -w_step):
-                trial = weights.copy()
-                trial[n] = max(0.0, trial[n] + delta)
-                if trial.sum() <= 0.0:
-                    continue
-                value = evaluate(trial, angles)
-                if value < best:
-                    best, weights = value, trial
-                    break
+            w3, a3, k3 = (np.concatenate([x, x, x]) for x in (weights, angles, kets))
+            w3[:2 * size, n] = np.maximum(0.0, w3[:2 * size, n] + w_delta)
+            weights, angles, kets = advance(w3, a3, k3)
             for axis in range(4):
-                for delta in (a_step, -a_step):
-                    trial = angles.copy()
-                    trial[n, axis] += delta
-                    value = evaluate(weights, trial)
-                    if value < best:
-                        best, angles = value, trial
-                        break
-        w_step *= 0.5
-        a_step *= 0.5
-    return best, ProductMixture(weights, angles)
+                w3, a3, k3 = (np.concatenate([x, x, x]) for x in (weights, angles, kets))
+                a3[:2 * size, n, axis] += a_delta
+                k3[:2 * size, n] = _product_kets(a3[:2 * size, n])
+                weights, angles, kets = advance(w3, a3, k3)
+    return best, weights, angles, evaluations
 
 
 def minimize_absolute_robustness(rho: DensityMatrix, budget: int, seed: int, *,
@@ -213,55 +228,38 @@ def minimize_absolute_robustness(rho: DensityMatrix, budget: int, seed: int, *,
     Initializes with the certificate vertex (when the closed form applies)
     and the maximally mixed state, then runs ``budget`` random-restart
     product mixtures refined by coordinate descent.  Restart r uses its own
-    generator seeded with ``seed + r``, so results are reproducible and
-    restarts are order independent.  The final winner is re-certified by a
-    plain PPT bisection.
+    generator seeded with ``seed + r``; the restarts run together on stacked
+    arrays, but none depends on another, so results are reproducible.  The
+    final winner is re-certified by a plain PPT bisection.
     """
-    evaluations = 0
     if is_separable_ppt(rho, tolerances)[0]:
         return OracleResult(s_direction=0.0, s_best=0.0, best_direction=rho,
                             evaluations=1, converged=True, gap_to_formula=0.0)
 
-    s_formula = math.nan
-    candidates = []
+    mixed = DensityMatrix(np.eye(4) / 4.0)
+    s_formula, reference = math.nan, mixed
     try:
         cert = robustness_mod.robustness(rho, tolerances)
-        s_formula = cert.s
-        reference = cert.rho_pp
+        s_formula, reference = cert.s, cert.rho_pp
     except RankDeficient:
-        reference = DensityMatrix(np.eye(4) / 4.0)
+        pass
     s_direction = bisect_relative_robustness(rho, reference, tolerances=tolerances)
-    evaluations += 1
-    candidates.append((s_direction, reference))
-
-    mixed = DensityMatrix(np.eye(4) / 4.0)
-    candidates.append((bisect_relative_robustness(rho, mixed, tolerances=tolerances), mixed))
-    evaluations += 1
-
-    rho_pt = partial_transpose_matrix(rho.matrix)
-    counter = [0]
-    for restart in range(budget):
-        rng = np.random.default_rng(seed + restart)
-        value, mixture = _coordinate_descent(
-            rho_pt, rng, n_terms=n_terms, sweeps=sweeps,
-            weight_step=0.1, angle_step=0.3, counter=counter,
-        )
-        if math.isfinite(value):
-            candidates.append((value, mixture.to_density()))
-    evaluations += counter[0]
-
-    best_value, best_direction = min(candidates, key=lambda item: item[0])
-    s_best = bisect_relative_robustness(rho, best_direction, tolerances=tolerances)
-    evaluations += 1
-    gap = s_formula - s_best if math.isfinite(s_formula) else math.nan
-    return OracleResult(
-        s_direction=float(s_direction),
-        s_best=float(s_best),
-        best_direction=best_direction,
-        evaluations=int(evaluations),
-        converged=True,
-        gap_to_formula=float(gap),
+    candidates = [(s_direction, reference),
+                  (bisect_relative_robustness(rho, mixed, tolerances=tolerances), mixed)]
+    values, weights, angles, count = _coordinate_descent(
+        partial_transpose_matrix(rho.matrix), range(seed, seed + budget),
+        n_terms=n_terms, sweeps=sweeps, weight_step=0.1, angle_step=0.3,
     )
+    candidates += [(value, ProductMixture(w, a).to_density())
+                   for value, w, a in zip(values, weights, angles) if math.isfinite(value)]
+
+    best_direction = min(candidates, key=lambda item: item[0])[1]
+    s_best = bisect_relative_robustness(rho, best_direction, tolerances=tolerances)
+    gap = s_formula - s_best if math.isfinite(s_formula) else math.nan
+    # evaluations: the descent's plus the reference, mixed and final bisections
+    return OracleResult(s_direction=float(s_direction), s_best=float(s_best),
+                        best_direction=best_direction, evaluations=count + 3,
+                        converged=True, gap_to_formula=float(gap))
 
 
 def verify_certificate(rho: DensityMatrix, certificate: RobustnessCertificate, *,

@@ -159,8 +159,8 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
 
 
 def partial_transpose_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Transpose on the second-qubit indices of a raw 4x4 matrix."""
-    return matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    """Transpose on the second-qubit indices of a raw 4x4 matrix or an (..., 4, 4) stack."""
+    return matrix.reshape(*matrix.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(matrix.shape)
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
@@ -168,7 +168,7 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     return partial_transpose_matrix(rho.matrix)
 
 
-def ppt_min_eig(matrix: np.ndarray, tol: Tolerances = DEFAULT) -> float:
+def ppt_min_eig(matrix: np.ndarray) -> float:
     """Minimum eigenvalue of the partial transpose of a raw 4x4 matrix."""
     return float(np.linalg.eigvalsh(partial_transpose_matrix(matrix))[0])
 
@@ -179,7 +179,7 @@ def is_separable_ppt(rho: DensityMatrix, tol: Tolerances = DEFAULT):
     Returns ``(flag, min_eig)`` where the flag is True when the partial
     transpose has no eigenvalue below ``-tol.ppt``.
     """
-    min_eig = ppt_min_eig(rho.matrix, tol)
+    min_eig = ppt_min_eig(rho.matrix)
     return bool(min_eig >= -tol.ppt), min_eig
 
 

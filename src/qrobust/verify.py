@@ -138,12 +138,12 @@ def _check_local_unitary(corpus: int, seed: int, tol: Tolerances) -> PropertyRes
         worst = max(worst, abs(wootters.concurrence(rotated, tol) - wootters.concurrence(rho, tol)))
         m = _random_hermitian(rng)
         u = lu.product()
-        norm = wootters.tilde_norm(m, tol)
-        rotated_norm = wootters.tilde_norm(u @ m @ u.conj().T, tol)
+        norm = wootters.tilde_norm(m)
+        rotated_norm = wootters.tilde_norm(u @ m @ u.conj().T)
         worst = max(worst, abs(rotated_norm - norm) / max(norm, 1e-30))
         other = states.sample_state("ginibre", seed + 90_000, tol)
-        d0 = wootters.tilde_distance(rho, other, tol)
-        d1 = wootters.tilde_distance(rotated, states.apply_local_unitary(other, lu), tol)
+        d0 = wootters.tilde_distance(rho, other)
+        d1 = wootters.tilde_distance(rotated, states.apply_local_unitary(other, lu))
         worst = max(worst, abs(d1 - d0))
     return PropertyResult("local-unitary invariance (concurrence, norm, distance)",
                           worst <= tol.lu_invariance, worst, tol.lu_invariance)

@@ -155,7 +155,7 @@ def concurrence(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float:
     return decompose(rho, tol).concurrence
 
 
-def tilde_norm(matrix: np.ndarray, tol: Tolerances = DEFAULT) -> float:
+def tilde_norm(matrix: np.ndarray) -> float:
     """sqrt |tr(M M~)| for a Hermitian 4x4 matrix.
 
     Invariant under simultaneous local-unitary conjugation of M.  The
@@ -165,6 +165,6 @@ def tilde_norm(matrix: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     return math.sqrt(abs(np.trace(m @ states.tilde_matrix(m)).real))
 
 
-def tilde_distance(a: DensityMatrix, b: DensityMatrix, tol: Tolerances = DEFAULT) -> float:
+def tilde_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Distance sqrt |tr((a-b)(a~-b~))|; zero iff a = b, locally invariant."""
-    return tilde_norm(a.matrix - b.matrix, tol)
+    return tilde_norm(a.matrix - b.matrix)

@@ -239,3 +239,22 @@ def test_verify_zero_tolerance_names_residuals():
     for line in failing:
         # a measured residual against its bound, or an exception that names both
         assert "worst nan" not in line or re.search(r"(exceeds|allowed|below) [-+0-9.e]+", line), line
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--in", "{mixed}"],
+    ["sample", "--ensemble", "bell_diagonal", "--n", "2", "--out", "{csv}"],
+    ["param", *BELL_ARGS, "--out", "{param}"],
+])
+def test_zero_tolerance_decomposition_failure_names_residual(tmp_path, command):
+    # I/4 has trace exactly 1, so it passes validation at QROBUST_TOL=0; the
+    # residual checks inside the decomposition then fail on rounding alone
+    mixed = tmp_path / "mixed.json"
+    write_state(DensityMatrix(np.eye(4) / 4.0), mixed)
+    argv = [a.format(mixed=mixed, csv=tmp_path / "s.csv", param=tmp_path / "p.json") for a in command]
+    proc = run_cli(*argv, env={"QROBUST_TOL": "0"})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert re.search(r"= [0-9.e+-]+ exceeds 0\.000e\+00|residual [0-9.e+-]+ exceeds 0\.000e\+00", lines[0])

@@ -10,6 +10,10 @@ from qrobust.oracle import (
     NotSeparableDirection,
     ProductMixture,
     bisect_relative_robustness,
+    _coordinate_descent,
+    _product_kets,
+    _random_start,
+    _relative_robustness,
     minimize_absolute_robustness,
     verify_certificate,
 )
@@ -19,10 +23,12 @@ from qrobust.states import (
     DensityMatrix,
     bell_diagonal,
     is_separable_ppt,
+    partial_transpose_matrix,
     ppt_min_eig,
     sample_state,
     werner,
 )
+from qrobust.tolerances import DEFAULT
 
 MIXED = DensityMatrix(np.eye(4) / 4.0)
 SINGLET = werner(1.0)
@@ -160,6 +166,89 @@ class TestMinimize:
         assert result.s_best <= cert.s + 1e-6
         assert result.gap_to_formula > 1e-3
         assert result.minimality_flag()
+
+
+def sequential_descent(rho_pt, seed, *, n_terms, sweeps, weight_step, angle_step):
+    """One restart on its own: the rules the stacked search must reproduce."""
+    weights, angles = _random_start(np.random.default_rng(seed), n_terms)
+    evaluations = skipped = 0
+
+    def evaluate(w, ang):
+        nonlocal evaluations
+        evaluations += 1
+        return _relative_robustness(rho_pt, w[None], _product_kets(ang)[None])[0]
+
+    best = evaluate(weights, angles)
+    w_step, a_step = weight_step, angle_step
+    for _ in range(sweeps):
+        for n in range(n_terms):
+            for delta in (w_step, -w_step):
+                trial = weights.copy()
+                trial[n] = max(0.0, trial[n] + delta)
+                if trial.sum() <= 0.0:
+                    skipped += 1
+                    continue
+                value = evaluate(trial, angles)
+                if value < best:
+                    best, weights = value, trial
+                    break
+            for axis in range(4):
+                for delta in (a_step, -a_step):
+                    trial = angles.copy()
+                    trial[n, axis] += delta
+                    value = evaluate(weights, trial)
+                    if value < best:
+                        best, angles = value, trial
+                        break
+        w_step *= 0.5
+        a_step *= 0.5
+    return best, weights, angles, evaluations, skipped
+
+
+class TestLockstepSearch:
+    RHO = sample_state("ginibre", 0)
+
+    def test_best_is_the_best_single_restart(self):
+        budget, seed = 4, 7
+        whole = minimize_absolute_robustness(self.RHO, budget, seed)
+        singles = [minimize_absolute_robustness(self.RHO, 1, seed + r) for r in range(budget)]
+        best_single = min(r.s_best for r in singles)
+        assert abs(whole.s_best - best_single) <= DEFAULT.bisect_default * (1.0 + best_single)
+        # each single run adds the reference, mixed and final bisections
+        assert whole.evaluations == sum(r.evaluations for r in singles) - 3 * (budget - 1)
+
+    @pytest.mark.parametrize("n_terms, weight_step", [(8, 0.1), (1, 1.0)])
+    def test_restarts_match_one_at_a_time(self, n_terms, weight_step):
+        # weight_step 1.0 drives the only weight of a one-term mixture to 0,
+        # so its -step trial is skipped in the first sweep
+        rho_pt = partial_transpose_matrix(self.RHO.matrix)
+        settings = dict(n_terms=n_terms, sweeps=3, weight_step=weight_step, angle_step=0.3)
+        seeds = [11, 12, 13]
+        values, weights, angles, evaluations = _coordinate_descent(rho_pt, seeds, **settings)
+        reference = [sequential_descent(rho_pt, seed, **settings) for seed in seeds]
+        for r, (value, w, ang, _, _) in enumerate(reference):
+            assert values[r] == value
+            assert np.array_equal(weights[r], w) and np.array_equal(angles[r], ang)
+        assert evaluations == sum(ref[3] for ref in reference)
+        assert any(ref[4] for ref in reference) == (n_terms == 1)
+
+    def test_zero_budget_keeps_the_reference_directions(self):
+        cert = robustness(self.RHO)
+        result = minimize_absolute_robustness(self.RHO, budget=0, seed=0)
+        assert result.evaluations == 3
+        assert result.s_best <= cert.s + 1e-9
+        assert result.s_best == min(result.s_direction, bisect_relative_robustness(self.RHO, MIXED))
+
+    def test_failed_factorization_scores_only_its_entry(self):
+        rho_pt = partial_transpose_matrix(self.RHO.matrix)
+        mixture = random_mixture(np.random.default_rng(5), n=3)
+        kets = np.stack([_product_kets(mixture.bloch_angles)] * 3)
+        # a negative weight makes the middle direction indefinite, so its Cholesky factor fails
+        weights = np.stack([mixture.weights, [1.0, -0.5, 0.5], mixture.weights])
+        values = _relative_robustness(rho_pt, weights, kets)
+        alone = _relative_robustness(rho_pt, weights[:1], kets[:1])[0]
+        assert values[1] == math.inf
+        assert values[0] == values[2] == alone and math.isfinite(alone)
 
 
 class TestVerifyCertificate:

@@ -7,8 +7,9 @@ deterministic given the flags and seed, and numbers are printed at full
 double precision so outputs diff cleanly across runs.
 
 Exit codes: 0 success, 1 property failure (including a residual inside a
-state's decomposition above its bound), 2 input validation, 3 unsupported
-input (rank deficient with --no-fallback), 4 I/O.
+state's decomposition above its bound, and a generated state that fails
+validation), 2 input validation, 3 unsupported input (rank deficient with
+--no-fallback), 4 I/O.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import coset, oracle, states, tolerances, verify
 from .numerics import NonHermitianInput, NonSymmetricInput, NumericalFailure
-from .robustness import RankDeficient, robustness
+from .robustness import RankDeficient, robustness, robustness_stack
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -31,6 +32,11 @@ EXIT_UNSUPPORTED = 3
 EXIT_IO = 4
 
 _FALLBACK_BUDGET = 20
+_SAMPLE_CHUNK = 256   # rows computed together by ``sample``; bounds the stacked arrays at large --n
+
+
+class GeneratedStateInvalid(RuntimeError):
+    """A state generated by ``sample`` failed the validation of its own construction."""
 
 _EPILOG = """\
 sample CSV columns:
@@ -119,41 +125,63 @@ def cmd_analyze(args, tol) -> int:
 
 
 def _sample_rows(args, tol):
-    ensemble = args.ensemble
     header = ["seed_index", "concurrence", "K1", "K2", "K3", "K4",
               "min_pair_sum", "s_formula", "s_bisection"]
-    if ensemble == "coset":
+    if args.ensemble == "coset":
         header.append("k_agreement")
     if args.oracle:
         header += ["s_best", "gap"]
     yield header
+    for start in range(0, args.n, _SAMPLE_CHUNK):
+        yield from _sample_chunk(args, tol, range(start, min(start + _SAMPLE_CHUNK, args.n)))
 
-    for i in range(args.n):
-        seed = args.seed + i
-        k_agreement = None
-        if ensemble == "coset":
-            params = coset.sample_params(np.random.default_rng(seed))
-            rho = coset.density_from_params(params, tol)
-            direct = np.sum(np.abs(coset.build_X(params)) ** 2, axis=0)
-            k_agreement = float(np.max(np.abs(coset.k_closed_form(params) - direct)))
-        else:
-            rho = states.sample_state(ensemble, seed, tol)
+
+def _sample_chunk(args, tol, indices):
+    """Rows for ``indices``: each state drawn from its own seed, then one
+    stacked certificate and one stacked crossing for the whole chunk.  Rows
+    before an entry that fails are still yielded; the failure is raised then."""
+    ensemble = args.ensemble
+    rhos, k_agreement, failure = [], [], None
+    for i in indices:
         try:
-            cert = robustness(rho, tol)
-            decomp, s_formula = cert.decomposition, cert.s
-            s_bisection = oracle.bisect_relative_robustness(rho, cert.rho_pp, tolerances=tol)
-        except RankDeficient as exc:
-            decomp, s_formula, s_bisection = exc.decomposition, math.nan, math.nan
-        k = decomp.k_norm
-        min_pair = float(min(k[1] + k[2], k[1] + k[3], k[2] + k[3]))
-        row = [str(i), _fmt(decomp.concurrence), _fmt(k[0]), _fmt(k[1]), _fmt(k[2]), _fmt(k[3]),
-               _fmt(min_pair), _fmt(s_formula), _fmt(s_bisection)]
-        if ensemble == "coset":
-            row.append(_fmt(k_agreement))
-        if args.oracle:
-            result = oracle.minimize_absolute_robustness(rho, _FALLBACK_BUDGET, seed, tolerances=tol)
-            row += [_fmt(result.s_best), _fmt(result.gap_to_formula)]
-        yield row
+            if ensemble == "coset":
+                params = coset.sample_params(np.random.default_rng(args.seed + i))
+                rhos.append(coset.density_from_params(params, tol))
+                direct = np.sum(np.abs(coset.build_X(params)) ** 2, axis=0)
+                k_agreement.append(float(np.max(np.abs(coset.k_closed_form(params) - direct))))
+            else:
+                rhos.append(states.sample_state(ensemble, args.seed + i, tol))
+        except states.ValidationError as exc:
+            failure = GeneratedStateInvalid(f"seed {args.seed + i}: generated state failed validation: {exc}")
+            break
+    if rhos:
+        matrices = np.array([rho.matrix for rho in rhos])
+        certs = robustness_stack(matrices, tol)
+        decomp = certs.decomposition
+        # the first entry whose decomposition failed ends the rows
+        stop = next((j for j, e in enumerate(certs.errors)
+                     if e is not None and not isinstance(e, RankDeficient)), len(rhos))
+        has_cert = np.array([e is None for e in certs.errors[:stop]], dtype=bool)
+        s_bisection = np.full(stop, math.nan)
+        if has_cert.any():
+            s_bisection[has_cert] = oracle.relative_robustness_stack(
+                matrices[:stop][has_cert], certs.rho_pp[:stop][has_cert], tolerances=tol)
+        for j, (i, rho) in enumerate(zip(indices, rhos)):
+            if j == stop:
+                raise certs.errors[j]
+            k = decomp.k_norm[j]
+            min_pair = float(min(k[1] + k[2], k[1] + k[3], k[2] + k[3]))
+            row = [str(i), _fmt(decomp.concurrence[j]), _fmt(k[0]), _fmt(k[1]), _fmt(k[2]), _fmt(k[3]),
+                   _fmt(min_pair), _fmt(certs.s[j]), _fmt(s_bisection[j])]
+            if ensemble == "coset":
+                row.append(_fmt(k_agreement[j]))
+            if args.oracle:
+                result = oracle.minimize_absolute_robustness(rho, _FALLBACK_BUDGET, args.seed + i,
+                                                             tolerances=tol)
+                row += [_fmt(result.s_best), _fmt(result.gap_to_formula)]
+            yield row
+    if failure is not None:
+        raise failure
 
 
 def cmd_sample(args, tol) -> int:
@@ -271,9 +299,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args, tol)
-    except (NumericalFailure, NonHermitianInput, NonSymmetricInput) as exc:
-        # a residual inside the decomposition of an already validated state
-        # exceeded its bound; the message names both
+    except (NumericalFailure, NonHermitianInput, NonSymmetricInput, GeneratedStateInvalid) as exc:
+        # a residual inside the decomposition of an already validated state,
+        # or a check of a state the program generated, exceeded its bound;
+        # the message names both
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
 

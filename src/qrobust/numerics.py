@@ -12,6 +12,10 @@ identical output bits on a given numpy/LAPACK build:
 Inside a degenerate eigenspace LAPACK returns an arbitrary basis.  Callers
 that report vectors from such a space fix the basis by their own written
 rule (see ``wootters.decompose``).
+
+Both run on (N, 4, 4) stacks (``hermitian_eig_stack``, ``takagi_stack``),
+and the single-matrix functions are their N = 1 calls.  An entry of a
+stack gets the bits its own single-matrix call gets.
 """
 
 from __future__ import annotations
@@ -43,14 +47,29 @@ def _as_matrix(matrix, size: int = 4) -> np.ndarray:
 
 
 def _eigh_descending(h: np.ndarray):
-    """LAPACK eigendecomposition of a Hermitian (or real symmetric) matrix,
-    eigenvalues descending, each eigenvector phased so that its
-    largest-magnitude component is real and positive."""
-    evals, v = np.linalg.eigh(h)
-    order = np.argsort(-evals, kind="stable")
-    evals, v = evals[order], v[:, order]
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return evals, v * (np.conj(pivots) / np.abs(pivots))[None, :]
+    """LAPACK eigendecomposition of a Hermitian (or real symmetric) matrix or
+    (..., n, n) stack, eigenvalues descending with a stable tie-break, each
+    eigenvector phased so that its largest-magnitude component is real and
+    positive."""
+    evals, v = np.linalg.eigh(h)                      # ascending
+    n = evals.shape[-1]
+    if (evals[..., 1:] == evals[..., :-1]).any():     # exact ties keep LAPACK's order
+        order = np.argsort(-evals, axis=-1, kind="stable")
+        evals = np.take_along_axis(evals, order, axis=-1)
+        v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    else:
+        evals, v = evals[..., ::-1], v[..., ::-1]
+    pivots = _column_pivots(v)
+    return evals, v * (pivots.conj() / np.abs(pivots))
+
+
+def _column_pivots(v: np.ndarray) -> np.ndarray:
+    """The largest-magnitude entry of each column (the first of equals) of a
+    matrix or (..., n, n) stack, shaped (..., 1, n)."""
+    n = v.shape[-1]
+    v3 = v.reshape(-1, n, n)
+    pivots = v3[np.arange(len(v3))[:, None], np.abs(v3).argmax(axis=1), np.arange(n)]
+    return pivots.reshape(v.shape[:-2] + (1, n))
 
 
 def _tied_runs(values: np.ndarray, gap: float) -> list:
@@ -65,6 +84,30 @@ def _tied_runs(values: np.ndarray, gap: float) -> list:
     return runs
 
 
+def _entry_errors(deviation: np.ndarray, bound: float, make) -> list:
+    """``make(deviation)`` for each entry whose deviation exceeds ``bound``, else None."""
+    return [make(d) if d > bound else None for d in deviation.tolist()]
+
+
+def _first_error(*stages) -> list:
+    """Merge per-entry error lists: each entry keeps the error of its earliest stage."""
+    return [next((e for e in entry if e is not None), None) for entry in zip(*stages)]
+
+
+def hermitian_eig_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
+    """``hermitian_eig`` over an (N, 4, 4) stack of finite matrices.
+
+    Returns ``(eigenvalues, eigenvectors, errors)``; ``errors[i]`` is the
+    ``NonHermitianInput`` of entry i, or None.  Every entry is decomposed, a
+    failing one included.
+    """
+    adjoint = matrices.conj().swapaxes(-1, -2)
+    dev = np.abs(matrices - adjoint).max(axis=(-2, -1))
+    errors = _entry_errors(dev, tol.hermiticity, lambda d: NonHermitianInput(
+        f"max |M - M^dag| = {d:.3e} exceeds {tol.hermiticity:.3e}"))
+    return (*_eigh_descending(0.5 * (matrices + adjoint)), errors)
+
+
 def hermitian_eig(matrix, tol: Tolerances = DEFAULT):
     """Eigendecomposition of a 4x4 Hermitian matrix.
 
@@ -76,11 +119,10 @@ def hermitian_eig(matrix, tol: Tolerances = DEFAULT):
     NonHermitianInput
         If ``max |M - M^dag|`` exceeds the hermiticity tolerance.
     """
-    m = _as_matrix(matrix)
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol.hermiticity:
-        raise NonHermitianInput(f"max |M - M^dag| = {dev:.3e} exceeds {tol.hermiticity:.3e}")
-    return _eigh_descending(0.5 * (m + m.conj().T))
+    evals, vecs, errors = hermitian_eig_stack(_as_matrix(matrix)[None], tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return evals[0], vecs[0]
 
 
 def _takagi_unitary_small(t: np.ndarray) -> np.ndarray:
@@ -93,6 +135,52 @@ def _takagi_unitary_small(t: np.ndarray) -> np.ndarray:
     k = t.shape[0]
     _, g = _eigh_descending(np.block([[t.real, t.imag], [t.imag, -t.real]]))
     return g[:k, :k] + 1j * g[k:, :k]
+
+
+def _refactor_clusters(v: np.ndarray, s: np.ndarray, d: np.ndarray, tol: Tolerances) -> None:
+    """Re-factor, in place, the symmetric restriction of ``s`` on each cluster
+    of (near-)degenerate singular values ``d`` above the zero level, where
+    single-column phases of ``v`` are not well defined."""
+    scale = max(d[0], 1.0)
+    for idx in _tied_runs(d, tol.takagi_cluster * scale):
+        if len(idx) < 2 or d[idx].mean() <= tol.takagi_zero * scale:
+            continue
+        vc = v[:, idx]
+        restriction = vc.conj().T @ s @ np.conj(vc)
+        v[:, idx] = vc @ _takagi_unitary_small(restriction)
+
+
+def takagi_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
+    """``takagi`` over an (N, 4, 4) stack of finite matrices.
+
+    Returns ``(w, d, errors)``; ``errors[i]`` is the ``NonSymmetricInput`` of
+    entry i, or None.  Only entries with a cluster of singular values go
+    through the per-cluster re-factorization.
+    """
+    transpose = matrices.swapaxes(-1, -2)
+    dev = np.abs(matrices - transpose).max(axis=(-2, -1))
+    errors = _entry_errors(dev, tol.symmetry, lambda e: NonSymmetricInput(
+        f"max |S - S^T| = {e:.3e} exceeds {tol.symmetry:.3e}"))
+    s = 0.5 * (matrices + transpose)
+
+    evals, v = _eigh_descending(s @ s.conj())
+    d = np.sqrt(evals.clip(0.0, None))
+    scale = np.maximum(d[:, 0], 1.0)
+    tied = (d[:, :-1] - d[:, 1:] <= (tol.takagi_cluster * scale)[:, None]).any(axis=1)
+    for i in tied.nonzero()[0]:
+        _refactor_clusters(v[i], s[i], d[i], tol)
+
+    # phase polish per column; |diagonal| refines d near the zero level
+    v_bar = v.conj()
+    c = np.einsum("...ji,...jk,...ki->...i", v_bar, s, v_bar)
+    refined = np.abs(c)
+    polish = refined > (tol.takagi_zero * scale)[:, None] * 1e-3
+    v = np.where(polish[:, None, :], v * np.exp(0.5j * np.arctan2(c.imag, c.real))[:, None, :], v)
+    if (refined[:, :-1] < refined[:, 1:]).any():      # a stable sort, descending
+        order = np.argsort(-refined, axis=-1, kind="stable")
+        v = np.take_along_axis(v, order[:, None, :], axis=-1)
+        refined = np.take_along_axis(refined, order, axis=-1)
+    return v.conj().swapaxes(-1, -2), refined, errors
 
 
 def takagi(matrix, tol: Tolerances = DEFAULT):
@@ -111,29 +199,7 @@ def takagi(matrix, tol: Tolerances = DEFAULT):
     NonSymmetricInput
         If ``max |S - S^T|`` exceeds the symmetry tolerance.
     """
-    m = _as_matrix(matrix)
-    dev = np.max(np.abs(m - m.T))
-    if dev > tol.symmetry:
-        raise NonSymmetricInput(f"max |S - S^T| = {dev:.3e} exceeds {tol.symmetry:.3e}")
-    s = 0.5 * (m + m.T)
-
-    evals, v = _eigh_descending(s @ np.conj(s))
-    d = np.sqrt(np.clip(evals, 0.0, None))
-    scale = max(d[0], 1.0)
-    zero_level = tol.takagi_zero * scale
-
-    for idx in _tied_runs(d, tol.takagi_cluster * scale):
-        if len(idx) < 2 or d[idx].mean() <= zero_level:
-            continue
-        vc = v[:, idx]
-        restriction = vc.conj().T @ s @ np.conj(vc)
-        v[:, idx] = vc @ _takagi_unitary_small(restriction)
-
-    # phase polish per column; |diagonal| refines d near the zero level
-    v_bar = np.conj(v)
-    c = np.einsum("ji,jk,ki->i", v_bar, s, v_bar)
-    polish = np.abs(c) > zero_level * 1e-3
-    v[:, polish] *= np.exp(0.5j * np.angle(c[polish]))[None, :]
-    refined = np.abs(c)
-    order = np.argsort(-refined, kind="stable")
-    return v[:, order].conj().T, refined[order]
+    w, d, errors = takagi_stack(_as_matrix(matrix)[None], tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return w[0], d[0]

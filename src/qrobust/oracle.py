@@ -2,7 +2,7 @@
 
 Separability of a two-qubit state is decided exactly by positivity of the
 partial transpose, so the relative robustness along any separable direction
-can be located by bisection, and an upper bound on the absolute robustness
+can be bracketed by PPT tests, and an upper bound on the absolute robustness
 can be searched over explicit product-state mixtures.  Nothing here reuses
 the closed form except as a candidate direction, which keeps the two routes
 independent.
@@ -98,14 +98,115 @@ def _product_kets(angles: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...j->...ij", a, b).reshape(*angles.shape[:-1], 4)
 
 
+def _pencil_crossing(rho_pt: np.ndarray, d_pt: np.ndarray) -> np.ndarray:
+    """Smallest s >= 0 with rho_pt + s d_pt >= 0 for each direction of an
+    (m, 4, 4) stack ``d_pt``; ``rho_pt`` is one matrix or an (m, 4, 4) stack.
+
+    Solved through a regularized pencil: the tiny identity shift keeps the
+    Cholesky factor well conditioned and amounts to mixing D with O(1e-10) of
+    the maximally mixed state, which is still separable.  An entry whose
+    factorization fails scores inf without affecting the others.
+    """
+    eps = 1e-10 * np.maximum(1.0, np.abs(np.trace(d_pt, axis1=1, axis2=2).real))
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(d_pt + eps[:, None, None] * np.eye(4)))
+        lowest = np.linalg.eigvalsh(inv @ rho_pt @ inv.conj().swapaxes(1, 2))[:, 0]
+    except np.linalg.LinAlgError:  # score the entries one by one
+        if len(d_pt) == 1:
+            return np.array([math.inf])
+        rho_rows = np.broadcast_to(rho_pt, d_pt.shape)
+        return np.concatenate([_pencil_crossing(rho_rows[i:i + 1], d_pt[i:i + 1]) for i in range(len(d_pt))])
+    return np.where(lowest < 0.0, -lowest, 0.0)
+
+
+def _newton_crossing(rho_pt: np.ndarray, sigma_pt: np.ndarray, ppt: float) -> np.ndarray:
+    """Root of g(s) = lambda_min(rho_pt + s sigma_pt) + ppt (1 + s) for each
+    entry of two (N, 4, 4) stacks: the pencil estimate polished by one Newton
+    step; NaN where either fails.
+
+    g is concave and increasing for a PPT direction, so the step lands at or
+    just below the root; g(s) >= 0 is the PPT test of (rho + s sigma)/(1+s).
+    """
+    start = _pencil_crossing(rho_pt, sigma_pt)
+    finite = np.isfinite(start)
+    start = np.where(finite, start, 0.0)
+    evals, vecs = np.linalg.eigh(rho_pt + start[:, None, None] * sigma_pt)
+    v = vecs[:, :, :1]
+    slope = (v.conj().swapaxes(1, 2) @ sigma_pt @ v)[:, 0, 0].real + ppt
+    value = evals[:, 0] + ppt * (1.0 + start)
+    step = np.full(len(start), np.nan)
+    np.divide(value, slope, out=step, where=finite & (slope > 0.0))
+    return np.maximum(start - step, 0.0)
+
+
+def _ppt_along(rho: np.ndarray, sigma: np.ndarray, s: np.ndarray, cut: float) -> np.ndarray:
+    """PPT test of the mixtures (rho_i + s_ij sigma_i)/(1 + s_ij): one stacked
+    ``ppt_min_eig`` call over rho, sigma (N, 4, 4) and s (N, k)."""
+    s = s[:, :, None, None]
+    return ppt_min_eig((rho[:, None] + s * sigma[:, None]) / (1.0 + s)) >= cut
+
+
+def _bisect(rho: np.ndarray, sigma: np.ndarray, tol: float, cut: float) -> np.ndarray:
+    """Double the bracket from s = 1 until the mixture is PPT, then bisect,
+    for each entry of a stack whose mixture at s = 0 is not PPT; the entries
+    advance in lockstep, each taking the steps it would take alone."""
+    lo, hi = np.zeros(len(rho)), np.ones(len(rho))
+    widen = np.ones(len(rho), dtype=bool)
+    while True:
+        widen[widen] = ~_ppt_along(rho[widen], sigma[widen], hi[widen, None], cut)[:, 0]
+        if not widen.any():
+            break
+        lo[widen], hi[widen] = hi[widen], 2.0 * hi[widen]
+        if np.any(hi > _BRACKET_CAP):
+            raise ImproperDirection(f"no separable mixture up to s = {_BRACKET_CAP}")
+    active = np.flatnonzero(hi - lo > tol * (1.0 + hi))
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        ppt = _ppt_along(rho[active], sigma[active], mid[:, None], cut)[:, 0]
+        hi[active[ppt]], lo[active[~ppt]] = mid[ppt], mid[~ppt]
+        active = np.flatnonzero(hi - lo > tol * (1.0 + hi))
+    return hi
+
+
+def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray,
+                              tol: float = DEFAULT.bisect_default, *,
+                              tolerances: Tolerances = DEFAULT) -> np.ndarray:
+    """``bisect_relative_robustness`` over (N, 4, 4) stacks of states and
+    separable directions, with the same postcondition for every entry.
+
+    Each crossing is estimated through the regularized pencil, polished by
+    one Newton step, and verified by one stacked PPT test of the mixtures at
+    0, lo and hi, where hi - lo <= tol*(1+hi) brackets the Newton point.  An
+    entry whose bracket fails the test doubles and bisects, as alone.
+    """
+    if tol < 1e-12:
+        raise ValueError("bisection tolerance must be at least 1e-12")
+    cut = -tolerances.ppt
+    direction_eig = ppt_min_eig(sigma)
+    entangled = np.flatnonzero(~(direction_eig >= cut))
+    if entangled.size:
+        raise NotSeparableDirection(f"direction has PT eigenvalue {direction_eig[entangled[0]]:.3e}")
+    s = _newton_crossing(partial_transpose_matrix(rho), partial_transpose_matrix(sigma), tolerances.ppt)
+    half = 0.4 * tol * (1.0 + s)   # hi - lo stays below tol*(1+hi) after rounding
+    lo, hi = np.maximum(s - half, 0.0), s + half
+    usable = (hi <= _BRACKET_CAP) & (hi - lo <= tol * (1.0 + hi))   # False where s is NaN
+    points = np.where(usable[:, None], np.stack([np.zeros(len(s)), lo, hi], axis=1), 0.0)
+    at_zero, at_lo, at_hi = _ppt_along(rho, sigma, points, cut).T
+    result = np.where(at_zero, 0.0, hi)
+    redo = np.flatnonzero(~at_zero & ~(usable & ~at_lo & at_hi))
+    if redo.size:
+        result[redo] = _bisect(rho[redo], sigma[redo], tol, cut)
+    return result
+
+
 def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix,
                                tol: float = DEFAULT.bisect_default, *,
                                tolerances: Tolerances = DEFAULT) -> float:
     """Minimal s >= 0 such that (rho + s rho_s)/(1+s) is separable.
 
     The separable set is convex, so the PPT status along the ray is monotone
-    and bisection is exact.  The returned s gives a PPT mixture while
-    s - tol*(1+s) gives a non-PPT one (or s = 0).
+    and a verified bracket is exact.  The returned s gives a PPT mixture
+    while s - tol*(1+s) gives a non-PPT one (or s = 0).
 
     Raises
     ------
@@ -114,52 +215,19 @@ def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix,
     ImproperDirection
         If no finite bracket exists (impossible for full-rank directions).
     """
-    if tol < 1e-12:
-        raise ValueError("bisection tolerance must be at least 1e-12")
-    flag, min_eig = is_separable_ppt(rho_s, tolerances)
-    if not flag:
-        raise NotSeparableDirection(f"direction has PT eigenvalue {min_eig:.3e}")
-    cut = -tolerances.ppt
-
-    def ppt_at(s: float) -> bool:
-        mix = (rho.matrix + s * rho_s.matrix) / (1.0 + s)
-        return ppt_min_eig(mix) >= cut
-
-    if ppt_at(0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while not ppt_at(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > _BRACKET_CAP:
-            raise ImproperDirection(f"no separable mixture up to s = {_BRACKET_CAP}")
-    while hi - lo > tol * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if ppt_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(relative_robustness_stack(rho.matrix[None], rho_s.matrix[None], tol,
+                                           tolerances=tolerances)[0])
 
 
 def _relative_robustness(rho_pt: np.ndarray, weights: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """Smallest s >= 0 with rho_pt + s D^Gamma >= 0 for each mixture D of a stack.
 
-    ``weights`` (m, n) and ``kets`` (m, n, 4) give m product mixtures.  Each
-    is solved through a regularized pencil: the tiny identity shift keeps the
-    Cholesky factor well conditioned and amounts to mixing D with O(1e-10) of
-    the maximally mixed state, which is still separable.  An entry whose
-    factorization fails scores inf without affecting the others.
+    ``weights`` (m, n) and ``kets`` (m, n, 4) give m product mixtures, scored
+    through ``_pencil_crossing``.
     """
     w = weights / weights.sum(axis=1, keepdims=True)
     d_pt = partial_transpose_matrix(np.einsum("bn,bni,bnj->bij", w, kets, kets.conj()))
-    eps = 1e-10 * np.maximum(1.0, np.abs(np.trace(d_pt, axis1=1, axis2=2).real))
-    try:
-        inv = np.linalg.inv(np.linalg.cholesky(d_pt + eps[:, None, None] * np.eye(4)))
-        lowest = np.linalg.eigvalsh(inv @ rho_pt @ inv.conj().swapaxes(1, 2))[:, 0]
-    except np.linalg.LinAlgError:  # score the entries one by one
-        return np.array([math.inf]) if len(w) == 1 else np.concatenate(
-            [_relative_robustness(rho_pt, weights[i:i + 1], kets[i:i + 1]) for i in range(len(w))])
-    return np.where(lowest < 0.0, -lowest, 0.0)
+    return _pencil_crossing(rho_pt, d_pt)
 
 
 def _random_start(rng: np.random.Generator, n_terms: int):

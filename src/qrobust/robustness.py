@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wootters
-from .states import DensityMatrix, is_separable_ppt
+from .states import DensityMatrix, ppt_min_eig
 from .tolerances import DEFAULT, Tolerances
 from .wootters import WoottersDecomposition
 
@@ -45,6 +45,11 @@ class BadWeights(ValueError):
 _VERTEX_PAIRS = {1: (1, 2), 2: (3, 4), 3: (2, 4), 4: (2, 3)}
 # candidate pairs for the minimum, in the lexicographic order that settles ties
 _MIN_PAIRS = ((2, 3), (2, 4), (3, 4))
+_MIN_PAIR_COLUMNS = np.array(_MIN_PAIRS) - 1                            # 0-based
+_MIN_PAIR_VERTEX = np.array([9 - i - j for i, j in _MIN_PAIRS])       # the vertex each pair spans
+_PLANE_VERTICES = np.array([2, 3, 4])
+# for direction i = 2, 3, 4: the two plane vertices (as indices of a2, a3, a4) that mix it
+_MIXING_RATES = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
 
 @dataclass(frozen=True)
@@ -88,14 +93,21 @@ def separability_gap(decomp: WoottersDecomposition) -> float:
     return float(p[0] / k[0] - p[1] / k[1] - p[2] / k[2] - p[3] / k[3])
 
 
+def _pair_vertices(xp: np.ndarray, k: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(|x'_a><x'_a| + |x'_b><x'_b|) / (K_a + K_b) for each entry of a stack
+    of normalized bases (N, 4, 4) and K values (N, 4); a, b hold 0-based
+    column indices (N,)."""
+    rows = np.arange(len(a))
+    xa, xb = xp[rows, :, a], xp[rows, :, b]
+    return ((xa[:, :, None] * xa.conj()[:, None, :] + xb[:, :, None] * xb.conj()[:, None, :])
+            / (k[rows, a] + k[rows, b])[:, None, None])
+
+
 def pair_vertex(decomp: WoottersDecomposition, i: int, j: int) -> DensityMatrix:
     """Octahedron vertex (|x'_i><x'_i| + |x'_j><x'_j|) / (K_i + K_j), 1-based."""
     _require_full_rank(decomp)
-    xp = decomp.x_prime()
-    k = decomp.k_norm
-    a, b = i - 1, j - 1
-    m = (np.outer(xp[:, a], xp[:, a].conj()) + np.outer(xp[:, b], xp[:, b].conj())) / (k[a] + k[b])
-    return DensityMatrix._by_construction(m)
+    m = _pair_vertices(decomp.x_prime()[None], decomp.k_norm[None], np.array([i - 1]), np.array([j - 1]))
+    return DensityMatrix._by_construction(m[0])
 
 
 def sigma_vertex(decomp: WoottersDecomposition, k: int) -> DensityMatrix:
@@ -114,10 +126,26 @@ def _check_convex(weights, n: int) -> np.ndarray:
     return w
 
 
-def _vertex_rates(decomp: WoottersDecomposition):
+def _pair_sums(k: np.ndarray) -> np.ndarray:
+    """K_2+K_3, K_2+K_4, K_3+K_4 (the ``_MIN_PAIRS`` order) along the last axis
+    of K values (4,) or (N, 4)."""
+    return k[..., _MIN_PAIR_COLUMNS[:, 0]] + k[..., _MIN_PAIR_COLUMNS[:, 1]]
+
+
+def _vertex_rates(k: np.ndarray) -> np.ndarray:
     """1/(K_3+K_4), 1/(K_2+K_4), 1/(K_2+K_3): per-vertex mixing rates for a_2, a_3, a_4."""
-    k = decomp.k_norm
-    return np.array([1.0 / (k[2] + k[3]), 1.0 / (k[1] + k[3]), 1.0 / (k[1] + k[2])])
+    return 1.0 / _pair_sums(k)[..., ::-1]
+
+
+def _prime_coords(lam: np.ndarray, c: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """``rho_prime_coords`` over stacks: lambdas (N, 4), concurrences (N,) and
+    weighted vertex rates a_k/(K_i+K_j) (N, 3)."""
+    total = rates.sum(axis=-1)
+    half_c = 0.5 * c
+    coords = total[:, None] * lam
+    # lambda'_i, i = 2, 3, 4, gains C/2 times the rates of the two vertices that mix direction i
+    coords[:, 1:] += half_c[:, None] * (rates[:, _MIXING_RATES[0]] + rates[:, _MIXING_RATES[1]])
+    return coords / (total + half_c)[:, None]
 
 
 def rho_prime_coords(decomp: WoottersDecomposition, weights) -> np.ndarray:
@@ -129,16 +157,8 @@ def rho_prime_coords(decomp: WoottersDecomposition, weights) -> np.ndarray:
     """
     _require_full_rank(decomp)
     a = _check_convex(weights, 3)
-    lam, c = decomp.lambdas, decomp.concurrence
-    rates = a * _vertex_rates(decomp)
-    total = rates.sum()
-    denom = total + 0.5 * c
-    return np.array([
-        total * lam[0],
-        total * lam[1] + 0.5 * c * (rates[1] + rates[2]),
-        total * lam[2] + 0.5 * c * (rates[0] + rates[2]),
-        total * lam[3] + 0.5 * c * (rates[0] + rates[1]),
-    ]) / denom
+    rates = a * _vertex_rates(decomp.k_norm)
+    return _prime_coords(decomp.lambdas[None], np.array([decomp.concurrence]), rates[None])[0]
 
 
 def plane_robustness_s1(decomp: WoottersDecomposition, weights) -> float:
@@ -151,7 +171,7 @@ def plane_robustness_s1(decomp: WoottersDecomposition, weights) -> float:
     a = _check_convex(weights, 3)
     if decomp.concurrence == 0.0:
         return 0.0
-    return decomp.concurrence / (2.0 * float(np.sum(a * _vertex_rates(decomp))))
+    return decomp.concurrence / (2.0 * float(np.sum(a * _vertex_rates(decomp.k_norm))))
 
 
 def plane_robustness_other(decomp: WoottersDecomposition, plane: int, weights) -> float:
@@ -181,6 +201,99 @@ def plane_robustness_other(decomp: WoottersDecomposition, plane: int, weights) -
     return decomp.concurrence / rate
 
 
+@dataclass(frozen=True)
+class CertificateStack:
+    """Certificates of N states: each ``RobustnessCertificate`` field with a
+    leading axis of length N (``pair`` follows from ``k_index``), the
+    decompositions they were built from, and ``errors[i]``: the decomposition
+    error of entry i, ``RankDeficient``, or None.  A failed entry's
+    certificate arrays hold NaN (``k_index`` 0)."""
+
+    s: np.ndarray
+    k_index: np.ndarray
+    rho_pp: np.ndarray
+    rho_p: np.ndarray
+    rho_p_coords: np.ndarray
+    residuals: dict
+    decomposition: wootters.DecompositionStack
+    errors: list
+
+    def entry(self, i: int) -> RobustnessCertificate:
+        """Entry i as a single certificate; raises its error, if any."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        k_index = int(self.k_index[i])
+        return RobustnessCertificate(
+            s=float(self.s[i]), k_index=k_index, pair=_VERTEX_PAIRS[k_index],
+            rho_pp=DensityMatrix._by_construction(self.rho_pp[i]),
+            rho_p=DensityMatrix._by_construction(self.rho_p[i]),
+            rho_p_coords=self.rho_p_coords[i],
+            residuals={name: float(values[i]) for name, values in self.residuals.items()},
+            decomposition=self.decomposition.entry(i),
+        )
+
+
+def _certificates(rho, lam, k, c, x, tol: Tolerances) -> dict:
+    """Certificate fields, as in ``CertificateStack``, for stacks of full-rank
+    states with their lambdas, K values, concurrences and basis vectors."""
+    rows = np.arange(len(c))
+    xp = wootters._x_prime(x, lam, 4)
+    # the first pair, lexicographically, whose sum ties with the minimum
+    sums = _pair_sums(k)
+    first_min = (sums <= sums.min(axis=-1, keepdims=True) * (1.0 + tol.tie)).argmax(axis=-1)
+    entangled = c != 0.0
+    # separable entries get the degenerate certificate on sigma_2, the vertex of pair (3, 4)
+    m = np.where(entangled, first_min, 2)
+    s = np.where(entangled, 0.5 * sums[rows, m] * c, 0.0)
+    k_index = _MIN_PAIR_VERTEX[m]
+    rho_pp = _pair_vertices(xp, k, _MIN_PAIR_COLUMNS[m, 0], _MIN_PAIR_COLUMNS[m, 1])
+    one_hot = k_index[:, None] == _PLANE_VERTICES          # vertex weights (a2, a3, a4)
+    lam_p = np.where(entangled[:, None], _prime_coords(lam, c, one_hot * _vertex_rates(k)), lam)
+    rho_p = np.where(entangled[:, None, None], (xp * lam_p[:, None, :]) @ xp.conj().swapaxes(-1, -2), rho)
+    plane = lam_p[:, 0] - lam_p[:, 1] - lam_p[:, 2] - lam_p[:, 3]
+    min_eigs = ppt_min_eig(np.concatenate((rho_p, rho_pp)))
+    return {
+        "s": s, "k_index": k_index, "rho_pp": rho_pp, "rho_p": rho_p, "rho_p_coords": lam_p,
+        "residuals": {
+            "pseudomixture": np.abs(rho - (1.0 + s)[:, None, None] * rho_p
+                                    + s[:, None, None] * rho_pp).max(axis=(-2, -1)),
+            "plane": np.where(entangled, np.abs(plane), 0.0),
+            "ppt_min_eig_rho_p": min_eigs[:len(c)],
+            "ppt_min_eig_rho_pp": min_eigs[len(c):],
+        },
+    }
+
+
+def robustness_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> CertificateStack:
+    """``robustness`` over an (N, 4, 4) stack of validated state matrices.
+
+    Each entry gets the bits its own N = 1 call gets.  Rank-deficient and
+    failed entries are recorded in ``errors`` and do not stop the others.
+    """
+    decomp = wootters.decompose_stack(matrices, tol)
+    errors = [error if error is not None or rank == 4 else RankDeficient(decomp.entry(i))
+              for i, (error, rank) in enumerate(zip(decomp.errors, decomp.rank.tolist()))]
+    fields = (matrices, decomp.lambdas, decomp.k_norm, decomp.concurrence, decomp.x)
+    if errors.count(None) == len(errors):
+        cert = _certificates(*fields, tol)
+    else:   # certificates of the full-rank entries, NaN elsewhere
+        full = np.array([error is None for error in errors], dtype=bool)
+        subset = _certificates(*(values[full] for values in fields), tol)
+
+        def spread(values):
+            out = np.full((len(full),) + values.shape[1:], 0 if values.dtype.kind == "i" else np.nan,
+                          dtype=values.dtype)
+            out[full] = values
+            return out
+
+        cert = {name: spread(values) for name, values in subset.items() if name != "residuals"}
+        cert["residuals"] = {name: spread(values) for name, values in subset["residuals"].items()}
+    for values in [*cert.values(), *cert["residuals"].values()]:
+        if isinstance(values, np.ndarray):
+            values.setflags(write=False)
+    return CertificateStack(**cert, decomposition=decomp, errors=errors)
+
+
 def robustness(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> RobustnessCertificate:
     """Closed-form robustness certificate for a full-rank state.
 
@@ -196,49 +309,4 @@ def robustness(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> RobustnessCerti
         If the decomposition rank is below 4 (the closed form needs all K_i;
         use the oracle module for such states).
     """
-    decomp = wootters.decompose(rho, tol)
-    _require_full_rank(decomp)
-    c = decomp.concurrence
-    k = decomp.k_norm
-
-    if c == 0.0:
-        rho_pp = sigma_vertex(decomp, 2)
-        cert_pair = _VERTEX_PAIRS[2]
-        s = 0.0
-        k_index = 2
-        lam_p = decomp.lambdas.copy()
-        rho_p = rho
-    else:
-        # the first pair, lexicographically, whose sum ties with the minimum
-        sums = np.array([k[i - 1] + k[j - 1] for i, j in _MIN_PAIRS])
-        m = int(np.flatnonzero(sums <= sums.min() * (1.0 + tol.tie))[0])
-        cert_pair = _MIN_PAIRS[m]
-        k_index = 9 - cert_pair[0] - cert_pair[1]
-        s = 0.5 * sums[m] * c
-        rho_pp = sigma_vertex(decomp, k_index)
-        a = np.zeros(3)
-        a[k_index - 2] = 1.0
-        lam_p = rho_prime_coords(decomp, a)
-        xp = decomp.x_prime()
-        rho_p = DensityMatrix._by_construction((xp * lam_p[None, :]) @ xp.conj().T)
-
-    pseudo = np.max(np.abs(rho.matrix - (1.0 + s) * rho_p.matrix + s * rho_pp.matrix))
-    plane = lam_p[0] - lam_p[1] - lam_p[2] - lam_p[3]
-    _, min_eig_p = is_separable_ppt(rho_p, tol)
-    _, min_eig_pp = is_separable_ppt(rho_pp, tol)
-    lam_p.setflags(write=False)
-    return RobustnessCertificate(
-        s=float(s),
-        k_index=k_index,
-        pair=cert_pair,
-        rho_pp=rho_pp,
-        rho_p=rho_p,
-        rho_p_coords=lam_p,
-        residuals={
-            "pseudomixture": float(pseudo),
-            "plane": float(abs(plane)) if c > 0.0 else 0.0,
-            "ppt_min_eig_rho_p": float(min_eig_p),
-            "ppt_min_eig_rho_pp": float(min_eig_pp),
-        },
-        decomposition=decomp,
-    )
+    return robustness_stack(rho.matrix[None], tol).entry(0)

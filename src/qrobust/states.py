@@ -168,9 +168,11 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     return partial_transpose_matrix(rho.matrix)
 
 
-def ppt_min_eig(matrix: np.ndarray) -> float:
-    """Minimum eigenvalue of the partial transpose of a raw 4x4 matrix."""
-    return float(np.linalg.eigvalsh(partial_transpose_matrix(matrix))[0])
+def ppt_min_eig(matrix: np.ndarray):
+    """Minimum eigenvalue of the partial transpose of a raw 4x4 matrix (a
+    float), or of each matrix of an (..., 4, 4) stack (an array)."""
+    lowest = np.linalg.eigvalsh(partial_transpose_matrix(matrix))[..., 0]
+    return float(lowest) if lowest.ndim == 0 else lowest
 
 
 def is_separable_ppt(rho: DensityMatrix, tol: Tolerances = DEFAULT):

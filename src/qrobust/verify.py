@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coset, numerics, oracle, states, wootters
-from .robustness import plane_robustness_other, plane_robustness_s1, robustness
+from .robustness import plane_robustness_other, plane_robustness_s1, robustness, robustness_stack
 from .states import DensityMatrix
 from .tolerances import DEFAULT, Tolerances
 
@@ -37,6 +37,13 @@ class PropertyResult:
 
 def _corpus(kind: str, count: int, seed: int, tol: Tolerances):
     return [states.sample_state(kind, seed + i, tol) for i in range(count)]
+
+
+def _decomposed(rhos: list, tol: Tolerances) -> list:
+    """(rho, decomposition) pairs for a list of states, decomposed as one
+    stack; the first entry that failed raises its error."""
+    stack = wootters.decompose_stack(np.array([rho.matrix for rho in rhos]), tol)
+    return [(rho, stack.entry(i)) for i, rho in enumerate(rhos)]
 
 
 def _random_hermitian(rng) -> np.ndarray:
@@ -95,8 +102,7 @@ def _check_bell_tilde(corpus: int, seed: int, tol: Tolerances) -> PropertyResult
 
 def _check_defining_relation(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
     worst = 0.0
-    for rho in _corpus("ginibre", corpus, seed, tol):
-        dec = wootters.decompose(rho, tol)
+    for rho, dec in _decomposed(_corpus("ginibre", corpus, seed, tol), tol):
         gram = np.conj(dec.x.T @ states.SIGMA_YY @ dec.x)
         worst = max(worst, np.max(np.abs(gram - np.diag(dec.lambdas))))
         worst = max(worst, np.max(np.abs(dec.x @ dec.x.conj().T - rho.matrix)))
@@ -106,8 +112,7 @@ def _check_defining_relation(corpus: int, seed: int, tol: Tolerances) -> Propert
 
 def _check_moments(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
     worst = 0.0
-    for rho in _corpus("ginibre", corpus, seed, tol):
-        dec = wootters.decompose(rho, tol)
+    for rho, dec in _decomposed(_corpus("ginibre", corpus, seed, tol), tol):
         product = rho.matrix @ states.spin_flip(rho)
         power = np.eye(4, dtype=complex)
         for m in range(1, 5):
@@ -118,8 +123,7 @@ def _check_moments(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
 
 def _check_xprime(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
     worst = 0.0
-    for rho in _corpus("ginibre", corpus, seed, tol):
-        dec = wootters.decompose(rho, tol)
+    for rho, dec in _decomposed(_corpus("ginibre", corpus, seed, tol), tol):
         if dec.rank < 4:
             continue
         xp = dec.x_prime()
@@ -153,8 +157,11 @@ def _check_certificates(corpus: int, seed: int, tol: Tolerances) -> PropertyResu
     worst = 0.0
     entangled = 0
     ok = True
-    for rho in _corpus("ginibre", corpus, seed, tol):
-        cert = robustness(rho, tol)
+    mixes_at, vertices = [], []
+    rhos = _corpus("ginibre", corpus, seed, tol)
+    certs = robustness_stack(np.array([rho.matrix for rho in rhos]), tol)
+    for i, rho in enumerate(rhos):
+        cert = certs.entry(i)
         if cert.s == 0.0:
             continue
         entangled += 1
@@ -165,12 +172,14 @@ def _check_certificates(corpus: int, seed: int, tol: Tolerances) -> PropertyResu
         lam_p = cert.rho_p_coords
         worst = max(worst, abs(float(np.sum(lam_p * cert.decomposition.k_norm)) - 1.0))
         # entanglement dies exactly at s along the witness vertex
-        mix_at = DensityMatrix((rho.matrix + cert.s * cert.rho_pp.matrix) / (1.0 + cert.s))
-        worst = max(worst, wootters.concurrence(mix_at, tol))
+        mixes_at.append(DensityMatrix((rho.matrix + cert.s * cert.rho_pp.matrix) / (1.0 + cert.s)))
         shrunk = 0.999 * cert.s
         mix_before = (rho.matrix + shrunk * cert.rho_pp.matrix) / (1.0 + shrunk)
         ok = ok and states.ppt_min_eig(mix_before) < -tol.ppt
-        ok = ok and wootters.decompose(cert.rho_pp, tol).rank <= 2
+        vertices.append(cert.rho_pp)
+    if entangled:
+        worst = max(worst, max(dec.concurrence for _, dec in _decomposed(mixes_at, tol)))
+        ok = ok and all(dec.rank <= 2 for _, dec in _decomposed(vertices, tol))
     passed = ok and worst <= tol.pseudomixture
     return PropertyResult("robustness certificates (soundness, boundary, pseudomixture)",
                           passed, worst, tol.pseudomixture, detail=f"{entangled} entangled states")
@@ -218,11 +227,10 @@ def _check_coset_identities(corpus: int, seed: int, tol: Tolerances) -> Property
 def _check_coset_roundtrip(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
     rng = np.random.default_rng(seed + 5)
     worst = 0.0
-    for _ in range(max(corpus // 2, 10)):
-        params = coset.sample_params(rng, angle_scale=1.0, min_gap=0.05)
-        rho = coset.density_from_params(params, tol)
-        dec = wootters.decompose(rho, tol)
-        worst = max(worst, float(np.max(np.abs(dec.k_norm - coset.k_closed_form(params)))))
+    params = [coset.sample_params(rng, angle_scale=1.0, min_gap=0.05) for _ in range(max(corpus // 2, 10))]
+    rhos = [coset.density_from_params(p, tol) for p in params]
+    for p, (_, dec) in zip(params, _decomposed(rhos, tol)):
+        worst = max(worst, float(np.max(np.abs(dec.k_norm - coset.k_closed_form(p)))))
     return PropertyResult("coset roundtrip recovers K through decomposition",
                           worst <= tol.coset_roundtrip, worst, tol.coset_roundtrip)
 

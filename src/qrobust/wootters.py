@@ -55,10 +55,7 @@ class WoottersDecomposition:
 
     def x_prime(self) -> np.ndarray:
         """Columns |x'_i> = |x_i>/sqrt(lambda_i); zero beyond the rank."""
-        xp = np.zeros_like(self.x)
-        for i in range(self.rank):
-            xp[:, i] = self.x[:, i] / math.sqrt(self.lambdas[i])
-        return xp
+        return _x_prime(self.x, self.lambdas, self.rank)
 
     def to_report(self) -> dict:
         return {
@@ -75,9 +72,54 @@ class WoottersDecomposition:
         }
 
 
+@dataclass(frozen=True)
+class DecompositionStack:
+    """Decompositions of N states: each ``WoottersDecomposition`` field with a
+    leading axis of length N, plus ``errors[i]``, the residual failure of
+    entry i (``NonHermitianInput``, ``NonSymmetricInput`` or
+    ``NumericalFailure``) or None.  A failed entry's arrays are not meaningful."""
+
+    lambdas: np.ndarray
+    x: np.ndarray
+    k_norm: np.ndarray
+    p_coord: np.ndarray
+    concurrence: np.ndarray
+    rank: np.ndarray
+    errors: list
+
+    def entry(self, i: int) -> WoottersDecomposition:
+        """Entry i as a single decomposition; raises its error, if any."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return WoottersDecomposition(
+            lambdas=self.lambdas[i], x=self.x[i], k_norm=self.k_norm[i], p_coord=self.p_coord[i],
+            concurrence=float(self.concurrence[i]), rank=int(self.rank[i]),
+        )
+
+
+def _x_prime(x: np.ndarray, lambdas: np.ndarray, rank: int) -> np.ndarray:
+    """|x_i>/sqrt(lambda_i) for the columns below ``rank``, zero beyond; over
+    one matrix or a stack of matrices of the same rank."""
+    if rank == 4:
+        return x / np.sqrt(lambdas)[..., None, :]
+    xp = np.zeros_like(x)
+    xp[..., :rank] = x[..., :rank] / np.sqrt(lambdas[..., :rank])[..., None, :]
+    return xp
+
+
+_COLUMNS = np.arange(4)
+_EYE = np.eye(4)
 # Magic basis: the Bell states of ``states.BELL_STATES``, in Bell order, with
 # the phases that make each one invariant under the spin flip.
 _MAGIC = states.BELL_STATES * np.array([1j, 1.0, 1j, 1.0])[None, :]
+_MAGIC_ADJOINT = _MAGIC.conj().T
+
+
+def _column_signs(x: np.ndarray) -> np.ndarray:
+    """Rule 3 below: the sign per column, of one matrix or an (N, 4, 4) stack,
+    that makes its largest real magic-basis coefficient positive (ties go to
+    the lower Bell index)."""
+    return np.where(numerics._column_pivots((_MAGIC_ADJOINT @ x).real) < 0.0, -1.0, 1.0)
 
 
 def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> None:
@@ -97,6 +139,8 @@ def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> 
 
     A Bell-diagonal state thus gets columns proportional to the magic
     vectors in Bell order, whatever basis the eigensolver returned.
+    ``decompose_stack`` runs steps 1 and 2 only on entries with a tied
+    cluster, and step 3 on the others in one stacked pass.
     """
     for cluster in numerics._tied_runs(lambdas, tol.tie * lambdas[0]):
         if len(cluster) < 2:
@@ -107,13 +151,54 @@ def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> 
         for group in numerics._tied_runs(k, tol.tie * k[0]):
             if len(group) > 1:
                 xg = xc[:, group]
-                coeffs = (_MAGIC.conj().T @ xg).real        # full column rank
+                coeffs = (_MAGIC_ADJOINT @ xg).real        # full column rank
                 rows = np.sort(np.argsort(-np.sum(coeffs ** 2, axis=1), kind="stable")[:len(group)])
                 xc[:, group] = xg @ np.linalg.qr(coeffs[rows].T)[0]   # coeffs[rows] @ q = r.T
         x[:, cluster] = xc
-    coeffs = (_MAGIC.conj().T @ x).real
-    pivots = coeffs[np.argmax(np.abs(coeffs), axis=0), np.arange(x.shape[1])]
-    x *= np.where(pivots < 0.0, -1.0, 1.0)[None, :]
+    x *= _column_signs(x)
+
+
+def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> DecompositionStack:
+    """``decompose`` over an (N, 4, 4) stack of validated state matrices.
+
+    Each entry gets the bits its own N = 1 call gets.  An entry whose
+    residual check fails is recorded in ``errors`` and does not stop the
+    others.
+    """
+    mu, vecs, eig_errors = numerics.hermitian_eig_stack(matrices, tol)
+    sub = vecs * np.sqrt(mu.clip(0.0, None))[:, None, :]
+    tau = (sub.swapaxes(-1, -2) @ states.SIGMA_YY @ sub).conj()  # tau_ij = <v_i|~v_j>, complex symmetric
+    u, lambdas, takagi_errors = numerics.takagi_stack(tau, tol)
+    residual = np.abs(u @ tau @ u.swapaxes(-1, -2) - lambdas[:, :, None] * _EYE).max(axis=(-2, -1))
+    residual_errors = numerics._entry_errors(residual, tol.decompose_failure, lambda r: NumericalFailure(
+        f"factorization residual {r:.3e} exceeds {tol.decompose_failure:.3e}"))
+
+    x = sub @ u.conj().swapaxes(-1, -2)
+    eps_rank = tol.rank_threshold * np.maximum(lambdas[:, 0], 1e-30)
+    rank = (lambdas > eps_rank[:, None]).sum(axis=1)
+    inside = _COLUMNS < rank[:, None]
+    if not inside.all():
+        x = np.where(inside[:, None, :], x, 0.0)
+    # entries with a cluster of lambdas tied inside the rank take the full rule
+    clustered = ((lambdas[:, :-1] - lambdas[:, 1:] <= tol.tie * lambdas[:, :1]) & inside[:, 1:]).any(axis=1)
+    if clustered.any():
+        for i in clustered.nonzero()[0]:
+            _fix_free_rotations(x[i], lambdas[i, :rank[i]], tol)
+        plain = ~clustered
+        if plain.any():
+            x[plain] *= _column_signs(x[plain])
+    else:
+        x *= _column_signs(x)
+    p_coord = (np.abs(x) ** 2).sum(axis=-2)
+    k_norm = np.full(lambdas.shape, np.nan)
+    np.divide(p_coord, lambdas, out=k_norm, where=inside)
+    conc = np.maximum(lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3], 0.0)
+    for arr in (lambdas, x, k_norm, p_coord):
+        arr.setflags(write=False)
+    return DecompositionStack(
+        lambdas=lambdas, x=x, k_norm=k_norm, p_coord=p_coord, concurrence=conc, rank=rank,
+        errors=numerics._first_error(eig_errors, takagi_errors, residual_errors),
+    )
 
 
 def decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> WoottersDecomposition:
@@ -123,31 +208,10 @@ def decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> WoottersDecompos
     ------
     NumericalFailure
         If the Takagi residual of the Gram matrix exceeds the failure gate.
+    NonHermitianInput, NonSymmetricInput
+        If a kernel input fails its check (only with tightened tolerances).
     """
-    mu, vecs = numerics.hermitian_eig(rho.matrix, tol)
-    sub = vecs * np.sqrt(np.clip(mu, 0.0, None))[None, :]
-    tau = np.conj(sub.T @ states.SIGMA_YY @ sub)  # tau_ij = <v_i|~v_j>, complex symmetric
-    u, lambdas = numerics.takagi(tau, tol)
-    residual = np.max(np.abs(u @ tau @ u.T - np.diag(lambdas)))
-    if residual > tol.decompose_failure:
-        raise NumericalFailure(f"factorization residual {residual:.3e} exceeds {tol.decompose_failure:.3e}")
-
-    x = sub @ u.conj().T
-    eps_rank = tol.rank_threshold * max(lambdas[0], 1e-30)
-    rank = int(np.sum(lambdas > eps_rank))
-    x[:, rank:] = 0.0
-    if rank > 0:
-        _fix_free_rotations(x, lambdas[:rank], tol)
-    p_coord = np.sum(np.abs(x) ** 2, axis=0)
-    k_norm = np.full(4, np.nan)
-    k_norm[:rank] = p_coord[:rank] / lambdas[:rank]
-    conc = max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
-    for arr in (lambdas, x, k_norm, p_coord):
-        arr.setflags(write=False)
-    return WoottersDecomposition(
-        lambdas=lambdas, x=x, k_norm=k_norm, p_coord=p_coord,
-        concurrence=float(conc), rank=rank,
-    )
+    return decompose_stack(rho.matrix[None], tol).entry(0)
 
 
 def concurrence(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float:

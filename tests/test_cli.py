@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 import qrobust
+from qrobust import states, wootters
 from qrobust.cli import main
-from qrobust.states import BellWeights, DensityMatrix, bell_diagonal, read_state, werner, write_state
+from qrobust.numerics import NumericalFailure
+from qrobust.states import (BellWeights, DensityMatrix, bell_diagonal, read_state, sample_state, werner,
+                            write_state)
+from qrobust.tolerances import DEFAULT
 
 BELL_ARGS = ["--theta1", "0", "--theta2", "0", "--xi1", "0", "--xi2", "0",
              "--phi1", "0", "--phi2", "0", "--lambda", "0.7,0.1,0.1,0.1"]
@@ -245,10 +249,14 @@ def test_verify_zero_tolerance_names_residuals():
     ["analyze", "--in", "{mixed}"],
     ["sample", "--ensemble", "bell_diagonal", "--n", "2", "--out", "{csv}"],
     ["param", *BELL_ARGS, "--out", "{param}"],
+    ["sample", "--ensemble", "bures", "--n", "2", "--out", "{csv}"],
+    ["sample", "--ensemble", "coset", "--n", "2", "--out", "{csv}"],
 ])
 def test_zero_tolerance_decomposition_failure_names_residual(tmp_path, command):
     # I/4 has trace exactly 1, so it passes validation at QROBUST_TOL=0; the
-    # residual checks inside the decomposition then fail on rounding alone
+    # residual checks inside the decomposition then fail on rounding alone.
+    # Bures and coset states fail the Hermiticity check of their own
+    # construction by rounding, before any decomposition.
     mixed = tmp_path / "mixed.json"
     write_state(DensityMatrix(np.eye(4) / 4.0), mixed)
     argv = [a.format(mixed=mixed, csv=tmp_path / "s.csv", param=tmp_path / "p.json") for a in command]
@@ -258,3 +266,68 @@ def test_zero_tolerance_decomposition_failure_names_residual(tmp_path, command):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert re.search(r"= [0-9.e+-]+ exceeds 0\.000e\+00|residual [0-9.e+-]+ exceeds 0\.000e\+00", lines[0])
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def test_sample_chunks_equal_separate_runs(tmp_path):
+    # --n 300 crosses the boundary of the 256-row chunks; Bures seed 61 is a
+    # rank-deficient nan row inside the first chunk
+    whole = tmp_path / "whole.csv"
+    assert main(["sample", "--ensemble", "bures", "--n", "300", "--seed", "0", "--out", str(whole)]) == 0
+    parts = []
+    for start in (0, 100, 200):
+        part = tmp_path / f"part{start}.csv"
+        assert main(["sample", "--ensemble", "bures", "--n", "100", "--seed", str(start),
+                     "--out", str(part)]) == 0
+        parts += _csv_rows(part)[1:]
+    rows = _csv_rows(whole)
+    assert rows[0] == _csv_rows(part)[0]
+    assert [row[1:] for row in rows[1:]] == [row[1:] for row in parts]
+    assert [row[0] for row in rows[1:]] == [str(i) for i in range(300)]
+    assert rows[62][7] == "nan"
+
+
+@pytest.mark.parametrize("failing_index", [0, 5, 260])
+def test_sample_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys, failing_index):
+    # a residual failure injected at one entry of a chunk: every earlier row
+    # is written, then one error line and exit 1
+    clean = tmp_path / "clean.csv"
+    argv = ["sample", "--ensemble", "ginibre", "--n", "300", "--seed", "4"]
+    assert main([*argv, "--out", str(clean)]) == 0
+    target = sample_state("ginibre", 4 + failing_index).matrix
+    real = wootters.decompose_stack
+
+    def injected(matrices, tol=DEFAULT):
+        stack = real(matrices, tol)
+        for j, matrix in enumerate(matrices):
+            if np.array_equal(matrix, target):
+                stack.errors[j] = NumericalFailure("factorization residual 1.000e+00 exceeds 1.000e-07")
+        return stack
+
+    monkeypatch.setattr(wootters, "decompose_stack", injected)
+    failed = tmp_path / "failed.csv"
+    assert main([*argv, "--out", str(failed)]) == 1
+    assert failed.read_text().splitlines() == clean.read_text().splitlines()[:failing_index + 1]
+    assert capsys.readouterr().err == "error: factorization residual 1.000e+00 exceeds 1.000e-07\n"
+
+
+def test_sample_generation_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys):
+    clean = tmp_path / "clean.csv"
+    argv = ["sample", "--ensemble", "ginibre", "--n", "10", "--seed", "0"]
+    assert main([*argv, "--out", str(clean)]) == 0
+    real = states.sample_state
+
+    def failing(ensemble, seed, tol=DEFAULT):
+        if seed == 7:
+            raise states.ValidationError("not Hermitian: max |rho - rho^dag| = 1.000e-03 exceeds 1.000e-09")
+        return real(ensemble, seed, tol)
+
+    monkeypatch.setattr(states, "sample_state", failing)
+    failed = tmp_path / "failed.csv"
+    assert main([*argv, "--out", str(failed)]) == 1
+    assert failed.read_text().splitlines() == clean.read_text().splitlines()[:8]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed 7: generated state failed validation")

@@ -6,7 +6,9 @@ from qrobust.numerics import (
     NonHermitianInput,
     NonSymmetricInput,
     hermitian_eig,
+    hermitian_eig_stack,
     takagi,
+    takagi_stack,
 )
 from qrobust.states import SIGMA_YY
 
@@ -121,3 +123,19 @@ class TestTakagi:
         second = takagi(s)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
+
+
+def test_stacks_equal_single_calls_bit_for_bit():
+    rng = np.random.default_rng(21)
+    hermitian = [random_hermitian(rng) for _ in range(20)] + [np.eye(4), SIGMA_YY]
+    symmetric = [random_symmetric(rng) for _ in range(20)] + [np.zeros((4, 4)), 1j * np.eye(4)]
+    evals, vecs, errors = hermitian_eig_stack(np.array(hermitian, dtype=complex))
+    assert errors == [None] * len(hermitian)
+    for i, h in enumerate(hermitian):
+        e, v = hermitian_eig(h)
+        assert e.tobytes() == evals[i].tobytes() and v.tobytes() == vecs[i].tobytes()
+    w_stack, d_stack, errors = takagi_stack(np.array(symmetric, dtype=complex))
+    assert errors == [None] * len(symmetric)
+    for i, s in enumerate(symmetric):
+        w, d = takagi(s)
+        assert w.tobytes() == w_stack[i].tobytes() and d.tobytes() == d_stack[i].tobytes()

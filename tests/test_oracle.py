@@ -5,16 +5,19 @@ import pytest
 
 from conftest import ginibre_corpus
 from qrobust import concurrence
+from qrobust import oracle as oracle_module
 from qrobust.oracle import (
     ImproperDirection,
     NotSeparableDirection,
     ProductMixture,
     bisect_relative_robustness,
+    _bisect as bisect_stack,
     _coordinate_descent,
     _product_kets,
     _random_start,
     _relative_robustness,
     minimize_absolute_robustness,
+    relative_robustness_stack,
     verify_certificate,
 )
 from qrobust.robustness import robustness
@@ -32,7 +35,25 @@ from qrobust.tolerances import DEFAULT
 
 MIXED = DensityMatrix(np.eye(4) / 4.0)
 SINGLET = werner(1.0)
+UP_UP = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
 BELL_07 = bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1])))
+
+
+def assert_post_conditions(rho, direction, tol):
+    """The mixture at the returned s is PPT, and at s - tol*(1+s) it is not
+    (or s = 0 and rho is PPT); returns s."""
+    s = bisect_relative_robustness(rho, direction, tol)
+
+    def mixture(t):
+        return (rho.matrix + t * direction.matrix) / (1.0 + t)
+
+    assert ppt_min_eig(mixture(s)) >= -1e-11
+    if s > 0.0:
+        below = max(0.0, s - tol * (1.0 + s))
+        assert ppt_min_eig(mixture(below)) < -1e-11
+    else:
+        assert is_separable_ppt(rho)[0]
+    return s
 
 
 def random_mixture(rng, n=8):
@@ -77,6 +98,54 @@ class TestBisection:
         below = max(0.0, s - tol * (1.0 + s))
         mix_below = (SINGLET.matrix + below * MIXED.matrix) / (1.0 + below)
         assert ppt_min_eig(mix_below) < -1e-11
+        # every state of a corpus along its certificate vertex, a random
+        # product mixture and I/4, at the default and a looser tolerance
+        rng = np.random.default_rng(17)
+        pairs = [(rho, direction) for rho in ginibre_corpus(15)
+                 for direction in (robustness(rho).rho_pp, random_mixture(rng).to_density(), MIXED)]
+        entangled = 0
+        for tol in (1e-10, 1e-8):
+            for rho, direction in pairs:
+                entangled += assert_post_conditions(rho, direction, tol) > 0.0
+        assert entangled >= 20
+
+    def test_widens_and_bisects_when_the_newton_bracket_fails(self, monkeypatch):
+        # along the rank-1 product state |uu><uu| the regularized pencil
+        # misjudges a crossing near s = 1e3, so the Newton bracket fails its
+        # PPT test and the entry doubles its bracket and bisects
+        fallbacks = []
+
+        def recording(rho, sigma, tol, cut):
+            fallbacks.append(len(rho))
+            return bisect_stack(rho, sigma, tol, cut)
+
+        monkeypatch.setattr(oracle_module, "_bisect", recording)
+        rho = werner(1.0 - 1e-3)
+        for tol in (1e-10, 1e-8):
+            s = assert_post_conditions(rho, UP_UP, tol)
+            assert 900.0 < s < 1000.0
+        assert fallbacks == [1, 1]
+
+    def test_bracket_past_the_crossing_is_rejected(self, monkeypatch):
+        # a Newton point past the crossing puts both ends of its bracket on
+        # the PPT side; the test at lo rejects it and the entry bisects
+        newton = oracle_module._newton_crossing
+        monkeypatch.setattr(oracle_module, "_newton_crossing", lambda *args: newton(*args) + 1e-6)
+        for rho in (werner(0.8), BELL_07):
+            assert_post_conditions(rho, MIXED, 1e-10)
+
+    def test_rejects_direction_that_never_separates(self):
+        # the singlet mixed with |uu><uu| stays entangled for every s
+        with pytest.raises(ImproperDirection):
+            bisect_relative_robustness(SINGLET, UP_UP)
+
+    def test_stack_matches_single_calls(self):
+        rhos = ginibre_corpus(10) + [BELL_07, SINGLET, werner(0.2), werner(1.0 - 1e-3)]
+        directions = [MIXED] * 10 + [robustness(BELL_07).rho_pp, MIXED, MIXED, UP_UP]
+        stacked = relative_robustness_stack(np.array([r.matrix for r in rhos]),
+                                            np.array([d.matrix for d in directions]))
+        single = [bisect_relative_robustness(r, d) for r, d in zip(rhos, directions)]
+        assert stacked.tolist() == single
 
     def test_rejects_entangled_direction(self):
         with pytest.raises(NotSeparableDirection):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ginibre_corpus
+from test_wootters import TIED_WEIGHTS
 from qrobust import concurrence, decompose
 from qrobust.coset import CosetParams, density_from_params, k_closed_form
 from qrobust.robustness import (
@@ -12,6 +13,7 @@ from qrobust.robustness import (
     plane_robustness_s1,
     rho_prime_coords,
     robustness,
+    robustness_stack,
     separability_gap,
     sigma_vertex,
 )
@@ -23,6 +25,7 @@ from qrobust.states import (
     sample_state,
     werner,
 )
+from qrobust.tolerances import DEFAULT
 
 MIXED = DensityMatrix(np.eye(4) / 4.0)
 BELL_07 = bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1])))
@@ -245,3 +248,58 @@ class TestRobustnessCertificate:
     def test_pair_vertex_matches_named_vertices(self):
         dec = decompose(BELL_07)
         assert np.array_equal(pair_vertex(dec, 3, 4).matrix, sigma_vertex(dec, 2).matrix)
+
+
+def _rank2_state():
+    rng = np.random.default_rng(21)
+    kets = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    return DensityMatrix(0.6 * np.outer(kets[0], kets[0].conj()) + 0.4 * np.outer(kets[1], kets[1].conj()))
+
+
+class TestStacks:
+    # the Bell-diagonal tie cases (BELL_07 among them) and the other rank classes
+    STATES = (ginibre_corpus(12)
+              + [bell_diagonal(BellWeights(np.array(w))) for w in TIED_WEIGHTS]
+              + [werner(0.8), werner(1.0), _rank2_state(), MIXED])
+    RANK_DEFICIENT = {len(STATES) - 3, len(STATES) - 2}        # the singlet and the rank-2 state
+
+    def test_entries_equal_single_calls_bit_for_bit(self):
+        stack = robustness_stack(np.array([rho.matrix for rho in self.STATES]))
+        for i, rho in enumerate(self.STATES):
+            single, entry = decompose(rho), stack.decomposition.entry(i)
+            for name in ("lambdas", "x", "k_norm", "p_coord"):
+                assert getattr(single, name).tobytes() == getattr(entry, name).tobytes(), (i, name)
+            assert (single.concurrence, single.rank) == (entry.concurrence, entry.rank)
+            if i in self.RANK_DEFICIENT:
+                assert isinstance(stack.errors[i], RankDeficient)
+                with pytest.raises(RankDeficient):
+                    robustness(rho)
+                continue
+            assert stack.errors[i] is None, i
+            cert, got = robustness(rho), stack.entry(i)
+            for name in ("s", "k_index", "pair", "residuals"):
+                assert getattr(cert, name) == getattr(got, name), (i, name)
+            for name in ("rho_pp", "rho_p"):
+                assert getattr(cert, name).matrix.tobytes() == getattr(got, name).matrix.tobytes(), (i, name)
+            assert cert.rho_p_coords.tobytes() == got.rho_p_coords.tobytes()
+
+    def test_order_within_the_stack_does_not_matter(self):
+        matrices = np.array([rho.matrix for rho in self.STATES])
+        forward, backward = robustness_stack(matrices), robustness_stack(matrices[::-1].copy())
+        assert forward.s.tobytes() == backward.s[::-1].tobytes()
+        assert forward.decomposition.x.tobytes() == backward.decomposition.x[::-1].tobytes()
+
+    def test_failed_entry_does_not_stop_the_others(self):
+        # at zero tolerance the residual checks fail on rounding alone, except
+        # for |uu><uu|, whose spin-flip Gram matrix is exactly zero
+        exact = DEFAULT.scaled(0.0)
+        up_up = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+        batch = [BELL_07, up_up, sample_state("ginibre", 3)]
+        stack = robustness_stack(np.array([rho.matrix for rho in batch]), exact)
+        assert isinstance(stack.errors[1], RankDeficient)
+        assert stack.decomposition.rank[1] == 0
+        for rho, error in zip(batch, stack.errors):
+            with pytest.raises(type(error)) as single:
+                robustness(rho, exact)
+            assert str(single.value) == str(error)

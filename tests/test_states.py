@@ -19,6 +19,7 @@ from qrobust.states import (
     bell_diagonal,
     is_separable_ppt,
     partial_transpose,
+    ppt_min_eig,
     random_local_unitary,
     read_state,
     sample_state,
@@ -243,3 +244,13 @@ class TestStateFiles:
         row = state_to_row(rho)
         assert len(row) == 32
         assert np.array_equal(state_from_row(row).matrix, rho.matrix)
+
+
+def test_ppt_min_eig_over_a_stack():
+    matrices = np.array([rho.matrix for rho in ginibre_corpus(6)] + [SINGLET.matrix, MIXED.matrix])
+    single = [ppt_min_eig(m) for m in matrices]
+    assert all(isinstance(v, float) for v in single)
+    stacked = ppt_min_eig(matrices.reshape(2, 4, 4, 4))
+    assert stacked.shape == (2, 4)
+    assert stacked.ravel().tolist() == single
+    assert abs(single[6] + 0.5) <= 1e-12

@@ -158,17 +158,17 @@ def _sample_chunk(args, tol, indices):
         matrices = np.array([rho.matrix for rho in rhos])
         certs = robustness_stack(matrices, tol)
         decomp = certs.decomposition
-        # the first entry whose decomposition failed ends the rows
-        stop = next((j for j, e in enumerate(certs.errors)
-                     if e is not None and not isinstance(e, RankDeficient)), len(rhos))
-        has_cert = np.array([e is None for e in certs.errors[:stop]], dtype=bool)
-        s_bisection = np.full(stop, math.nan)
-        if has_cert.any():
-            s_bisection[has_cert] = oracle.relative_robustness_stack(
-                matrices[:stop][has_cert], certs.rho_pp[:stop][has_cert], tolerances=tol)
+        # a rank-deficient entry writes its nan row; any other error ends the rows
+        errors = [None if isinstance(e, RankDeficient) else e for e in certs.errors]
+        has_cert = np.array([e is None for e in certs.errors], dtype=bool)
+        s_bisection = np.full(len(rhos), math.nan)
+        s_bisection[has_cert], crossing_errors = oracle.relative_robustness_stack(
+            matrices[has_cert], certs.rho_pp[has_cert], tolerances=tol)
+        for j, error in zip(np.flatnonzero(has_cert), crossing_errors):
+            errors[j] = error
         for j, (i, rho) in enumerate(zip(indices, rhos)):
-            if j == stop:
-                raise certs.errors[j]
+            if errors[j] is not None:
+                raise errors[j]
             k = decomp.k_norm[j]
             min_pair = float(min(k[1] + k[2], k[1] + k[3], k[2] + k[3]))
             row = [str(i), _fmt(decomp.concurrence[j]), _fmt(k[0]), _fmt(k[1]), _fmt(k[2]), _fmt(k[3]),

@@ -52,13 +52,9 @@ def _eigh_descending(h: np.ndarray):
     eigenvector phased so that its largest-magnitude component is real and
     positive."""
     evals, v = np.linalg.eigh(h)                      # ascending
-    n = evals.shape[-1]
-    if (evals[..., 1:] == evals[..., :-1]).any():     # exact ties keep LAPACK's order
-        order = np.argsort(-evals, axis=-1, kind="stable")
-        evals = np.take_along_axis(evals, order, axis=-1)
-        v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    else:
-        evals, v = evals[..., ::-1], v[..., ::-1]
+    order = np.argsort(-evals, axis=-1, kind="stable")  # exact ties keep LAPACK's order
+    evals = np.take_along_axis(evals, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
     pivots = _column_pivots(v)
     return evals, v * (pivots.conj() / np.abs(pivots))
 
@@ -176,10 +172,9 @@ def takagi_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
     refined = np.abs(c)
     polish = refined > (tol.takagi_zero * scale)[:, None] * 1e-3
     v = np.where(polish[:, None, :], v * np.exp(0.5j * np.arctan2(c.imag, c.real))[:, None, :], v)
-    if (refined[:, :-1] < refined[:, 1:]).any():      # a stable sort, descending
-        order = np.argsort(-refined, axis=-1, kind="stable")
-        v = np.take_along_axis(v, order[:, None, :], axis=-1)
-        refined = np.take_along_axis(refined, order, axis=-1)
+    order = np.argsort(-refined, axis=-1, kind="stable")
+    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    refined = np.take_along_axis(refined, order, axis=-1)
     return v.conj().swapaxes(-1, -2), refined, errors
 
 

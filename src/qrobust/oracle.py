@@ -149,30 +149,34 @@ def _ppt_along(rho: np.ndarray, sigma: np.ndarray, s: np.ndarray, cut: float) ->
 def _bisect(rho: np.ndarray, sigma: np.ndarray, tol: float, cut: float) -> np.ndarray:
     """Double the bracket from s = 1 until the mixture is PPT, then bisect,
     for each entry of a stack whose mixture at s = 0 is not PPT; the entries
-    advance in lockstep, each taking the steps it would take alone."""
+    advance in lockstep, each taking the steps it would take alone.  An
+    entry with no PPT mixture up to ``_BRACKET_CAP`` gets NaN."""
     lo, hi = np.zeros(len(rho)), np.ones(len(rho))
     widen = np.ones(len(rho), dtype=bool)
-    while True:
+    while widen.any():
         widen[widen] = ~_ppt_along(rho[widen], sigma[widen], hi[widen, None], cut)[:, 0]
-        if not widen.any():
-            break
         lo[widen], hi[widen] = hi[widen], 2.0 * hi[widen]
-        if np.any(hi > _BRACKET_CAP):
-            raise ImproperDirection(f"no separable mixture up to s = {_BRACKET_CAP}")
+        widen &= hi <= _BRACKET_CAP
+    improper = hi > _BRACKET_CAP
+    lo[improper] = hi[improper]                           # closed: not bisected
     active = np.flatnonzero(hi - lo > tol * (1.0 + hi))
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         ppt = _ppt_along(rho[active], sigma[active], mid[:, None], cut)[:, 0]
         hi[active[ppt]], lo[active[~ppt]] = mid[ppt], mid[~ppt]
         active = np.flatnonzero(hi - lo > tol * (1.0 + hi))
-    return hi
+    return np.where(improper, np.nan, hi)
 
 
 def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray,
                               tol: float = DEFAULT.bisect_default, *,
-                              tolerances: Tolerances = DEFAULT) -> np.ndarray:
+                              tolerances: Tolerances = DEFAULT):
     """``bisect_relative_robustness`` over (N, 4, 4) stacks of states and
-    separable directions, with the same postcondition for every entry.
+    directions, with the same postcondition for every entry.
+
+    Returns ``(s, errors)``; ``errors[i]`` is the ``NotSeparableDirection``
+    or ``ImproperDirection`` of entry i (its s is NaN), or None.  A failing
+    entry does not stop the others.
 
     Each crossing is estimated through the regularized pencil, polished by
     one Newton step, and verified by one stacked PPT test of the mixtures at
@@ -183,9 +187,10 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray,
         raise ValueError("bisection tolerance must be at least 1e-12")
     cut = -tolerances.ppt
     direction_eig = ppt_min_eig(sigma)
-    entangled = np.flatnonzero(~(direction_eig >= cut))
-    if entangled.size:
-        raise NotSeparableDirection(f"direction has PT eigenvalue {direction_eig[entangled[0]]:.3e}")
+    errors = [None if e >= cut else NotSeparableDirection(f"direction has PT eigenvalue {e:.3e}")
+              for e in direction_eig.tolist()]
+    proper = np.array([error is None for error in errors], dtype=bool)
+    rho, sigma = rho[proper], sigma[proper]
     s = _newton_crossing(partial_transpose_matrix(rho), partial_transpose_matrix(sigma), tolerances.ppt)
     half = 0.4 * tol * (1.0 + s)   # hi - lo stays below tol*(1+hi) after rounding
     lo, hi = np.maximum(s - half, 0.0), s + half
@@ -194,9 +199,12 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray,
     at_zero, at_lo, at_hi = _ppt_along(rho, sigma, points, cut).T
     result = np.where(at_zero, 0.0, hi)
     redo = np.flatnonzero(~at_zero & ~(usable & ~at_lo & at_hi))
-    if redo.size:
-        result[redo] = _bisect(rho[redo], sigma[redo], tol, cut)
-    return result
+    result[redo] = _bisect(rho[redo], sigma[redo], tol, cut)
+    values = np.full(len(proper), np.nan)
+    values[proper] = result
+    for i in np.flatnonzero(proper)[np.isnan(result)]:
+        errors[i] = ImproperDirection(f"no separable mixture up to s = {_BRACKET_CAP}")
+    return values, errors
 
 
 def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix,
@@ -215,8 +223,11 @@ def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix,
     ImproperDirection
         If no finite bracket exists (impossible for full-rank directions).
     """
-    return float(relative_robustness_stack(rho.matrix[None], rho_s.matrix[None], tol,
-                                           tolerances=tolerances)[0])
+    s, errors = relative_robustness_stack(rho.matrix[None], rho_s.matrix[None], tol,
+                                          tolerances=tolerances)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(s[0])
 
 
 def _relative_robustness(rho_pt: np.ndarray, weights: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -298,7 +309,8 @@ def minimize_absolute_robustness(rho: DensityMatrix, budget: int, seed: int, *,
     product mixtures refined by coordinate descent.  Restart r uses its own
     generator seeded with ``seed + r``; the restarts run together on stacked
     arrays, but none depends on another, so results are reproducible.  The
-    final winner is re-certified by a plain PPT bisection.
+    final winner is re-certified by ``bisect_relative_robustness``, a
+    PPT-verified crossing.
     """
     if is_separable_ppt(rho, tolerances)[0]:
         return OracleResult(s_direction=0.0, s_best=0.0, best_direction=rho,

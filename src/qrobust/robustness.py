@@ -273,24 +273,20 @@ def robustness_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Certifi
     decomp = wootters.decompose_stack(matrices, tol)
     errors = [error if error is not None or rank == 4 else RankDeficient(decomp.entry(i))
               for i, (error, rank) in enumerate(zip(decomp.errors, decomp.rank.tolist()))]
+    # certificates of the full-rank entries, NaN (k_index 0) elsewhere
+    full = np.array([error is None for error in errors], dtype=bool)
     fields = (matrices, decomp.lambdas, decomp.k_norm, decomp.concurrence, decomp.x)
-    if errors.count(None) == len(errors):
-        cert = _certificates(*fields, tol)
-    else:   # certificates of the full-rank entries, NaN elsewhere
-        full = np.array([error is None for error in errors], dtype=bool)
-        subset = _certificates(*(values[full] for values in fields), tol)
+    subset = _certificates(*(values[full] for values in fields), tol)
 
-        def spread(values):
-            out = np.full((len(full),) + values.shape[1:], 0 if values.dtype.kind == "i" else np.nan,
-                          dtype=values.dtype)
-            out[full] = values
-            return out
+    def spread(values):
+        out = np.full((len(full),) + values.shape[1:], 0 if values.dtype.kind == "i" else np.nan,
+                      dtype=values.dtype)
+        out[full] = values
+        out.setflags(write=False)
+        return out
 
-        cert = {name: spread(values) for name, values in subset.items() if name != "residuals"}
-        cert["residuals"] = {name: spread(values) for name, values in subset["residuals"].items()}
-    for values in [*cert.values(), *cert["residuals"].values()]:
-        if isinstance(values, np.ndarray):
-            values.setflags(write=False)
+    cert = {name: spread(values) for name, values in subset.items() if name != "residuals"}
+    cert["residuals"] = {name: spread(values) for name, values in subset["residuals"].items()}
     return CertificateStack(**cert, decomposition=decomp, errors=errors)
 
 

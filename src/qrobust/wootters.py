@@ -10,10 +10,11 @@ Takagi kernel, and set |x_i> = sum_j conj(U_ij) |v_j>.
 
 The vectors are unique only up to sign, and inside a cluster of tied lambdas
 only up to a real orthogonal rotation, which the eigensolver leaves
-arbitrary.  The written rule that fixes both (``_fix_free_rotations``):
-rotate each cluster onto the eigenvectors of Re(X_c^dag X_c), so its K_i come
-out descending, align every group of still-tied K_i with the magic basis in
-Bell order, and orient each vector by its largest magic-basis coefficient.
+arbitrary.  The written rule that fixes both (``_fix_free_rotations``,
+then ``_column_signs``): rotate each cluster onto the eigenvectors of
+Re(X_c^dag X_c), so its K_i come out descending, align every group of
+still-tied K_i with the magic basis in Bell order, and orient each vector by
+its largest magic-basis coefficient.
 """
 
 from __future__ import annotations
@@ -100,8 +101,6 @@ class DecompositionStack:
 def _x_prime(x: np.ndarray, lambdas: np.ndarray, rank: int) -> np.ndarray:
     """|x_i>/sqrt(lambda_i) for the columns below ``rank``, zero beyond; over
     one matrix or a stack of matrices of the same rank."""
-    if rank == 4:
-        return x / np.sqrt(lambdas)[..., None, :]
     xp = np.zeros_like(x)
     xp[..., :rank] = x[..., :rank] / np.sqrt(lambdas[..., :rank])[..., None, :]
     return xp
@@ -123,7 +122,8 @@ def _column_signs(x: np.ndarray) -> np.ndarray:
 
 
 def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> None:
-    """Fix, in place, the freedom the defining relation leaves in the columns.
+    """Fix, in place, the rotation the defining relation leaves free in
+    each cluster of tied lambdas (steps 1 and 2 of the rule below).
 
     Each |x_i> is unique only up to sign, and inside a cluster of lambdas
     tied within ``tol.tie * lambda_1`` only up to a real orthogonal rotation;
@@ -140,7 +140,7 @@ def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> 
     A Bell-diagonal state thus gets columns proportional to the magic
     vectors in Bell order, whatever basis the eigensolver returned.
     ``decompose_stack`` runs steps 1 and 2 only on entries with a tied
-    cluster, and step 3 on the others in one stacked pass.
+    cluster, then step 3 (``_column_signs``) on every entry in one pass.
     """
     for cluster in numerics._tied_runs(lambdas, tol.tie * lambdas[0]):
         if len(cluster) < 2:
@@ -155,7 +155,6 @@ def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> 
                 rows = np.sort(np.argsort(-np.sum(coeffs ** 2, axis=1), kind="stable")[:len(group)])
                 xc[:, group] = xg @ np.linalg.qr(coeffs[rows].T)[0]   # coeffs[rows] @ q = r.T
         x[:, cluster] = xc
-    x *= _column_signs(x)
 
 
 def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> DecompositionStack:
@@ -177,18 +176,12 @@ def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Decompos
     eps_rank = tol.rank_threshold * np.maximum(lambdas[:, 0], 1e-30)
     rank = (lambdas > eps_rank[:, None]).sum(axis=1)
     inside = _COLUMNS < rank[:, None]
-    if not inside.all():
-        x = np.where(inside[:, None, :], x, 0.0)
-    # entries with a cluster of lambdas tied inside the rank take the full rule
+    x = np.where(inside[:, None, :], x, 0.0)
+    # entries with a cluster of lambdas tied inside the rank take steps 1 and 2 of the rule
     clustered = ((lambdas[:, :-1] - lambdas[:, 1:] <= tol.tie * lambdas[:, :1]) & inside[:, 1:]).any(axis=1)
-    if clustered.any():
-        for i in clustered.nonzero()[0]:
-            _fix_free_rotations(x[i], lambdas[i, :rank[i]], tol)
-        plain = ~clustered
-        if plain.any():
-            x[plain] *= _column_signs(x[plain])
-    else:
-        x *= _column_signs(x)
+    for i in clustered.nonzero()[0]:
+        _fix_free_rotations(x[i], lambdas[i, :rank[i]], tol)
+    x *= _column_signs(x)
     p_coord = (np.abs(x) ** 2).sum(axis=-2)
     k_norm = np.full(lambdas.shape, np.nan)
     np.divide(p_coord, lambdas, out=k_norm, where=inside)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qrobust
-from qrobust import states, wootters
+from qrobust import oracle, states, wootters
 from qrobust.cli import main
 from qrobust.numerics import NumericalFailure
 from qrobust.states import (BellWeights, DensityMatrix, bell_diagonal, read_state, sample_state, werner,
@@ -312,6 +312,30 @@ def test_sample_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys, fa
     assert main([*argv, "--out", str(failed)]) == 1
     assert failed.read_text().splitlines() == clean.read_text().splitlines()[:failing_index + 1]
     assert capsys.readouterr().err == "error: factorization residual 1.000e+00 exceeds 1.000e-07\n"
+
+
+@pytest.mark.parametrize("failing_index", [5, 260])
+def test_sample_crossing_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, failing_index):
+    # a crossing that fails at one entry of a chunk: the rows before it are
+    # written before its error propagates, as when rows were computed one by one
+    clean = tmp_path / "clean.csv"
+    argv = ["sample", "--ensemble", "ginibre", "--n", "300", "--seed", "4"]
+    assert main([*argv, "--out", str(clean)]) == 0
+    target = sample_state("ginibre", 4 + failing_index).matrix
+    real = oracle.relative_robustness_stack
+
+    def injected(rho, sigma, tol=DEFAULT.bisect_default, *, tolerances=DEFAULT):
+        s, errors = real(rho, sigma, tol, tolerances=tolerances)
+        for j, matrix in enumerate(rho):
+            if np.array_equal(matrix, target):
+                s[j], errors[j] = np.nan, oracle.ImproperDirection("injected")
+        return s, errors
+
+    monkeypatch.setattr(oracle, "relative_robustness_stack", injected)
+    failed = tmp_path / "failed.csv"
+    with pytest.raises(oracle.ImproperDirection, match="injected"):
+        main([*argv, "--out", str(failed)])
+    assert failed.read_text().splitlines() == clean.read_text().splitlines()[:failing_index + 1]
 
 
 def test_sample_generation_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys):

@@ -142,10 +142,24 @@ class TestBisection:
     def test_stack_matches_single_calls(self):
         rhos = ginibre_corpus(10) + [BELL_07, SINGLET, werner(0.2), werner(1.0 - 1e-3)]
         directions = [MIXED] * 10 + [robustness(BELL_07).rho_pp, MIXED, MIXED, UP_UP]
-        stacked = relative_robustness_stack(np.array([r.matrix for r in rhos]),
-                                            np.array([d.matrix for d in directions]))
+        stacked, errors = relative_robustness_stack(np.array([r.matrix for r in rhos]),
+                                                    np.array([d.matrix for d in directions]))
         single = [bisect_relative_robustness(r, d) for r, d in zip(rhos, directions)]
         assert stacked.tolist() == single
+        assert errors == [None] * len(rhos)
+
+    def test_stack_records_failing_entries(self):
+        # an improper and an entangled direction between good entries: each
+        # failing entry gets its own error and NaN, the others their values
+        rhos = [BELL_07, SINGLET, werner(0.8), MIXED, werner(1.0 - 1e-3)]
+        directions = [MIXED, UP_UP, MIXED, SINGLET, UP_UP]
+        stacked, errors = relative_robustness_stack(np.array([r.matrix for r in rhos]),
+                                                    np.array([d.matrix for d in directions]))
+        assert [type(e) for e in errors] == [type(None), ImproperDirection, type(None),
+                                             NotSeparableDirection, type(None)]
+        for i in (0, 2, 4):
+            assert stacked[i] == bisect_relative_robustness(rhos[i], directions[i])
+        assert np.isnan(stacked[[1, 3]]).all()
 
     def test_rejects_entangled_direction(self):
         with pytest.raises(NotSeparableDirection):

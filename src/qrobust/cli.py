@@ -31,7 +31,6 @@ EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 EXIT_IO = 4
 
-_FALLBACK_BUDGET = 20
 _SAMPLE_CHUNK = 256   # rows computed together by ``sample``; bounds the stacked arrays at large --n
 
 
@@ -42,7 +41,7 @@ _EPILOG = """\
 sample CSV columns:
   seed_index, concurrence, K1, K2, K3, K4, min_pair_sum, s_formula, s_bisection
   [+ k_agreement for --ensemble coset: max |closed-form K - direct Gram K|]
-  [+ s_best, gap for --oracle: best direction found and s_formula - s_best]
+  [+ s_best, gap for --oracle: crossing along the SDP direction and s_formula - s_best]
   Rows hold repr'd doubles (17 significant digits); rank-deficient states
   produce nan in the closed-form columns.
 
@@ -57,13 +56,13 @@ def _jsonify(value):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):   # before int: bool is an int subclass
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         v = float(value)
         return None if math.isnan(v) else v
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
     return value
 
 
@@ -81,7 +80,7 @@ def _fmt(value) -> str:
 
 
 def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback: bool,
-                     seed: int, tol: tolerances.Tolerances) -> tuple[dict, int]:
+                     tol: tolerances.Tolerances) -> tuple[dict, int]:
     try:
         cert = robustness(rho, tol)
     except RankDeficient as exc:
@@ -89,20 +88,14 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
-        result = oracle.minimize_absolute_robustness(rho, _FALLBACK_BUDGET, seed, tolerances=tol)
+        result = oracle.minimize_absolute_robustness(rho, tolerances=tol)
         report["method"] = "oracle_estimate"
-        report["oracle"] = {
-            "s_best": result.s_best,
-            "s_direction": result.s_direction,
-            "evaluations": result.evaluations,
-            "note": str(exc),
-        }
+        report["oracle"] = {**result.to_report(), "note": str(exc)}
         return report, EXIT_OK
     report = {"decomposition": cert.decomposition.to_report(), "method": "closed_form",
               "certificate": cert.to_report()}
     if run_oracle:
-        report["verification"] = oracle.verify_certificate(
-            rho, cert, oracle_budget=_FALLBACK_BUDGET, seed=seed, tolerances=tol)
+        report["verification"] = oracle.verify_certificate(rho, cert, oracle=True, tolerances=tol)
     return report, EXIT_OK
 
 
@@ -115,8 +108,7 @@ def cmd_analyze(args, tol) -> int:
     except (states.ParseError, states.ValidationError) as exc:
         print(f"error: {args.in_path}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    report, code = _analysis_report(rho, run_oracle=args.oracle, no_fallback=args.no_fallback,
-                                    seed=args.seed, tol=tol)
+    report, code = _analysis_report(rho, run_oracle=args.oracle, no_fallback=args.no_fallback, tol=tol)
     if code != EXIT_OK:
         return code
     report = {"input": args.in_path, **report}
@@ -176,8 +168,7 @@ def _sample_chunk(args, tol, indices):
             if ensemble == "coset":
                 row.append(_fmt(k_agreement[j]))
             if args.oracle:
-                result = oracle.minimize_absolute_robustness(rho, _FALLBACK_BUDGET, args.seed + i,
-                                                             tolerances=tol)
+                result = oracle.minimize_absolute_robustness(rho, tolerances=tol)
                 row += [_fmt(result.s_best), _fmt(result.gap_to_formula)]
             yield row
     if failure is not None:
@@ -224,8 +215,7 @@ def cmd_param(args, tol) -> int:
     res_x = float(np.max(np.abs(x.T @ states.SIGMA_YY @ x - np.eye(4))))
     print(f"Y orthogonality residual: {res_y!r}")
     print(f"X identity residual: {res_x!r}")
-    report, code = _analysis_report(rho, run_oracle=args.oracle, no_fallback=False,
-                                    seed=args.seed, tol=tol)
+    report, code = _analysis_report(rho, run_oracle=args.oracle, no_fallback=False, tol=tol)
     if code != EXIT_OK:
         return code
     report = {"params": params.to_dict(), "state_file": args.out, **report}
@@ -254,11 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze one state file")
     p.add_argument("--in", dest="in_path", required=True, help="input state JSON")
-    p.add_argument("--oracle", action="store_true", help="add bisection/search verification")
+    p.add_argument("--oracle", action="store_true", help="add bisection and SDP verification")
     p.add_argument("--no-fallback", action="store_true",
                    help="fail (exit 3) on rank-deficient states instead of using the oracle")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sample", help="sample an ensemble and emit per-state measures as CSV")
@@ -266,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["ginibre", "bures", "bell_diagonal", "coset"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle", action="store_true", help="add the absolute-robustness search columns")
+    p.add_argument("--oracle", action="store_true", help="add the absolute-robustness columns")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -277,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="four comma-separated weights, descending")
     p.add_argument("--out", required=True, help="state file to write")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_param)
 
     p = sub.add_parser("verify", help="run the full property suite")

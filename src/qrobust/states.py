@@ -52,7 +52,7 @@ def _validate_density(matrix: np.ndarray, tol: Tolerances) -> None:
         raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {asym:.3e} exceeds {tol.hermiticity:.3e}")
     tr = matrix.trace().real
     if abs(tr - 1.0) > tol.trace:
-        raise ValidationError(f"trace deviates from 1 by {tr - 1.0:.3e} (allowed {tol.trace:.3e})")
+        raise ValidationError(f"trace deviates from 1: tr(rho) - 1 = {tr - 1.0:.3e} exceeds {tol.trace:.3e}")
     min_eig = np.linalg.eigvalsh(matrix)[0]
     if min_eig < -tol.psd:
         raise ValidationError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} below {-tol.psd:.3e}")
@@ -189,10 +189,10 @@ def is_separable_ppt(rho: DensityMatrix, tol: Tolerances = DEFAULT):
 # constructors and ensembles
 # ----------------------------------------------------------------------
 
-def bell_diagonal(weights: BellWeights) -> DensityMatrix:
+def bell_diagonal(weights: BellWeights, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """Mixture of the four Bell projectors with the given weights."""
     m = (BELL_STATES * weights.p[None, :]) @ BELL_STATES.conj().T
-    return DensityMatrix(m)
+    return DensityMatrix(m, tol)
 
 
 def werner(singlet_weight: float) -> DensityMatrix:
@@ -239,11 +239,11 @@ def sample_state(ensemble: str, seed: int, tol: Tolerances = DEFAULT) -> Density
     if ensemble == "bures":
         return DensityMatrix(_bures_matrix(rng), tol)
     if ensemble == "bell_diagonal":
-        return bell_diagonal(random_bell_weights(rng))
+        return bell_diagonal(random_bell_weights(rng), tol)
     if ensemble == "coset":
         from . import coset
 
-        return coset.density_from_params(coset.sample_params(rng))
+        return coset.density_from_params(coset.sample_params(rng), tol)
     raise UnknownEnsemble(f"unknown ensemble {ensemble!r}; choose from {', '.join(_ENSEMBLES)}")
 
 

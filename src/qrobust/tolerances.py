@@ -50,6 +50,7 @@ class Tolerances:
     bisect_formula: float = 1e-6        # |bisection - closed form| along the witness
     werner_boundary: float = 1e-8       # located singlet-weight boundary vs 1/3
     oracle_flag: float = 1e-3           # minimality-probe flag threshold
+    sdp_gap: float = 1e-9               # SDP stops once s_upper - s_lower <= sdp_gap * (1 + s_upper)
 
     # coset parameterization identities
     coset_orthogonality: float = 1e-10  # |Y^T Y - I| and |X^T (sy x sy) X - I|

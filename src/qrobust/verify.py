@@ -136,6 +136,7 @@ def _check_xprime(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
 def _check_local_unitary(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
+    other = states.sample_state("ginibre", seed + 90_000, tol)
     for rho in _corpus("ginibre", max(corpus // 2, 10), seed, tol):
         lu = states.random_local_unitary(rng)
         rotated = states.apply_local_unitary(rho, lu)
@@ -145,7 +146,6 @@ def _check_local_unitary(corpus: int, seed: int, tol: Tolerances) -> PropertyRes
         norm = wootters.tilde_norm(m)
         rotated_norm = wootters.tilde_norm(u @ m @ u.conj().T)
         worst = max(worst, abs(rotated_norm - norm) / max(norm, 1e-30))
-        other = states.sample_state("ginibre", seed + 90_000, tol)
         d0 = wootters.tilde_distance(rho, other)
         d1 = wootters.tilde_distance(rotated, states.apply_local_unitary(other, lu))
         worst = max(worst, abs(d1 - d0))

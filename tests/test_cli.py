@@ -76,7 +76,11 @@ def test_analyze_pure_state_falls_back_to_oracle(tmp_path, capsys):
     assert main(["analyze", "--in", str(state)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["method"] == "oracle_estimate"
-    assert report["oracle"]["s_best"] <= 2.0 + 1e-6
+    block = report["oracle"]
+    assert block["route"] == "sdp"
+    assert block["s_lower"] <= 1.0 <= block["s_best"] <= 2.0 + 1e-6   # R(singlet) = 1
+    assert block["duality_gap"] <= 1e-6 and block["newton_steps"] > 0
+    assert isinstance(block["converged"], bool)
 
 
 def test_analyze_no_fallback_exit_code(tmp_path, capsys):
@@ -91,7 +95,10 @@ def test_analyze_oracle_verification_block(tmp_path, capsys):
     assert main(["analyze", "--in", str(state), "--oracle"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verification"]["passed"]
-    assert report["verification"]["oracle"]["s_best"] <= 0.4 + 1e-6
+    block = report["verification"]["oracle"]
+    assert block["s_best"] <= 0.4 + 1e-6
+    assert block["route"] == "sdp" and block["s_lower"] <= 0.4
+    assert {"duality_gap", "newton_steps", "converged"} <= block.keys()
 
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -255,8 +262,9 @@ def test_verify_zero_tolerance_names_residuals():
 def test_zero_tolerance_decomposition_failure_names_residual(tmp_path, command):
     # I/4 has trace exactly 1, so it passes validation at QROBUST_TOL=0; the
     # residual checks inside the decomposition then fail on rounding alone.
-    # Bures and coset states fail the Hermiticity check of their own
-    # construction by rounding, before any decomposition.
+    # Bures and coset states fail the Hermiticity check, and Bell-diagonal
+    # states the trace check, of their own construction by rounding, before
+    # any decomposition.
     mixed = tmp_path / "mixed.json"
     write_state(DensityMatrix(np.eye(4) / 4.0), mixed)
     argv = [a.format(mixed=mixed, csv=tmp_path / "s.csv", param=tmp_path / "p.json") for a in command]

@@ -10,12 +10,11 @@ from qrobust.oracle import (
     ImproperDirection,
     NotSeparableDirection,
     ProductMixture,
+    absolute_robustness,
     bisect_relative_robustness,
     _bisect as bisect_stack,
-    _coordinate_descent,
-    _product_kets,
-    _random_start,
-    _relative_robustness,
+    _dual_bound,
+    _pencil_crossing,
     minimize_absolute_robustness,
     relative_robustness_stack,
     verify_certificate,
@@ -24,10 +23,12 @@ from qrobust.robustness import robustness
 from qrobust.states import (
     BellWeights,
     DensityMatrix,
+    apply_local_unitary,
     bell_diagonal,
     is_separable_ppt,
     partial_transpose_matrix,
     ppt_min_eig,
+    random_local_unitary,
     sample_state,
     werner,
 )
@@ -169,6 +170,18 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisect_relative_robustness(SINGLET, MIXED, 1e-13)
 
+    def test_failed_factorization_scores_only_its_entry(self):
+        rho_pt = partial_transpose_matrix(sample_state("ginibre", 0).matrix)
+        mixture = random_mixture(np.random.default_rng(5), n=3)
+        terms = np.array([ProductMixture(w, mixture.bloch_angles).matrix() for w in np.eye(3)])
+        # a negative weight makes the middle direction indefinite, so its Cholesky factor fails
+        weights = np.stack([mixture.weights, [1.0, -0.5, 0.5], mixture.weights])
+        d_pt = partial_transpose_matrix(np.einsum("bn,nij->bij", weights, terms))
+        values = _pencil_crossing(rho_pt, d_pt)
+        alone = _pencil_crossing(rho_pt, d_pt[:1])[0]
+        assert values[1] == math.inf
+        assert values[0] == values[2] == alone and math.isfinite(alone)
+
     def test_ppt_monotone_along_rays(self):
         rng = np.random.default_rng(3)
         checked = 0
@@ -220,7 +233,7 @@ class TestMinimize:
     def test_rank_deficient_pure_state(self):
         result = minimize_absolute_robustness(SINGLET, budget=3, seed=0)
         assert math.isfinite(result.s_best)
-        assert result.s_best <= 2.0 + 1e-6  # the maximally mixed direction caps it
+        assert result.s_best <= 2.0 + 1e-6  # R(singlet) = 1
         assert math.isnan(result.gap_to_formula)
         assert concurrence(result.best_direction) <= 1e-9
 
@@ -240,7 +253,7 @@ class TestMinimize:
 
     def test_probe_can_beat_the_closed_form(self):
         # the closed form is minimal over the fixed-basis tetrahedron family,
-        # not over all separable states; the search finds better directions
+        # not over all separable states; the SDP finds better directions
         # for generic states and the result is flagged as a finding
         rho = sample_state("ginibre", 0)
         cert = robustness(rho)
@@ -251,87 +264,81 @@ class TestMinimize:
         assert result.minimality_flag()
 
 
-def sequential_descent(rho_pt, seed, *, n_terms, sweeps, weight_step, angle_step):
-    """One restart on its own: the rules the stacked search must reproduce."""
-    weights, angles = _random_start(np.random.default_rng(seed), n_terms)
-    evaluations = skipped = 0
-
-    def evaluate(w, ang):
-        nonlocal evaluations
-        evaluations += 1
-        return _relative_robustness(rho_pt, w[None], _product_kets(ang)[None])[0]
-
-    best = evaluate(weights, angles)
-    w_step, a_step = weight_step, angle_step
-    for _ in range(sweeps):
-        for n in range(n_terms):
-            for delta in (w_step, -w_step):
-                trial = weights.copy()
-                trial[n] = max(0.0, trial[n] + delta)
-                if trial.sum() <= 0.0:
-                    skipped += 1
-                    continue
-                value = evaluate(trial, angles)
-                if value < best:
-                    best, weights = value, trial
-                    break
-            for axis in range(4):
-                for delta in (a_step, -a_step):
-                    trial = angles.copy()
-                    trial[n, axis] += delta
-                    value = evaluate(weights, trial)
-                    if value < best:
-                        best, angles = value, trial
-                        break
-        w_step *= 0.5
-        a_step *= 0.5
-    return best, weights, angles, evaluations, skipped
+def negativity(rho):
+    return 0.5 * (np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_matrix(rho.matrix)))) - 1.0)
 
 
-class TestLockstepSearch:
-    RHO = sample_state("ginibre", 0)
+def pure_state(theta, lu=None):
+    psi = np.zeros(4, dtype=complex)
+    psi[0], psi[3] = math.cos(theta), math.sin(theta)
+    rho = DensityMatrix(np.outer(psi, psi.conj()))
+    return rho if lu is None else apply_local_unitary(rho, lu)
 
-    def test_best_is_the_best_single_restart(self):
-        budget, seed = 4, 7
-        whole = minimize_absolute_robustness(self.RHO, budget, seed)
-        singles = [minimize_absolute_robustness(self.RHO, 1, seed + r) for r in range(budget)]
-        best_single = min(r.s_best for r in singles)
-        assert abs(whole.s_best - best_single) <= DEFAULT.bisect_default * (1.0 + best_single)
-        # each single run adds the reference, mixed and final bisections
-        assert whole.evaluations == sum(r.evaluations for r in singles) - 3 * (budget - 1)
 
-    @pytest.mark.parametrize("n_terms, weight_step", [(8, 0.1), (1, 1.0)])
-    def test_restarts_match_one_at_a_time(self, n_terms, weight_step):
-        # weight_step 1.0 drives the only weight of a one-term mixture to 0,
-        # so its -step trial is skipped in the first sweep
-        rho_pt = partial_transpose_matrix(self.RHO.matrix)
-        settings = dict(n_terms=n_terms, sweeps=3, weight_step=weight_step, angle_step=0.3)
-        seeds = [11, 12, 13]
-        values, weights, angles, evaluations = _coordinate_descent(rho_pt, seeds, **settings)
-        reference = [sequential_descent(rho_pt, seed, **settings) for seed in seeds]
-        for r, (value, w, ang, _, _) in enumerate(reference):
-            assert values[r] == value
-            assert np.array_equal(weights[r], w) and np.array_equal(angles[r], ang)
-        assert evaluations == sum(ref[3] for ref in reference)
-        assert any(ref[4] for ref in reference) == (n_terms == 1)
+class TestAbsoluteRobustness:
+    def test_brackets_known_values(self):
+        # R = C on Bell-diagonal states, (3p - 1)/2 on Werner states and
+        # 2|ab| on pure states a|uu> + b|dd> in any local basis (Vidal & Tarrach)
+        rng = np.random.default_rng(11)
+        known = [(BELL_07, 0.4), (SINGLET, 1.0), (werner(0.5), 0.25), (werner(0.8), 0.7)]
+        for theta in rng.uniform(0.05, math.pi / 4, 4):
+            known.append((pure_state(theta, random_local_unitary(rng)), abs(math.sin(2.0 * theta))))
+        for rho, value in known:
+            bracket = absolute_robustness(rho)
+            assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
+            # degenerate optima: the QR-factored Newton solve still reaches the target
+            assert bracket.converged and bracket.duality_gap <= DEFAULT.sdp_gap * (1.0 + bracket.s_upper)
 
-    def test_zero_budget_keeps_the_reference_directions(self):
-        cert = robustness(self.RHO)
-        result = minimize_absolute_robustness(self.RHO, budget=0, seed=0)
-        assert result.evaluations == 3
-        assert result.s_best <= cert.s + 1e-9
-        assert result.s_best == min(result.s_direction, bisect_relative_robustness(self.RHO, MIXED))
+    def test_ginibre_corpus_bounds(self):
+        entangled = 0
+        for rho in ginibre_corpus(25):
+            if is_separable_ppt(rho)[0]:
+                continue
+            entangled += 1
+            bracket = absolute_robustness(rho)
+            result = minimize_absolute_robustness(rho)
+            assert bracket.converged
+            assert bracket.s_upper >= negativity(rho)                      # Vidal & Werner
+            assert bracket.s_lower <= robustness(rho).s
+            assert bracket.s_lower <= result.s_best
+            assert result.s_best <= bracket.s_upper + DEFAULT.bisect_default * (1.0 + bracket.s_upper)
+            assert result.s_lower == bracket.s_lower and result.converged
+        assert entangled >= 10
 
-    def test_failed_factorization_scores_only_its_entry(self):
-        rho_pt = partial_transpose_matrix(self.RHO.matrix)
-        mixture = random_mixture(np.random.default_rng(5), n=3)
-        kets = np.stack([_product_kets(mixture.bloch_angles)] * 3)
-        # a negative weight makes the middle direction indefinite, so its Cholesky factor fails
-        weights = np.stack([mixture.weights, [1.0, -0.5, 0.5], mixture.weights])
-        values = _relative_robustness(rho_pt, weights, kets)
-        alone = _relative_robustness(rho_pt, weights[:1], kets[:1])[0]
-        assert values[1] == math.inf
-        assert values[0] == values[2] == alone and math.isfinite(alone)
+    def test_singular_newton_system_keeps_the_best_bracket(self, monkeypatch):
+        # a LinAlgError from inverting the Newton system's factor ends the
+        # solve with the best bracket so far: finite, containing R, not converged
+        calls = []
+        inv = np.linalg.inv
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > 30:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(*args)
+
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        bracket = absolute_robustness(pure_state(0.5))
+        assert len(calls) == 31
+        assert 0.0 < bracket.s_lower <= math.sin(1.0) <= bracket.s_upper < math.inf
+        assert not bracket.converged
+        assert bracket.duality_gap > DEFAULT.sdp_gap * (1.0 + bracket.s_upper)
+
+    def test_unreachable_gap_target_is_not_converged(self):
+        bracket = absolute_robustness(BELL_07, tolerances=DEFAULT.scaled(0.0))
+        assert not bracket.converged
+        assert bracket.s_lower <= 0.4 <= bracket.s_upper
+
+    def test_dual_bound_is_a_proof_for_any_hermitian_triple(self):
+        # the clipping and the rescale make every triple a dual-feasible
+        # point; triples diagonal in the eigenbasis of rho^Gamma with weights
+        # of both signs break the bound without either of them
+        rng = np.random.default_rng(0)
+        for rho, value in [(BELL_07, 0.4), (werner(0.8), 0.7), (SINGLET, 1.0)]:
+            rho_pt = partial_transpose_matrix(rho.matrix)
+            vecs = np.broadcast_to(np.linalg.eigh(rho_pt)[1], (3, 4, 4))
+            for _ in range(20):
+                assert _dual_bound(rng.uniform(-5.0, 5.0, (3, 4)), vecs, rho_pt) <= value + 1e-12
 
 
 class TestVerifyCertificate:
@@ -354,7 +361,11 @@ class TestVerifyCertificate:
             assert report["passed"], report
 
     def test_oracle_block_present_when_requested(self):
-        report = verify_certificate(BELL_07, robustness(BELL_07), oracle_budget=3, seed=2)
+        report = verify_certificate(BELL_07, robustness(BELL_07), oracle=True)
         assert "oracle" in report
-        assert report["oracle"]["s_best"] <= 0.4 + 1e-6
-        assert report["oracle"]["minimality_flag"] is False
+        block = report["oracle"]
+        assert block["route"] == "sdp"
+        assert block["s_lower"] <= 0.4 <= block["s_best"] <= 0.4 + 1e-6
+        assert block["duality_gap"] <= 1e-6 and block["newton_steps"] > 0
+        assert isinstance(block["converged"], bool)
+        assert block["minimality_flag"] is False

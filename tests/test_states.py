@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ginibre_corpus
-from qrobust import concurrence
+from qrobust import concurrence, coset
 from qrobust.numerics import hermitian_eig
 from qrobust.states import (
     BELL_STATES,
@@ -29,6 +29,7 @@ from qrobust.states import (
     werner,
     write_state,
 )
+from qrobust.tolerances import DEFAULT
 
 MIXED = DensityMatrix(np.eye(4) / 4.0)
 SINGLET = werner(1.0)
@@ -166,6 +167,18 @@ class TestEnsembles:
     def test_unknown_ensemble(self):
         with pytest.raises(UnknownEnsemble):
             sample_state("thermal", 0)
+
+    def test_tolerances_reach_the_coset_and_bell_diagonal_constructions(self):
+        exact = DEFAULT.scaled(0.0)
+        params = coset.sample_params(np.random.default_rng(0))
+        with pytest.raises(ValidationError) as direct:
+            coset.density_from_params(params, exact)
+        with pytest.raises(ValidationError) as sampled:
+            sample_state("coset", 0, exact)
+        assert str(sampled.value) == str(direct.value)
+        # seed 0's Bell weights sum to 1 - 2.2e-16, which an exact trace check rejects
+        with pytest.raises(ValidationError, match="trace"):
+            sample_state("bell_diagonal", 0, exact)
 
 
 class TestLocalUnitary:

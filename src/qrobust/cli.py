@@ -15,6 +15,7 @@ validation), 2 input validation, 3 unsupported input (rank deficient with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -129,50 +130,40 @@ def _sample_rows(args, tol):
 
 
 def _sample_chunk(args, tol, indices):
-    """Rows for ``indices``: each state drawn from its own seed, then one
-    stacked certificate and one stacked crossing for the whole chunk.  Rows
-    before an entry that fails are still yielded; the failure is raised then."""
-    ensemble = args.ensemble
-    rhos, k_agreement, failure = [], [], None
-    for i in indices:
-        try:
-            if ensemble == "coset":
-                params = coset.sample_params(np.random.default_rng(args.seed + i))
-                rhos.append(coset.density_from_params(params, tol))
-                direct = np.sum(np.abs(coset.build_X(params)) ** 2, axis=0)
-                k_agreement.append(float(np.max(np.abs(coset.k_closed_form(params) - direct))))
-            else:
-                rhos.append(states.sample_state(ensemble, args.seed + i, tol))
-        except states.ValidationError as exc:
-            failure = GeneratedStateInvalid(f"seed {args.seed + i}: generated state failed validation: {exc}")
-            break
-    if rhos:
-        matrices = np.array([rho.matrix for rho in rhos])
+    """Rows for ``indices``: the states drawn as one stack, each from its own
+    seed, then one stacked certificate and one stacked crossing for the whole
+    chunk.  Rows before an entry that fails are still yielded; the failure is
+    raised then."""
+    drawn = states.sample_stack(args.ensemble, [args.seed + i for i in indices], tol)
+    matrices = drawn.matrices
+    if len(matrices):
         certs = robustness_stack(matrices, tol)
         decomp = certs.decomposition
         # a rank-deficient entry writes its nan row; any other error ends the rows
         errors = [None if isinstance(e, RankDeficient) else e for e in certs.errors]
         has_cert = np.array([e is None for e in certs.errors], dtype=bool)
-        s_bisection = np.full(len(rhos), math.nan)
+        s_bisection = np.full(len(matrices), math.nan)
         s_bisection[has_cert], crossing_errors = oracle.relative_robustness_stack(
             matrices[has_cert], certs.rho_pp[has_cert], tolerances=tol)
         for j, error in zip(np.flatnonzero(has_cert), crossing_errors):
             errors[j] = error
-        for j, (i, rho) in enumerate(zip(indices, rhos)):
+        for j, i in enumerate(indices[:len(matrices)]):
             if errors[j] is not None:
                 raise errors[j]
             k = decomp.k_norm[j]
             min_pair = float(min(k[1] + k[2], k[1] + k[3], k[2] + k[3]))
             row = [str(i), _fmt(decomp.concurrence[j]), _fmt(k[0]), _fmt(k[1]), _fmt(k[2]), _fmt(k[3]),
                    _fmt(min_pair), _fmt(certs.s[j]), _fmt(s_bisection[j])]
-            if ensemble == "coset":
-                row.append(_fmt(k_agreement[j]))
+            if drawn.k_agreement is not None:
+                row.append(_fmt(drawn.k_agreement[j]))
             if args.oracle:
+                rho = states.DensityMatrix._by_construction(matrices[j])
                 result = oracle.minimize_absolute_robustness(rho, tolerances=tol)
                 row += [_fmt(result.s_best), _fmt(result.gap_to_formula)]
             yield row
-    if failure is not None:
-        raise failure
+    if drawn.error is not None:
+        raise GeneratedStateInvalid(f"seed {args.seed + indices[len(matrices)]}: "
+                                    f"generated state failed validation: {drawn.error}")
 
 
 def cmd_sample(args, tol) -> int:
@@ -248,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fallback", action="store_true",
                    help="fail (exit 3) on rank-deficient states instead of using the oracle")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sample", help="sample an ensemble and emit per-state measures as CSV")
     p.add_argument("--ensemble", required=True,
@@ -257,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true", help="add the absolute-robustness columns")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("param", help="generate a state from six angles and four weights")
     for name in ("theta1", "theta2", "xi1", "xi2", "phi1", "phi2"):
@@ -266,17 +255,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="four comma-separated weights, descending")
     p.add_argument("--out", required=True, help="state file to write")
     p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_param)
 
     p = sub.add_parser("verify", help="run the full property suite")
     p.add_argument("--corpus", type=int, default=200, help="states per corpus group")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged.  It
+    names each command and holds no function: ``main`` looks the command up
+    when it runs it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = tolerances.from_env()
     except ValueError as exc:
@@ -285,8 +280,9 @@ def main(argv=None) -> int:
     if getattr(args, "n", 1) < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return EXIT_VALIDATION
+    commands = {"analyze": cmd_analyze, "sample": cmd_sample, "param": cmd_param, "verify": cmd_verify}
     try:
-        return args.func(args, tol)
+        return commands[args.command](args, tol)
     except (NumericalFailure, NonHermitianInput, NonSymmetricInput, GeneratedStateInvalid) as exc:
         # a residual inside the decomposition of an already validated state,
         # or a check of a state the program generated, exceeded its bound;

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix
+from .states import BELL_STATES, DensityMatrix, ValidationError, _first_failure
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -30,7 +30,7 @@ class CosetParams:
     The xi angles must be nonnegative (they are the diagonal of the middle
     factor's singular-value block); the others are unrestricted.  The weights
     may be unnormalized; :func:`density_from_params` rescales them so the
-    resulting state has unit trace.
+    resulting state has unit trace.  Invalid values raise ``ValidationError``.
     """
 
     theta1: float
@@ -42,15 +42,12 @@ class CosetParams:
     lam: np.ndarray
 
     def __post_init__(self):
-        if self.xi1 < 0.0 or self.xi2 < 0.0:
-            raise ValueError(f"xi angles must be nonnegative, got ({self.xi1}, {self.xi2})")
         lam = np.array(self.lam, dtype=float)
         if lam.shape != (4,):
-            raise ValueError("lam must hold four weights")
-        if np.any(lam < 0.0):
-            raise ValueError(f"weights must be nonnegative, got {lam.tolist()}")
-        if np.any(np.diff(lam) > 0.0):
-            raise ValueError("weights must be sorted in descending order")
+            raise ValidationError("lam must hold four weights")
+        failure = params_failure(np.array(self.angles, dtype=float), lam)
+        if failure is not None:
+            raise ValidationError(failure[1])
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
 
@@ -74,12 +71,23 @@ class CosetParams:
         )
 
 
+def params_failure(angles: np.ndarray, lam: np.ndarray):
+    """The first invalid parameter set of (6,) angles and (4,) weights, or of
+    (N, 6) and (N, 4) rows, as ``(index, message)``, or None.  Checks, in
+    order: xi nonnegative, weights nonnegative, weights descending."""
+    rows = angles.reshape(-1, 6)
+    return _first_failure([
+        (angles[..., 2:4].min(axis=-1) < 0.0,
+         lambda i: f"xi angles must be nonnegative, got ({rows[i, 2]}, {rows[i, 3]})"),
+        (lam.min(axis=-1) < 0.0, lambda i: f"weights must be nonnegative, got {lam.reshape(-1, 4)[i].tolist()}"),
+        ((lam[..., 1:] > lam[..., :-1]).any(axis=-1), lambda i: "weights must be sorted in descending order"),
+    ])
+
+
 def matrix_O() -> np.ndarray:
-    """The fixed real orthogonal matrix with entries in {0, +-1/sqrt(2)}."""
-    return np.array(
-        [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]],
-        dtype=complex,
-    ) / np.sqrt(2.0)
+    """The fixed real orthogonal matrix with entries in {0, +-1/sqrt(2)}: the
+    Bell basis as rows, ``BELL_STATES.T``."""
+    return BELL_STATES.T.copy()
 
 
 def matrix_eta() -> np.ndarray:
@@ -87,26 +95,41 @@ def matrix_eta() -> np.ndarray:
     return np.diag([1j, 1.0, 1j, 1.0])
 
 
-def _hyperbolic_block(angle: float) -> np.ndarray:
-    return np.array([
-        [np.cosh(angle), 1j * np.sinh(angle)],
-        [-1j * np.sinh(angle), np.cosh(angle)],
-    ])
+# O^T eta^{-1}: eta is diagonal and unitary, so its inverse is its conjugate
+_X_FROM_Y = BELL_STATES * matrix_eta().diagonal().conj()
+_X_FROM_Y.setflags(write=False)
+
+# Y's three factors as (factor, row a, row b, angle column) of their 2x2
+# hyperbolic blocks: cosh on (a, a) and (b, b), i sinh on (a, b) and -i sinh
+# on (b, a); every other entry is zero
+_Y_BLOCKS = ((0, 0, 1, 0), (0, 2, 3, 1),    # Y(theta)
+             (1, 0, 2, 2), (1, 1, 3, 3),    # Y(xi)
+             (2, 0, 1, 4), (2, 2, 3, 5))    # Y(phi)
+# flat positions in a (3, 4, 4) array of the factors, and the column each
+# takes from [cosh(angles), i sinh(angles), -i sinh(angles)]
+_Y_AT = np.array([16 * f + 4 * r + c for f, a, b, _ in _Y_BLOCKS for r, c in ((a, a), (b, b), (a, b), (b, a))])
+_Y_FROM = np.array([col + 6 * j for *_, col in _Y_BLOCKS for j in (0, 0, 1, 2)])
+
+
+def _y_stack(angles: np.ndarray) -> np.ndarray:
+    """Y(theta) Y(xi) Y(phi) of (6,) angles (theta1, theta2, xi1, xi2, phi1,
+    phi2) or of (N, 6) rows: (4, 4) or (N, 4, 4)."""
+    batch = angles.shape[:-1]
+    s = np.sinh(angles)
+    values = np.concatenate((np.cosh(angles), 1j * s, -1j * s), axis=-1)
+    factors = np.zeros(batch + (48,), dtype=complex)
+    factors[..., _Y_AT] = values[..., _Y_FROM]
+    factors = factors.reshape(batch + (3, 4, 4))
+    return factors[..., 0, :, :] @ factors[..., 1, :, :] @ factors[..., 2, :, :]
+
+
+def _x_stack(angles: np.ndarray) -> np.ndarray:
+    return _X_FROM_Y @ _y_stack(angles)
 
 
 def build_Y(params: CosetParams) -> np.ndarray:
     """The complex orthogonal matrix Y(theta) Y(xi) Y(phi); Y^T Y = I."""
-    t1, t2, xi1, xi2, p1, p2 = params.angles
-    z = np.zeros((2, 2))
-    y_theta = np.block([[_hyperbolic_block(t1), z], [z, _hyperbolic_block(t2)]])
-    y_xi = np.array([
-        [np.cosh(xi1), 0, 1j * np.sinh(xi1), 0],
-        [0, np.cosh(xi2), 0, 1j * np.sinh(xi2)],
-        [-1j * np.sinh(xi1), 0, np.cosh(xi1), 0],
-        [0, -1j * np.sinh(xi2), 0, np.cosh(xi2)],
-    ])
-    y_phi = np.block([[_hyperbolic_block(p1), z], [z, _hyperbolic_block(p2)]])
-    return y_theta @ y_xi @ y_phi
+    return _y_stack(np.array(params.angles))
 
 
 def build_X(params: CosetParams) -> np.ndarray:
@@ -114,8 +137,7 @@ def build_X(params: CosetParams) -> np.ndarray:
 
     Satisfies X^T (sigma_y x sigma_y) X = I for any parameter values.
     """
-    eta_inv = np.diag([-1j, 1.0, -1j, 1.0])
-    return matrix_O().T @ eta_inv @ build_Y(params)
+    return _x_stack(np.array(params.angles))
 
 
 def closed_form_x(params: CosetParams):
@@ -160,42 +182,90 @@ def closed_form_x(params: CosetParams):
     return [x1, x2, x3, x4]
 
 
+def _k_stack(angles: np.ndarray) -> np.ndarray:
+    """Closed-form K_i of (6,) angles or of (N, 6) rows: (4,) or (N, 4).
+
+    Squares are products, not powers: a single parameter set then gets the
+    bits its row of a stack gets (numpy's scalar power rounds differently).
+    """
+    c, s = np.cosh(angles), np.sinh(angles)
+    _, _, ch_xi1, ch_xi2, _, _ = c.T
+    _, _, sh_xi1, sh_xi2, _, _ = s.T
+    _, _, ch_xi1_sq, ch_xi2_sq, ch_p1_sq, ch_p2_sq = (c * c).T
+    _, _, sh_xi1_sq, sh_xi2_sq, sh_p1_sq, sh_p2_sq = (s * s).T
+    ch_2t1, ch_2t2 = np.cosh(2 * angles[..., :2]).T
+    sh_2t1, sh_2t2, _, _, sh_2p1, sh_2p2 = np.sinh(2 * angles).T
+    cross1 = sh_xi1 * sh_xi2 * sh_2t2 + ch_xi1 * ch_xi2 * sh_2t1
+    cross2 = sh_xi1 * sh_xi2 * sh_2t1 + ch_xi1 * ch_xi2 * sh_2t2
+    k1 = (ch_2t2 * (sh_xi1_sq * ch_p1_sq + sh_xi2_sq * sh_p1_sq)
+          + ch_2t1 * (ch_xi1_sq * ch_p1_sq + ch_xi2_sq * sh_p1_sq)
+          + sh_2p1 * cross1)
+    k2 = (ch_2t2 * (sh_xi1_sq * sh_p1_sq + sh_xi2_sq * ch_p1_sq)
+          + ch_2t1 * (ch_xi1_sq * sh_p1_sq + ch_xi2_sq * ch_p1_sq)
+          + sh_2p1 * cross1)
+    k3 = (ch_2t1 * (sh_xi1_sq * ch_p2_sq + sh_xi2_sq * sh_p2_sq)
+          + ch_2t2 * (ch_xi1_sq * ch_p2_sq + ch_xi2_sq * sh_p2_sq)
+          + sh_2p2 * cross2)
+    k4 = (ch_2t1 * (sh_xi1_sq * sh_p2_sq + sh_xi2_sq * ch_p2_sq)
+          + ch_2t2 * (ch_xi1_sq * sh_p2_sq + ch_xi2_sq * ch_p2_sq)
+          + sh_2p2 * cross2)
+    return np.array([k1, k2, k3, k4]).T
+
+
 def k_closed_form(params: CosetParams) -> np.ndarray:
     """Closed-form K_i as functions of the six angles; all angles zero gives 1."""
-    t1, t2, xi1, xi2, p1, p2 = params.angles
-    sh, ch = np.sinh, np.cosh
-    cross1 = sh(xi1) * sh(xi2) * sh(2 * t2) + ch(xi1) * ch(xi2) * sh(2 * t1)
-    cross2 = sh(xi1) * sh(xi2) * sh(2 * t1) + ch(xi1) * ch(xi2) * sh(2 * t2)
-    k1 = (ch(2*t2) * (sh(xi1)**2 * ch(p1)**2 + sh(xi2)**2 * sh(p1)**2)
-          + ch(2*t1) * (ch(xi1)**2 * ch(p1)**2 + ch(xi2)**2 * sh(p1)**2)
-          + sh(2*p1) * cross1)
-    k2 = (ch(2*t2) * (sh(xi1)**2 * sh(p1)**2 + sh(xi2)**2 * ch(p1)**2)
-          + ch(2*t1) * (ch(xi1)**2 * sh(p1)**2 + ch(xi2)**2 * ch(p1)**2)
-          + sh(2*p1) * cross1)
-    k3 = (ch(2*t1) * (sh(xi1)**2 * ch(p2)**2 + sh(xi2)**2 * sh(p2)**2)
-          + ch(2*t2) * (ch(xi1)**2 * ch(p2)**2 + ch(xi2)**2 * sh(p2)**2)
-          + sh(2*p2) * cross2)
-    k4 = (ch(2*t1) * (sh(xi1)**2 * sh(p2)**2 + sh(xi2)**2 * ch(p2)**2)
-          + ch(2*t2) * (ch(xi1)**2 * sh(p2)**2 + ch(xi2)**2 * ch(p2)**2)
-          + sh(2*p2) * cross2)
-    return np.array([k1, k2, k3, k4])
+    return _k_stack(np.array(params.angles))
+
+
+def density_stack(angles: np.ndarray, lam: np.ndarray):
+    """States sum_i lambda_i |x'_i><x'_i| of (6,) angles and (4,) weights, or
+    of (N, 6) and (N, 4) rows, with the weights rescaled to unit trace; with
+    the closed-form K and the basis matrices X they are built from:
+    ``(rho, k, x)``.
+
+    Raises
+    ------
+    DegenerateInput
+        If every weight of a row is zero.
+    """
+    k = _k_stack(angles)
+    total = np.sum(lam * k, axis=-1)
+    if np.any(total <= 0.0):
+        raise DegenerateInput("all weights are zero")
+    x = _x_stack(angles)
+    lam = lam / total[..., None]
+    return (x * lam[..., None, :]) @ x.conj().swapaxes(-1, -2), k, x
 
 
 def density_from_params(params: CosetParams, tol: Tolerances = DEFAULT) -> DensityMatrix:
-    """State sum_i lambda_i |x'_i><x'_i| with the weights rescaled to unit trace.
+    """State sum_i lambda_i |x'_i><x'_i| with the weights rescaled to unit
+    trace: :func:`density_stack` of one parameter set, validated.
 
     Raises
     ------
     DegenerateInput
         If every weight is zero.
     """
-    k = k_closed_form(params)
-    total = float(np.sum(params.lam * k))
-    if total <= 0.0:
-        raise DegenerateInput("all weights are zero")
-    lam = params.lam / total
-    x = build_X(params)
-    return DensityMatrix((x * lam[None, :]) @ x.conj().T, tol)
+    rho, _, _ = density_stack(np.array(params.angles), params.lam)
+    return DensityMatrix(rho, tol)
+
+
+def _draw_params(rng: np.random.Generator, angle_scale: float, min_gap: float):
+    t1, t2, p1, p2 = rng.uniform(-angle_scale, angle_scale, 4)
+    xi1, xi2 = rng.uniform(0.0, angle_scale, 2)
+    while True:
+        lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
+        if min_gap <= 0.0 or np.min(np.abs(np.diff(lam))) / lam[0] >= min_gap:
+            break
+    return (t1, t2, xi1, xi2, p1, p2), lam
+
+
+def draw_params(rngs, shape: tuple):
+    """Unvalidated orbit parameters of :func:`sample_params` at its defaults,
+    one draw per generator: angles of shape + (6,), weights of shape + (4,)."""
+    draws = [_draw_params(rng, 1.0, 0.0) for rng in rngs]
+    return (np.array([a for a, _ in draws]).reshape(shape + (6,)),
+            np.array([lam for _, lam in draws]).reshape(shape + (4,)))
 
 
 def sample_params(rng: np.random.Generator, angle_scale: float = 1.0,
@@ -205,10 +275,5 @@ def sample_params(rng: np.random.Generator, angle_scale: float = 1.0,
     ``min_gap`` rejects weight draws whose smallest relative gap is below the
     bound, which keeps the recovered basis well conditioned.
     """
-    t1, t2, p1, p2 = rng.uniform(-angle_scale, angle_scale, 4)
-    xi1, xi2 = rng.uniform(0.0, angle_scale, 2)
-    while True:
-        lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
-        if min_gap <= 0.0 or np.min(np.abs(np.diff(lam))) / lam[0] >= min_gap:
-            break
-    return CosetParams(theta1=t1, theta2=t2, xi1=xi1, xi2=xi2, phi1=p1, phi2=p2, lam=lam)
+    angles, lam = _draw_params(rng, angle_scale, min_gap)
+    return CosetParams(*angles, lam=lam)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,16 +47,49 @@ BELL_STATES.setflags(write=False)
 _ENSEMBLES = ("ginibre", "bures", "bell_diagonal", "coset")
 
 
-def _validate_density(matrix: np.ndarray, tol: Tolerances) -> None:
-    asym = np.max(np.abs(matrix - matrix.conj().T))
-    if asym > tol.hermiticity:
-        raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {asym:.3e} exceeds {tol.hermiticity:.3e}")
-    tr = matrix.trace().real
-    if abs(tr - 1.0) > tol.trace:
-        raise ValidationError(f"trace deviates from 1: tr(rho) - 1 = {tr - 1.0:.3e} exceeds {tol.trace:.3e}")
-    min_eig = np.linalg.eigvalsh(matrix)[0]
-    if min_eig < -tol.psd:
-        raise ValidationError(f"not positive semidefinite: min eigenvalue {min_eig:.3e} below {-tol.psd:.3e}")
+def _first_failure(checks):
+    """The first entry, in flat order, that fails any of ``checks``, as
+    ``(index, message)``, or None.  Each check pairs a boolean mask over the
+    entries (an array, or one flag for a single entry) with a function that
+    words its failure at a flat index; an entry that fails several checks
+    gets the message of the first."""
+    bad = checks[0][0]
+    for mask, _ in checks[1:]:
+        bad = bad | mask
+    if not np.count_nonzero(bad):
+        return None
+    i = int(np.flatnonzero(bad)[0])
+    return next((i, message(i)) for mask, message in checks if mask.flat[i])
+
+
+def _density_failure(m: np.ndarray, tol: Tolerances):
+    """``_first_failure`` of a 4x4 matrix or an (N, 4, 4) stack under the
+    density-matrix checks: Hermiticity, unit trace, then the smallest
+    eigenvalue."""
+    asym = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = m.trace(axis1=-2, axis2=-1).real
+    min_eig = np.linalg.eigvalsh(m).T[0]
+    return _first_failure([
+        (asym > tol.hermiticity,
+         lambda i: f"not Hermitian: max |rho - rho^dag| = {asym.flat[i]:.3e} exceeds {tol.hermiticity:.3e}"),
+        (abs(tr - 1.0) > tol.trace,
+         lambda i: f"trace deviates from 1: tr(rho) - 1 = {tr.flat[i] - 1.0:.3e} exceeds {tol.trace:.3e}"),
+        (min_eig < -tol.psd,
+         lambda i: f"not positive semidefinite: min eigenvalue {min_eig.flat[i]:.3e} below {-tol.psd:.3e}"),
+    ])
+
+
+def _weight_failure(p: np.ndarray, tol: Tolerances):
+    """``_first_failure`` of four probabilities or an (N, 4) array of them:
+    nonnegative, summing to 1, then descending."""
+    total = p.sum(axis=-1)
+    rows = p.reshape(-1, 4)
+    return _first_failure([
+        (p.min(axis=-1) < 0.0, lambda i: f"negative weight: min = {rows[i].min():.3e}"),
+        (abs(total - 1.0) > tol.unit_weight,
+         lambda i: f"weights do not sum to 1: sum - 1 = {total.flat[i] - 1.0:.3e} exceeds {tol.unit_weight:.3e}"),
+        ((p[..., 1:] > p[..., :-1]).any(axis=-1), lambda i: "weights must be sorted in descending order"),
+    ])
 
 
 class DensityMatrix:
@@ -68,7 +102,9 @@ class DensityMatrix:
             m = numerics._as_matrix(matrix)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        _validate_density(m, tol)
+        failure = _density_failure(m, tol)
+        if failure is not None:
+            raise ValidationError(failure[1])
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -129,12 +165,9 @@ class BellWeights:
         p = np.array(self.p, dtype=float)
         if p.shape != (4,):
             raise ValidationError("BellWeights needs exactly four probabilities")
-        if np.any(p < 0.0):
-            raise ValidationError(f"negative weight: min = {p.min():.3e}")
-        if abs(p.sum() - 1.0) > DEFAULT.unit_weight:
-            raise ValidationError(f"weights sum to {p.sum()!r}, not 1")
-        if np.any(np.diff(p) > 0.0):
-            raise ValidationError("weights must be sorted in descending order")
+        failure = _weight_failure(p, DEFAULT)
+        if failure is not None:
+            raise ValidationError(failure[1])
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -189,10 +222,17 @@ def is_separable_ppt(rho: DensityMatrix, tol: Tolerances = DEFAULT):
 # constructors and ensembles
 # ----------------------------------------------------------------------
 
+_BELL_DAGGER = BELL_STATES.conj().T
+
+
+def _bell_mixture(p: np.ndarray) -> np.ndarray:
+    """Mixtures of the four Bell projectors with weights p (..., 4): (..., 4, 4)."""
+    return (BELL_STATES * p[..., None, :]) @ _BELL_DAGGER
+
+
 def bell_diagonal(weights: BellWeights, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """Mixture of the four Bell projectors with the given weights."""
-    m = (BELL_STATES * weights.p[None, :]) @ BELL_STATES.conj().T
-    return DensityMatrix(m, tol)
+    return DensityMatrix(_bell_mixture(weights.p), tol)
 
 
 def werner(singlet_weight: float) -> DensityMatrix:
@@ -203,55 +243,130 @@ def werner(singlet_weight: float) -> DensityMatrix:
     return DensityMatrix(singlet_weight * singlet + (1.0 - singlet_weight) * np.eye(4) / 4.0)
 
 
-def _ginibre_matrix(rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def _complex_normals(rngs, shape: tuple, count: int) -> np.ndarray:
+    """``count`` complex Gaussian 4x4 matrices from each generator, each drawn
+    as its real block then its imaginary block: shape + (count, 4, 4)."""
+    z = np.empty(shape + (count, 2, 4, 4))
+    for rng, out in zip(rngs, z.reshape(-1, count * 32)):
+        rng.standard_normal(out=out)
+    g = np.empty(shape + (count, 4, 4), dtype=complex)
+    g.real, g.imag = z[..., 0, :, :], z[..., 1, :, :]
+    return g
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from complex Gaussian matrices (..., n, n): the Q
+    factor with the phases of R's diagonal moved into it."""
     q, r = np.linalg.qr(g)
-    phases = np.diag(r)
-    return q * (phases / np.abs(phases))[None, :]
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
-def _bures_matrix(rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    u = _haar_unitary(rng)
-    m = (np.eye(4) + u) @ (g @ g.conj().T) @ (np.eye(4) + u.conj().T)
-    return m / np.trace(m).real
-
-def random_bell_weights(rng: np.random.Generator) -> BellWeights:
-    return BellWeights(np.sort(rng.dirichlet(np.ones(4)))[::-1])
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
-def sample_state(ensemble: str, seed: int, tol: Tolerances = DEFAULT) -> DensityMatrix:
-    """Deterministic random state from the named ensemble.
+def _ginibre_stack(rngs, shape: tuple) -> np.ndarray:
+    g = _complex_normals(rngs, shape, 1)[..., 0, :, :]
+    return _unit_trace(g @ g.conj().swapaxes(-1, -2))
+
+
+def _bures_stack(rngs, shape: tuple) -> np.ndarray:
+    normals = _complex_normals(rngs, shape, 2)
+    g, u = normals[..., 0, :, :], _haar(normals[..., 1, :, :])
+    eye = np.eye(4)
+    return _unit_trace((eye + u) @ (g @ g.conj().swapaxes(-1, -2)) @ (eye + u.conj().swapaxes(-1, -2)))
+
+
+def _draw(ensemble: str, seeds: np.ndarray, tol: Tolerances):
+    """States from a single seed (a 0-d array) or a 1-d array of seeds, each
+    drawn from its own generator, then built and checked together.
+
+    Returns ``(matrices, failure, coset)``: the (4, 4) or (N, 4, 4)
+    matrices; the ``_first_failure`` of the checks of the draw (the weights
+    of the Bell-diagonal and coset draws) and the density-matrix checks, or
+    None; and for the coset ensemble the closed-form K and the basis X of
+    each state (None otherwise).
+    """
+    if ensemble not in _ENSEMBLES:
+        raise UnknownEnsemble(f"unknown ensemble {ensemble!r}; choose from {', '.join(_ENSEMBLES)}")
+    shape = seeds.shape
+    rngs = [np.random.default_rng(seed) for seed in seeds.reshape(-1).tolist()]
+    failure = built = None
+    if ensemble == "ginibre":
+        matrices = _ginibre_stack(rngs, shape)
+    elif ensemble == "bures":
+        matrices = _bures_stack(rngs, shape)
+    elif ensemble == "bell_diagonal":
+        p = np.array([rng.dirichlet(np.ones(4)) for rng in rngs]).reshape(shape + (4,))
+        p = np.sort(p, axis=-1)[..., ::-1]
+        failure = _weight_failure(p, tol)
+        matrices = _bell_mixture(p)
+    else:
+        from . import coset
+
+        angles, lam = coset.draw_params(rngs, shape)
+        failure = coset.params_failure(angles, lam)
+        matrices, k, x = coset.density_stack(angles, lam)
+        built = k, x
+    invalid = _density_failure(matrices, tol)
+    if invalid is not None and (failure is None or invalid[0] < failure[0]):
+        failure = invalid
+    return matrices, failure, built
+
+
+class SampleStack(NamedTuple):
+    """States drawn by :func:`sample_stack`.
+
+    ``matrices`` holds the entries before the first one that fails a check of
+    its construction, and ``error`` that entry's ``ValidationError`` (None
+    when every entry passes).  For the coset ensemble ``k_agreement`` holds,
+    per entry, max |closed-form K - direct Gram K|; it is None otherwise.
+    """
+
+    matrices: np.ndarray
+    error: ValidationError | None
+    k_agreement: np.ndarray | None
+
+
+def sample_stack(ensemble: str, seeds, tol: Tolerances = DEFAULT) -> SampleStack:
+    """One state per seed from the named ensemble, as an (N, 4, 4) stack.
+
+    Entry i is drawn from its own generator, ``default_rng(seeds[i])``, so it
+    depends on its seed alone; everything after the draws runs on the whole
+    stack, and entry i gets the bits ``sample_state(ensemble, seeds[i])``
+    gets.  The sum check of the drawn Bell weights and the density-matrix
+    checks read ``tol``.
 
     Ensembles: ``ginibre`` (Hilbert-Schmidt), ``bures``, ``bell_diagonal``
     (Dirichlet Bell weights), ``coset`` (random orbit parameters).  All are
     full rank almost surely.
     """
-    rng = np.random.default_rng(seed)
-    if ensemble == "ginibre":
-        return DensityMatrix(_ginibre_matrix(rng), tol)
-    if ensemble == "bures":
-        return DensityMatrix(_bures_matrix(rng), tol)
-    if ensemble == "bell_diagonal":
-        return bell_diagonal(random_bell_weights(rng), tol)
-    if ensemble == "coset":
-        from . import coset
+    # object arrays keep the seeds Python ints of any size, as default_rng takes them
+    matrices, failure, built = _draw(ensemble, np.asarray(seeds, dtype=object).reshape(-1), tol)
+    k_agreement = None
+    if built is not None:
+        k, x = built
+        k_agreement = np.abs(k - np.sum(np.abs(x) ** 2, axis=-2)).max(axis=-1)
+    if failure is None:
+        return SampleStack(matrices, None, k_agreement)
+    return SampleStack(matrices[:failure[0]], ValidationError(failure[1]), k_agreement)
 
-        return coset.density_from_params(coset.sample_params(rng), tol)
-    raise UnknownEnsemble(f"unknown ensemble {ensemble!r}; choose from {', '.join(_ENSEMBLES)}")
+
+def sample_state(ensemble: str, seed: int, tol: Tolerances = DEFAULT) -> DensityMatrix:
+    """Deterministic random state from the named ensemble: the single-seed
+    call of the draw behind :func:`sample_stack`, with the same bits."""
+    matrix, failure, _ = _draw(ensemble, np.asarray(seed, dtype=object), tol)
+    if failure is not None:
+        raise ValidationError(failure[1])
+    return DensityMatrix._by_construction(matrix)
 
 
 def random_local_unitary(rng: np.random.Generator) -> LocalUnitary:
     """Haar-random SU(2) x SU(2) pair."""
     factors = []
     for _ in range(2):
-        u = _haar_unitary(rng, 2)
+        u = _haar(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         u = u / np.sqrt(np.linalg.det(u))
         factors.append(u)
     return LocalUnitary(factors[0], factors[1])

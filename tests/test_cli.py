@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qrobust
-from qrobust import oracle, states, wootters
+from qrobust import cli, oracle, states, wootters
 from qrobust.cli import main
 from qrobust.numerics import NumericalFailure
 from qrobust.states import (BellWeights, DensityMatrix, bell_diagonal, read_state, sample_state, werner,
@@ -346,20 +346,37 @@ def test_sample_crossing_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, f
     assert failed.read_text().splitlines() == clean.read_text().splitlines()[:failing_index + 1]
 
 
-def test_sample_generation_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("n, failing_index", [(10, 7), (300, 0), (300, 5), (300, 260)])
+def test_sample_generation_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys, n, failing_index):
+    # an invalid matrix injected into the stacked draw at one entry: every
+    # earlier row is written, then one error line naming its seed, and exit 1
     clean = tmp_path / "clean.csv"
-    argv = ["sample", "--ensemble", "ginibre", "--n", "10", "--seed", "0"]
+    argv = ["sample", "--ensemble", "ginibre", "--n", str(n), "--seed", "0"]
     assert main([*argv, "--out", str(clean)]) == 0
-    real = states.sample_state
+    target = sample_state("ginibre", failing_index).matrix
+    real = states._ginibre_stack
 
-    def failing(ensemble, seed, tol=DEFAULT):
-        if seed == 7:
-            raise states.ValidationError("not Hermitian: max |rho - rho^dag| = 1.000e-03 exceeds 1.000e-09")
-        return real(ensemble, seed, tol)
+    def injected(rngs, shape):
+        matrices = real(rngs, shape)
+        for m in matrices:
+            if np.array_equal(m, target):
+                m[0, 1] += 1e-3
+        return matrices
 
-    monkeypatch.setattr(states, "sample_state", failing)
+    monkeypatch.setattr(states, "_ginibre_stack", injected)
     failed = tmp_path / "failed.csv"
     assert main([*argv, "--out", str(failed)]) == 1
-    assert failed.read_text().splitlines() == clean.read_text().splitlines()[:8]
+    assert failed.read_text().splitlines() == clean.read_text().splitlines()[:failing_index + 1]
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: seed 7: generated state failed validation")
+    assert len(err) == 1 and err[0].startswith(f"error: seed {failing_index}: generated state failed validation")
+    assert err[0].endswith(": not Hermitian: max |rho - rho^dag| = 1.000e-03 exceeds 1.000e-09")
+
+
+def test_main_looks_each_command_up_when_it_runs(tmp_path, monkeypatch):
+    # the parser is built once per process and holds no function, so a
+    # command replaced after it was built (a tracer's wrapper, a test double)
+    # is the one that runs
+    missing = str(tmp_path / "missing.json")
+    assert main(["analyze", "--in", missing]) == 4
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args, tol: 99)
+    assert main(["analyze", "--in", missing]) == 99

@@ -22,6 +22,7 @@ from qrobust.states import (
     ppt_min_eig,
     random_local_unitary,
     read_state,
+    sample_stack,
     sample_state,
     spin_flip,
     state_from_row,
@@ -164,6 +165,14 @@ class TestEnsembles:
             evals, _ = hermitian_eig(rho.matrix)
             assert evals[-1] >= -1e-12
 
+    @pytest.mark.parametrize("ensemble", ["ginibre", "bures", "bell_diagonal", "coset"])
+    def test_stacked_draw_matches_single_draws(self, ensemble):
+        # 300 seeds: more than one 256-row chunk of ``qrobust sample``
+        drawn = sample_stack(ensemble, range(300))
+        assert drawn.error is None and len(drawn.matrices) == 300
+        for seed, m in enumerate(drawn.matrices):
+            assert np.array_equal(m, sample_state(ensemble, seed).matrix), seed
+
     def test_unknown_ensemble(self):
         with pytest.raises(UnknownEnsemble):
             sample_state("thermal", 0)
@@ -176,9 +185,14 @@ class TestEnsembles:
         with pytest.raises(ValidationError) as sampled:
             sample_state("coset", 0, exact)
         assert str(sampled.value) == str(direct.value)
-        # seed 0's Bell weights sum to 1 - 2.2e-16, which an exact trace check rejects
+        # seed 0's sorted Bell weights sum to exactly 1, but their mixture's trace is
+        # 1 - 2.2e-16, which an exact trace check rejects
         with pytest.raises(ValidationError, match="trace"):
             sample_state("bell_diagonal", 0, exact)
+        # seed 1's sorted Bell weights sum to 1 + 2.2e-16: the draw's own sum check reads tol
+        with pytest.raises(ValidationError, match=r"weights do not sum to 1: sum - 1 = 2\.220e-16 exceeds 0\.000e\+00"):
+            sample_state("bell_diagonal", 1, exact)
+        sample_state("bell_diagonal", 1)
 
 
 class TestLocalUnitary:
@@ -239,6 +253,16 @@ class TestStateFiles:
         with pytest.raises(ValidationError, match="Hermitian") as err:
             read_state(path)
         assert "2.000e-03" in str(err.value)
+
+    def test_negative_eigenvalue_reported(self, tmp_path):
+        path = tmp_path / "bad_psd.json"
+        write_state(MIXED, path)
+        payload = json.loads(path.read_text())
+        payload["re"] = np.diag([0.6, 0.5, 0.0, -0.1]).tolist()   # Hermitian, trace 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="positive semidefinite") as err:
+            read_state(path)
+        assert "-1.000e-01" in str(err.value)
 
     def test_parse_errors(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -277,9 +277,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if getattr(args, "n", 1) < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
-        return EXIT_VALIDATION
+    for flag, least in (("n", 1), ("corpus", 1), ("seed", 0)):
+        if getattr(args, flag, least) < least:
+            print(f"error: --{flag} must be at least {least}", file=sys.stderr)
+            return EXIT_VALIDATION
     commands = {"analyze": cmd_analyze, "sample": cmd_sample, "param": cmd_param, "verify": cmd_verify}
     try:
         return commands[args.command](args, tol)

@@ -146,40 +146,45 @@ def closed_form_x(params: CosetParams):
     Transcribed literally, including the fixed phases; they agree with
     ``sqrt(lambda_i) * build_X(params)[:, i]`` entry by entry.
     """
-    t1, t2, xi1, xi2, p1, p2 = params.angles
+    return list(_closed_form_x_stack(np.array(params.angles), params.lam).T)
+
+
+def _closed_form_x_stack(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The vectors of :func:`closed_form_x` as the columns of a (4, 4) matrix,
+    for (6,) angles and (4,) weights, or of (N, 4, 4) for (N, 6) and (N, 4) rows."""
+    t1, t2, xi1, xi2, p1, p2 = np.moveaxis(angles, -1, 0)
     c1, s1 = np.cosh(xi1), np.sinh(xi1)
     c2, s2 = np.cosh(xi2), np.sinh(xi2)
     ct1, st1 = np.cosh(t1), np.sinh(t1)
     ct2, st2 = np.cosh(t2), np.sinh(t2)
     cp1, sp1 = np.cosh(p1), np.sinh(p1)
     cp2, sp2 = np.cosh(p2), np.sinh(p2)
-    lam = params.lam
-    pref = np.sqrt(lam / 2.0)
-    x1 = pref[0] * np.array([
+    x1 = np.array([
         -(s1*st2*cp1 + s2*ct2*sp1) - 1j*(c1*ct1*cp1 + c2*st1*sp1),
         -(s1*ct2*cp1 + s2*st2*sp1) - 1j*(c1*st1*cp1 + c2*ct1*sp1),
         +(s1*ct2*cp1 + s2*st2*sp1) - 1j*(c1*st1*cp1 + c2*ct1*sp1),
         +(s1*st2*cp1 + s2*ct2*sp1) - 1j*(c1*ct1*cp1 + c2*st1*sp1),
     ])
-    x2 = pref[1] * np.array([
+    x2 = np.array([
         (c1*ct1*sp1 + c2*st1*cp1) - 1j*(s1*st2*sp1 + s2*ct2*cp1),
         (c1*st1*sp1 + c2*ct1*cp1) - 1j*(s1*ct2*sp1 + s2*st2*cp1),
         (c1*st1*sp1 + c2*ct1*cp1) + 1j*(s1*ct2*sp1 + s2*st2*cp1),
         (c1*ct1*sp1 + c2*st1*cp1) + 1j*(s1*st2*sp1 + s2*ct2*cp1),
     ])
-    x3 = pref[2] * np.array([
+    x3 = np.array([
         (s1*ct1*cp2 + s2*st1*sp2) - 1j*(c1*st2*cp2 + c2*ct2*sp2),
         (s1*st1*cp2 + s2*ct1*sp2) - 1j*(c1*ct2*cp2 + c2*st2*sp2),
         (s1*st1*cp2 + s2*ct1*sp2) + 1j*(c1*ct2*cp2 + c2*st2*sp2),
         (s1*ct1*cp2 + s2*st1*sp2) + 1j*(c1*st2*cp2 + c2*ct2*sp2),
     ])
-    x4 = pref[3] * np.array([
+    x4 = np.array([
         (c1*st2*sp2 + c2*ct2*cp2) + 1j*(s1*ct1*sp2 + s2*st1*cp2),
         (c1*ct2*sp2 + c2*st2*cp2) + 1j*(s1*st1*sp2 + s2*ct1*cp2),
         -(c1*ct2*sp2 + c2*st2*cp2) + 1j*(s1*st1*sp2 + s2*ct1*cp2),
         -(c1*st2*sp2 + c2*ct2*cp2) + 1j*(s1*ct1*sp2 + s2*st1*cp2),
     ])
-    return [x1, x2, x3, x4]
+    # (component, ..., vector) -> (..., component, vector)
+    return np.moveaxis(np.stack([x1, x2, x3, x4], axis=-1), 0, -2) * np.sqrt(lam / 2.0)[..., None, :]
 
 
 def _k_stack(angles: np.ndarray) -> np.ndarray:
@@ -250,22 +255,28 @@ def density_from_params(params: CosetParams, tol: Tolerances = DEFAULT) -> Densi
     return DensityMatrix(rho, tol)
 
 
-def _draw_params(rng: np.random.Generator, angle_scale: float, min_gap: float):
-    t1, t2, p1, p2 = rng.uniform(-angle_scale, angle_scale, 4)
-    xi1, xi2 = rng.uniform(0.0, angle_scale, 2)
-    while True:
-        lam = np.sort(rng.dirichlet(np.ones(4)))[::-1]
-        if min_gap <= 0.0 or np.min(np.abs(np.diff(lam))) / lam[0] >= min_gap:
+def _draw_rows(rng: np.random.Generator, count: int, angle_scale: float, min_gap: float):
+    """``count`` parameter draws from one generator: angles (count, 6) and
+    descending weights (count, 4).  Weight rows whose smallest relative gap
+    is below ``min_gap`` are drawn again.  One row consumes the generator as
+    one :func:`sample_params` call does."""
+    turns = rng.uniform(-angle_scale, angle_scale, (count, 4))        # theta1, theta2, phi1, phi2
+    xi = rng.uniform(0.0, angle_scale, (count, 2))
+    lam = np.sort(rng.dirichlet(np.ones(4), count))[:, ::-1]
+    while min_gap > 0.0:
+        redraw = np.abs(np.diff(lam)).min(axis=-1) / lam[:, 0] < min_gap
+        if not redraw.any():
             break
-    return (t1, t2, xi1, xi2, p1, p2), lam
+        lam[redraw] = np.sort(rng.dirichlet(np.ones(4), redraw.sum()))[:, ::-1]
+    return np.concatenate((turns[:, :2], xi, turns[:, 2:]), axis=1), lam
 
 
 def draw_params(rngs, shape: tuple):
     """Unvalidated orbit parameters of :func:`sample_params` at its defaults,
     one draw per generator: angles of shape + (6,), weights of shape + (4,)."""
-    draws = [_draw_params(rng, 1.0, 0.0) for rng in rngs]
-    return (np.array([a for a, _ in draws]).reshape(shape + (6,)),
-            np.array([lam for _, lam in draws]).reshape(shape + (4,)))
+    draws = [_draw_rows(rng, 1, 1.0, 0.0) for rng in rngs]
+    return (np.array([a[0] for a, _ in draws]).reshape(shape + (6,)),
+            np.array([lam[0] for _, lam in draws]).reshape(shape + (4,)))
 
 
 def sample_params(rng: np.random.Generator, angle_scale: float = 1.0,
@@ -275,5 +286,5 @@ def sample_params(rng: np.random.Generator, angle_scale: float = 1.0,
     ``min_gap`` rejects weight draws whose smallest relative gap is below the
     bound, which keeps the recovered basis well conditioned.
     """
-    angles, lam = _draw_params(rng, angle_scale, min_gap)
-    return CosetParams(*angles, lam=lam)
+    angles, lam = _draw_rows(rng, 1, angle_scale, min_gap)
+    return CosetParams(*angles[0], lam=lam[0])

@@ -70,14 +70,20 @@ class ProductMixture:
         object.__setattr__(self, "bloch_angles", ang)
 
     def matrix(self) -> np.ndarray:
-        tha, pha, thb, phb = self.bloch_angles.T
-        a = np.stack([np.cos(tha / 2.0), np.exp(1j * pha) * np.sin(tha / 2.0)], axis=1)
-        b = np.stack([np.cos(thb / 2.0), np.exp(1j * phb) * np.sin(thb / 2.0)], axis=1)
-        kets = np.einsum("ni,nj->nij", a, b).reshape(-1, 4)
-        return np.einsum("n,ni,nj->ij", self.weights, kets, kets.conj())
+        return _product_mixtures(self.weights, self.bloch_angles)
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(self.matrix())
+
+
+def _product_mixtures(weights: np.ndarray, bloch_angles: np.ndarray) -> np.ndarray:
+    """``ProductMixture.matrix`` of (n,) weights and (n, 4) angles, or of each
+    row of (..., n) weights and (..., n, 4) angles: (..., 4, 4)."""
+    tha, pha, thb, phb = np.moveaxis(bloch_angles, -1, 0)
+    a = np.stack([np.cos(tha / 2.0), np.exp(1j * pha) * np.sin(tha / 2.0)], axis=-1)
+    b = np.stack([np.cos(thb / 2.0), np.exp(1j * phb) * np.sin(thb / 2.0)], axis=-1)
+    kets = (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (4,))
+    return np.einsum("...n,...ni,...nj->...ij", weights, kets, kets.conj())
 
 
 @dataclass(frozen=True)

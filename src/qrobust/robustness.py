@@ -14,7 +14,6 @@ rho = (1+s) rho' - s rho'' so each certificate can be checked directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +160,25 @@ def rho_prime_coords(decomp: WoottersDecomposition, weights) -> np.ndarray:
     return _prime_coords(decomp.lambdas[None], np.array([decomp.concurrence]), rates[None])[0]
 
 
+# per plane, the 0-based K columns (a, b) of each vertex's rate 1/(K_a + K_b):
+# plane 1 is the s1 plane of sigma_2, sigma_3, sigma_4, whose rates are
+# ``_vertex_rates``; planes 2, 3 and 4 hold the pair-mixtures with that index,
+# partners ascending, and a partner 1 (column 0) adds no rate
+_PLANE_PAIRS = {1: _MIN_PAIR_COLUMNS[::-1],
+                **{p: np.array([(p - 1, m) for m in range(4) if m != p - 1]) for p in (2, 3, 4)}}
+
+
+def _plane_robustness(k: np.ndarray, c: np.ndarray, plane: int, weights: np.ndarray) -> np.ndarray:
+    """C / (2 sum_v w_v / (K_a + K_b)) over the vertices of ``plane`` for K
+    values (..., 4), concurrences (...) and convex weights (..., 3): 0 where
+    C = 0, inf where no weight falls on a vertex with a rate."""
+    a, b = _PLANE_PAIRS[plane].T
+    rates = np.where(b == 0, 0.0, 1.0 / (k[..., a] + k[..., b]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = c / (2.0 * np.sum(weights * rates, axis=-1))
+    return np.where(c == 0.0, 0.0, value)
+
+
 def plane_robustness_s1(decomp: WoottersDecomposition, weights) -> float:
     """Relative robustness along a mixture of sigma_2, sigma_3, sigma_4.
 
@@ -168,10 +186,7 @@ def plane_robustness_s1(decomp: WoottersDecomposition, weights) -> float:
     value is its minimum over convex weights.
     """
     _require_full_rank(decomp)
-    a = _check_convex(weights, 3)
-    if decomp.concurrence == 0.0:
-        return 0.0
-    return decomp.concurrence / (2.0 * float(np.sum(a * _vertex_rates(decomp.k_norm))))
+    return float(_plane_robustness(decomp.k_norm, decomp.concurrence, 1, _check_convex(weights, 3)))
 
 
 def plane_robustness_other(decomp: WoottersDecomposition, plane: int, weights) -> float:
@@ -186,19 +201,7 @@ def plane_robustness_other(decomp: WoottersDecomposition, plane: int, weights) -
     _require_full_rank(decomp)
     if plane not in (2, 3, 4):
         raise ValueError(f"plane must be 2, 3, or 4, got {plane}")
-    w = _check_convex(weights, 3)
-    if decomp.concurrence == 0.0:
-        return 0.0
-    k = decomp.k_norm
-    partners = [m for m in (1, 2, 3, 4) if m != plane]
-    rate = 0.0
-    for wm, m in zip(w, partners):
-        if m == 1:
-            continue
-        rate += 2.0 * wm / (k[plane - 1] + k[m - 1])
-    if rate == 0.0:
-        return math.inf
-    return decomp.concurrence / rate
+    return float(_plane_robustness(decomp.k_norm, decomp.concurrence, plane, _check_convex(weights, 3)))
 
 
 @dataclass(frozen=True)

@@ -362,14 +362,17 @@ def sample_state(ensemble: str, seed: int, tol: Tolerances = DEFAULT) -> Density
     return DensityMatrix._by_construction(matrix)
 
 
+def _su2_pairs(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar-random SU(2) x SU(2) pairs, (count, 2, 2, 2); each pair
+    consumes the generator as one :func:`random_local_unitary` call does."""
+    z = rng.standard_normal((count, 2, 2, 2, 2))       # pair, factor, real/imaginary block
+    u = _haar(z[:, :, 0] + 1j * z[:, :, 1])
+    return u / np.sqrt(np.linalg.det(u))[..., None, None]
+
+
 def random_local_unitary(rng: np.random.Generator) -> LocalUnitary:
     """Haar-random SU(2) x SU(2) pair."""
-    factors = []
-    for _ in range(2):
-        u = _haar(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        u = u / np.sqrt(np.linalg.det(u))
-        factors.append(u)
-    return LocalUnitary(factors[0], factors[1])
+    return LocalUnitary(*_su2_pairs(rng, 1)[0])
 
 
 def apply_local_unitary(rho: DensityMatrix, lu: LocalUnitary) -> DensityMatrix:

@@ -1,248 +1,372 @@
-"""Batch property suite behind ``qrobust verify``.
+"""Property registry behind ``qrobust verify`` and the test suite.
 
-Each group recomputes one family of invariants over a seeded corpus and
-reports the worst residual against its tolerance.  Any exception inside a
-group counts as a failure of that group, so a broken kernel or a zeroed
-tolerance record surfaces as named failing properties rather than a crash.
+Each group is the one implementation of one family of invariants: a pass
+over (N, 4, 4) stacks drawn from a seeded corpus that reports the worst
+residual against the tolerance field that names it.  ``qrobust verify`` runs
+every group on one shared corpus; the tests call the same groups at their
+own corpus sizes.  Any exception inside a group counts as a failure of that
+group, so a broken kernel or a zeroed tolerance record surfaces as named
+failing properties rather than a crash.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import coset, numerics, oracle, states, wootters
-from .robustness import plane_robustness_other, plane_robustness_s1, robustness, robustness_stack
-from .states import DensityMatrix
+from . import coset, oracle, states, wootters
+from .numerics import hermitian_eig_stack, takagi_stack
+from .robustness import _VERTEX_PAIRS, CertificateStack, _plane_robustness, robustness_stack
 from .tolerances import DEFAULT, Tolerances
+
+_EYE = np.eye(4)
+# 0-based K columns of the pair each vertex sigma_k mixes, indexed by k (0 unused)
+_VERTEX_COLUMNS = np.array([(0, 0)] + [_VERTEX_PAIRS[k] for k in (1, 2, 3, 4)]) - 1
 
 
 @dataclass
 class PropertyResult:
+    """One group's worst residual against that residual's bound, and the
+    corpus entry it came from (an ensemble and seed, or a draw index of a
+    seeded generator), which a FAIL line names so one call reproduces it."""
+
     name: str
     passed: bool
     worst: float = math.nan
     bound: float = math.nan
     detail: str = ""
+    worst_entry: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         text = f"[{status}] {self.name}: worst {self.worst:.3e} (bound {self.bound:.3e})"
         if self.detail:
             text += f"  {self.detail}"
+        if not self.passed and self.worst_entry:
+            text += f"  worst entry: {self.worst_entry}"
         return text
 
 
-def _corpus(kind: str, count: int, seed: int, tol: Tolerances):
-    return [states.sample_state(kind, seed + i, tol) for i in range(count)]
+class _EntryError(Exception):
+    """A library error raised on one corpus entry, with the entry's name."""
+
+    def __init__(self, entry: str, error: Exception):
+        super().__init__(entry, error)
+        self.entry, self.error = entry, error
 
 
-def _decomposed(rhos: list, tol: Tolerances) -> list:
-    """(rho, decomposition) pairs for a list of states, decomposed as one
-    stack; the first entry that failed raises its error."""
-    stack = wootters.decompose_stack(np.array([rho.matrix for rho in rhos]), tol)
-    return [(rho, stack.entry(i)) for i, rho in enumerate(rhos)]
+class Corpus:
+    """The seeded inputs every group reads: ``size`` entries per group, base
+    ``seed`` and the tolerance record.  The Ginibre states seed, ...,
+    seed + size - 1 are drawn and certified once, on first use."""
+
+    def __init__(self, size: int, seed: int = 0, tol: Tolerances = DEFAULT):
+        self.size, self.seed, self.tol = size, seed, tol
+
+    def rng(self, offset: int) -> np.random.Generator:
+        return np.random.default_rng(self.seed + offset)
+
+    def share(self, divisor: int, floor: int) -> int:
+        """Entries of a group that checks a share of the corpus."""
+        return min(max(self.size // divisor, floor), self.size)
+
+    def seeds(self, ensemble: str, idx=None):
+        """Names entry i of the corpus, or of its entries ``idx`` (taken
+        cyclically, for stacks that repeat them)."""
+        return lambda i: f"{ensemble} seed {self.seed + (i if idx is None else idx[i % len(idx)])}"
+
+    def draws(self, offset: int):
+        return lambda i: f"draw {i} of default_rng({self.seed + offset})"
+
+    def draw(self, ensemble: str) -> np.ndarray:
+        drawn = states.sample_stack(ensemble, range(self.seed, self.seed + self.size), self.tol)
+        if drawn.error is not None:
+            raise _EntryError(self.seeds(ensemble)(len(drawn.matrices)), drawn.error)
+        return drawn.matrices
+
+    @functools.cached_property
+    def ginibre(self) -> np.ndarray:
+        return self.draw("ginibre")
+
+    @functools.cached_property
+    def certificates(self) -> CertificateStack:
+        return robustness_stack(self.ginibre, self.tol)
+
+    @functools.cached_property
+    def decomposition(self) -> wootters.DecompositionStack:
+        dec = self.certificates.decomposition
+        _raise_first(dec.errors, self.seeds("ginibre"))
+        return dec
 
 
-def _random_hermitian(rng) -> np.ndarray:
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    return g + g.conj().T
+def _raise_first(errors: list, entry) -> None:
+    first = next(filter(None, errors), None)
+    if first is not None:
+        raise _EntryError(entry(errors.index(first)), first)
 
 
-def _check_eig(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(corpus):
-        h = _random_hermitian(rng)
-        evals, vecs = numerics.hermitian_eig(h, tol)
-        scale = 1.0 + np.max(np.abs(h))
-        worst = max(worst, np.max(np.abs(h @ vecs - vecs * evals[None, :])) / scale)
-        worst = max(worst, np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))))
-        worst = max(worst, np.max(np.abs((vecs * evals[None, :]) @ vecs.conj().T - h)) / scale)
-    return PropertyResult("hermitian_eig residuals", worst <= tol.eig_residual, worst, tol.eig_residual)
+def _require_states(matrices: np.ndarray, entry, tol: Tolerances) -> None:
+    """Raise the density-matrix check failure of the first failing matrix."""
+    failure = states._density_failure(matrices, tol)
+    if failure is not None:
+        raise _EntryError(entry(failure[0]), states.ValidationError(failure[1]))
 
 
-def _check_takagi(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for _ in range(corpus):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        s = g + g.T
-        w, d = numerics.takagi(s, tol)
-        worst = max(worst, np.max(np.abs(w @ s @ w.T - np.diag(d))))
-        worst = max(worst, np.max(np.abs(w.conj().T @ w - np.eye(4))))
-        sv = np.sort(np.linalg.svd(s, compute_uv=False))[::-1]
-        worst = max(worst, np.max(np.abs(sv - d)))
-    return PropertyResult("takagi factorization residuals", worst <= tol.takagi_residual, worst, tol.takagi_residual)
+def _max_abs(m: np.ndarray) -> np.ndarray:
+    return np.abs(m).max(axis=(-2, -1))
 
 
-def _check_spin_flip(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    worst = 0.0
-    for rho in _corpus("ginibre", corpus, seed, tol):
-        flipped = states.spin_flip(rho)
-        worst = max(worst, np.max(np.abs(states.tilde_matrix(flipped) - rho.matrix)))
-        overlap = np.trace(rho.matrix @ flipped).real
-        worst = max(worst, max(0.0, -overlap))
-        pt = states.partial_transpose(rho)
-        worst = max(worst, np.max(np.abs(states.partial_transpose_matrix(pt) - rho.matrix)))
-        worst = max(worst, abs(np.trace(pt).real - 1.0))
-    bound = max(tol.reconstruction * 1e-3, 1e-15)  # involutions are exact up to rounding
-    return PropertyResult("spin-flip and partial-transpose algebra", worst <= bound, worst, bound)
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
-def _check_bell_tilde(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    worst = 0.0
-    for rho in _corpus("bell_diagonal", corpus, seed, tol):
-        worst = max(worst, np.max(np.abs(states.spin_flip(rho) - rho.matrix)))
-    bound = tol.unit_weight
-    return PropertyResult("bell-diagonal states are tilde invariant", worst <= bound, worst, bound)
+def _trace(m: np.ndarray) -> np.ndarray:
+    return m.trace(axis1=-2, axis2=-1)
 
 
-def _check_defining_relation(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    worst = 0.0
-    for rho, dec in _decomposed(_corpus("ginibre", corpus, seed, tol), tol):
-        gram = np.conj(dec.x.T @ states.SIGMA_YY @ dec.x)
-        worst = max(worst, np.max(np.abs(gram - np.diag(dec.lambdas))))
-        worst = max(worst, np.max(np.abs(dec.x @ dec.x.conj().T - rho.matrix)))
-    return PropertyResult("defining relation and reconstruction", worst <= tol.defining_relation,
-                          worst, tol.defining_relation)
+def _tilde_gram(x: np.ndarray) -> np.ndarray:
+    """<x_i|~x_j> for the columns of each matrix of a stack."""
+    return (x.swapaxes(-1, -2) @ states.SIGMA_YY @ x).conj()
 
 
-def _check_moments(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    worst = 0.0
-    for rho, dec in _decomposed(_corpus("ginibre", corpus, seed, tol), tol):
-        product = rho.matrix @ states.spin_flip(rho)
-        power = np.eye(4, dtype=complex)
-        for m in range(1, 5):
-            power = power @ product
-            worst = max(worst, abs(np.trace(power).real - float(np.sum(dec.lambdas ** (2 * m)))))
-    return PropertyResult("moment identity tr((rho rho~)^m)", worst <= tol.moments, worst, tol.moments)
+def _flag(bad: np.ndarray) -> np.ndarray:
+    """A condition as a residual: 1 where it fails, checked against bound 0."""
+    return bad.astype(float)
 
 
-def _check_xprime(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    worst = 0.0
-    for rho, dec in _decomposed(_corpus("ginibre", corpus, seed, tol), tol):
-        if dec.rank < 4:
-            continue
-        xp = dec.x_prime()
-        gram = np.conj(xp.T @ states.SIGMA_YY @ xp)
-        worst = max(worst, np.max(np.abs(gram - np.eye(4))))
-    return PropertyResult("normalized basis tilde-orthonormality", worst <= tol.defining_relation,
-                          worst, tol.defining_relation)
+def _ratio(residual: np.ndarray, bound: float) -> np.ndarray:
+    if bound > 0:
+        return residual / bound
+    return np.where(residual > 0, np.inf, 0.0)
 
 
-def _check_local_unitary(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    rng = np.random.default_rng(seed + 2)
-    worst = 0.0
-    other = states.sample_state("ginibre", seed + 90_000, tol)
-    for rho in _corpus("ginibre", max(corpus // 2, 10), seed, tol):
-        lu = states.random_local_unitary(rng)
-        rotated = states.apply_local_unitary(rho, lu)
-        worst = max(worst, abs(wootters.concurrence(rotated, tol) - wootters.concurrence(rho, tol)))
-        m = _random_hermitian(rng)
-        u = lu.product()
-        norm = wootters.tilde_norm(m)
-        rotated_norm = wootters.tilde_norm(u @ m @ u.conj().T)
-        worst = max(worst, abs(rotated_norm - norm) / max(norm, 1e-30))
-        d0 = wootters.tilde_distance(rho, other)
-        d1 = wootters.tilde_distance(rotated, states.apply_local_unitary(other, lu))
-        worst = max(worst, abs(d1 - d0))
-    return PropertyResult("local-unitary invariance (concurrence, norm, distance)",
-                          worst <= tol.lu_invariance, worst, tol.lu_invariance)
+def _result(name: str, checks: list, entry, detail: str = "") -> PropertyResult:
+    """Judge per-entry residuals: each check pairs an array of residuals, one
+    per entry, with its bound, and ``entry(i)`` names entry i.  Reports the
+    residual with the largest ratio to its bound (NaN first), and of equal
+    ratios the largest residual."""
+    passed = all(bool(np.all(residual <= bound)) for residual, bound in checks)
+    residuals = np.array([residual for residual, _ in checks], dtype=float)
+    ratios = np.array([_ratio(residual, bound) for residual, bound in checks])
+    if ratios.size == 0:
+        return PropertyResult(name, passed, 0.0, checks[0][1], detail)
+    c, i = np.unravel_index(np.lexsort((residuals.ravel(), ratios.ravel()))[-1], ratios.shape)
+    return PropertyResult(name, passed, float(checks[c][0][i]), checks[c][1], detail, entry(i))
 
 
-def _check_certificates(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    worst = 0.0
-    entangled = 0
-    ok = True
-    mixes_at, vertices = [], []
-    rhos = _corpus("ginibre", corpus, seed, tol)
-    certs = robustness_stack(np.array([rho.matrix for rho in rhos]), tol)
-    for i, rho in enumerate(rhos):
-        cert = certs.entry(i)
-        if cert.s == 0.0:
-            continue
-        entangled += 1
-        worst = max(worst, cert.residuals["pseudomixture"])
-        worst = max(worst, cert.residuals["plane"])
-        ok = ok and cert.residuals["ppt_min_eig_rho_p"] >= -tol.ppt
-        ok = ok and cert.residuals["ppt_min_eig_rho_pp"] >= -tol.ppt
-        lam_p = cert.rho_p_coords
-        worst = max(worst, abs(float(np.sum(lam_p * cert.decomposition.k_norm)) - 1.0))
-        # entanglement dies exactly at s along the witness vertex
-        mixes_at.append(DensityMatrix((rho.matrix + cert.s * cert.rho_pp.matrix) / (1.0 + cert.s)))
-        shrunk = 0.999 * cert.s
-        mix_before = (rho.matrix + shrunk * cert.rho_pp.matrix) / (1.0 + shrunk)
-        ok = ok and states.ppt_min_eig(mix_before) < -tol.ppt
-        vertices.append(cert.rho_pp)
-    if entangled:
-        worst = max(worst, max(dec.concurrence for _, dec in _decomposed(mixes_at, tol)))
-        ok = ok and all(dec.rank <= 2 for _, dec in _decomposed(vertices, tol))
-    passed = ok and worst <= tol.pseudomixture
-    return PropertyResult("robustness certificates (soundness, boundary, pseudomixture)",
-                          passed, worst, tol.pseudomixture, detail=f"{entangled} entangled states")
+def _gaussian(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Complex Gaussian 4x4 matrices, each drawn as its real block then its imaginary block."""
+    z = rng.standard_normal((count, 2, 4, 4))
+    return z[:, 0] + 1j * z[:, 1]
 
 
-def _check_plane_dominance(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    rng = np.random.default_rng(seed + 3)
-    worst = 0.0  # how far any plane value dips below the certificate
-    for rho in _corpus("ginibre", max(corpus // 20, 5), seed, tol):
-        cert = robustness(rho, tol)
-        if cert.s == 0.0:
-            continue
-        dec = cert.decomposition
-        for _ in range(100):
-            weights = rng.dirichlet(np.ones(3))
-            values = [plane_robustness_s1(dec, weights)]
-            for plane in (2, 3, 4):
-                values.append(plane_robustness_other(dec, plane, weights))
-            worst = max(worst, max(cert.s - min(values), 0.0))
-    return PropertyResult("plane robustness never beats the certificate",
-                          worst <= tol.plane, worst, tol.plane)
+def _toward_vertex(corpus: Corpus, t: float):
+    """(rho + t s rho'')/(1 + t s) for the entangled Ginibre states: their
+    indices and the mixtures."""
+    certs = corpus.certificates
+    idx = np.flatnonzero(certs.s != 0.0)
+    ts = (t * certs.s[idx])[:, None, None]
+    return idx, (corpus.ginibre[idx] + ts * certs.rho_pp[idx]) / (1.0 + ts)
 
 
-def _check_coset_identities(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    rng = np.random.default_rng(seed + 4)
-    worst_orth = 0.0
-    worst_k = 0.0
-    syy = states.SIGMA_YY
-    for _ in range(corpus):
-        params = coset.sample_params(rng, angle_scale=2.0)
-        y = coset.build_Y(params)
-        x = coset.build_X(params)
-        worst_orth = max(worst_orth, np.max(np.abs(y.T @ y - np.eye(4))))
-        worst_orth = max(worst_orth, np.max(np.abs(x.T @ syy @ x - np.eye(4))))
-        gram = np.sum(np.abs(x) ** 2, axis=0)
-        worst_k = max(worst_k, float(np.max(np.abs(coset.k_closed_form(params) - gram))))
-        vectors = coset.closed_form_x(params)
-        scaled = x * np.sqrt(params.lam)[None, :]
-        worst_orth = max(worst_orth, max(np.max(np.abs(vectors[i] - scaled[:, i])) for i in range(4)))
-    passed = worst_orth <= tol.coset_orthogonality and worst_k <= tol.coset_k
-    return PropertyResult("coset identities (orthogonality, closed forms)",
-                          passed, max(worst_orth, worst_k), tol.coset_k)
+def _check_eig(corpus: Corpus) -> PropertyResult:
+    tol, entry = corpus.tol, corpus.draws(0)
+    g = _gaussian(corpus.rng(0), corpus.size)
+    h = g + _adjoint(g)
+    evals, vecs, errors = hermitian_eig_stack(h, tol)
+    _raise_first(errors, entry)
+    scale = 1.0 + _max_abs(h)
+    scaled = vecs * evals[:, None, :]
+    return _result("hermitian_eig residuals", [
+        (_max_abs(h @ vecs - scaled) / scale, tol.eig_residual),
+        (_max_abs(scaled @ _adjoint(vecs) - h) / scale, tol.eig_residual),
+        (_max_abs(_adjoint(vecs) @ vecs - _EYE), tol.eig_orthonormality),
+        (np.diff(evals).max(axis=-1), 0.0),                 # descending
+    ], entry)
 
 
-def _check_coset_roundtrip(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    rng = np.random.default_rng(seed + 5)
-    worst = 0.0
-    params = [coset.sample_params(rng, angle_scale=1.0, min_gap=0.05) for _ in range(max(corpus // 2, 10))]
-    rhos = [coset.density_from_params(p, tol) for p in params]
-    for p, (_, dec) in zip(params, _decomposed(rhos, tol)):
-        worst = max(worst, float(np.max(np.abs(dec.k_norm - coset.k_closed_form(p)))))
-    return PropertyResult("coset roundtrip recovers K through decomposition",
-                          worst <= tol.coset_roundtrip, worst, tol.coset_roundtrip)
+def _check_takagi(corpus: Corpus) -> PropertyResult:
+    tol, entry = corpus.tol, corpus.draws(1)
+    g = _gaussian(corpus.rng(1), corpus.size)
+    s = g + g.swapaxes(-1, -2)
+    w, d, errors = takagi_stack(s, tol)
+    _raise_first(errors, entry)
+    return _result("takagi factorization residuals", [
+        (_max_abs(w @ s @ w.swapaxes(-1, -2) - d[:, :, None] * _EYE), tol.takagi_residual),
+        (_max_abs(_adjoint(w) @ w - _EYE), tol.takagi_unitarity),
+        (np.abs(np.linalg.svd(s, compute_uv=False) - d).max(axis=-1), tol.singular_agreement),
+        (np.maximum(np.diff(d).max(axis=-1), -d.min(axis=-1)), 0.0),   # nonnegative, descending
+    ], entry)
 
 
-def _check_thresholds(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
+def _check_spin_flip(corpus: Corpus) -> PropertyResult:
+    tol, entry, rho = corpus.tol, corpus.seeds("ginibre"), corpus.ginibre
+    flipped = states.tilde_matrix(rho)
+    _require_states(flipped, entry, tol)                # Hermitian, unit trace and PSD, like rho
+    pt = states.partial_transpose_matrix(rho)
+    # undone by a transpose on the second qubit written out here: swap b and d of rho[ab, cd]
+    undone = pt.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(rho.shape)
+    rounding = tol.reconstruction * 1e-3
+    return _result("spin-flip and partial-transpose algebra", [
+        (_max_abs(states.tilde_matrix(flipped) - rho), tol.reconstruction * 1e-6),   # involution
+        (np.abs(_trace(flipped).real - 1.0), rounding),
+        (-_trace(rho @ flipped).real, rounding),                                   # tr(rho rho~) >= 0
+        (_max_abs(undone - rho), 0.0),                     # exact, and on the second qubit
+        (np.abs(_trace(pt) - _trace(rho)), 0.0),
+        (np.abs(_trace(pt).real - 1.0), rounding),
+    ], entry)
+
+
+def _check_bell_tilde(corpus: Corpus) -> PropertyResult:
+    rho = corpus.draw("bell_diagonal")
+    return _result("bell-diagonal states are tilde invariant",
+                   [(_max_abs(states.tilde_matrix(rho) - rho), corpus.tol.unit_weight)],
+                   corpus.seeds("bell_diagonal"))
+
+
+def _check_defining_relation(corpus: Corpus) -> PropertyResult:
+    tol, dec = corpus.tol, corpus.decomposition
+    return _result("defining relation and reconstruction", [
+        (_max_abs(_tilde_gram(dec.x) - dec.lambdas[:, :, None] * _EYE), tol.defining_relation),
+        (_max_abs(dec.x @ _adjoint(dec.x) - corpus.ginibre), tol.reconstruction),
+        (np.abs(dec.p_coord.sum(axis=-1) - 1.0), tol.reconstruction),
+        (np.diff(dec.lambdas).max(axis=-1), 0.0),           # descending
+    ], corpus.seeds("ginibre"))
+
+
+def _check_moments(corpus: Corpus) -> PropertyResult:
+    rho, lam = corpus.ginibre, corpus.decomposition.lambdas
+    product = rho @ states.tilde_matrix(rho)
+    power, residual = _EYE, 0.0
+    for m in range(1, 5):
+        power = power @ product
+        residual = np.maximum(residual, np.abs(_trace(power).real - np.sum(lam ** (2 * m), axis=-1)))
+    return _result("moment identity tr((rho rho~)^m)", [(residual, corpus.tol.moments)],
+                   corpus.seeds("ginibre"))
+
+
+def _check_xprime(corpus: Corpus) -> PropertyResult:
+    dec = corpus.decomposition
+    full = dec.rank == 4
+    xp = wootters._x_prime(dec.x[full], dec.lambdas[full], 4)
+    residual = np.zeros(len(full))
+    residual[full] = _max_abs(_tilde_gram(xp) - _EYE)
+    return _result("normalized basis tilde-orthonormality", [
+        (residual, corpus.tol.defining_relation),
+        (4 - dec.rank, 0),                                  # every corpus state is full rank
+    ], corpus.seeds("ginibre"))
+
+
+def _check_local_unitary(corpus: Corpus) -> PropertyResult:
+    tol, entry = corpus.tol, corpus.seeds("ginibre")
+    n = corpus.share(2, 10)
+    rng = corpus.rng(2)
+    pairs = states._su2_pairs(rng, n)
+    u = np.einsum("nij,nkl->nikjl", pairs[:, 0], pairs[:, 1]).reshape(n, 4, 4)   # U1 x U2
+    g = _gaussian(rng, n)
+    h = g + _adjoint(g)
+    rho = corpus.ginibre[:n]
+    other = states.sample_state("ginibre", corpus.seed + 90_000, tol).matrix
+    rotated = u @ rho @ _adjoint(u)
+    _require_states(rotated, entry, tol)
+    turned = wootters.decompose_stack(rotated, tol)
+    _raise_first(turned.errors, entry)
+    c0, c1 = corpus.decomposition.concurrence[:n], turned.concurrence
+    norm = wootters._tilde_norms(h)
+    return _result("local-unitary invariance (concurrence, norm, distance)", [
+        (np.abs(c1 - c0), tol.lu_invariance),
+        (np.maximum(np.maximum(c0, c1) - 1.0, -np.minimum(c0, c1)), 0.0),   # C in [0, 1]
+        (np.abs(wootters._tilde_norms(u @ h @ _adjoint(u)) - norm) / np.maximum(norm, 1e-30),
+         tol.lu_invariance),
+        (np.abs(wootters._tilde_norms(rotated - u @ other @ _adjoint(u))
+                - wootters._tilde_norms(rho - other)), tol.lu_invariance),
+        (_max_abs(_adjoint(u) @ u - _EYE), tol.su2),
+    ], entry)
+
+
+def _check_certificates(corpus: Corpus) -> PropertyResult:
+    tol, certs, seeds = corpus.tol, corpus.certificates, corpus.seeds("ginibre")
+    _raise_first(certs.errors, seeds)
+    idx, at = _toward_vertex(corpus, 1.0)
+    _, before = _toward_vertex(corpus, 0.999)
+    entry = corpus.seeds("ginibre", idx)
+    _require_states(np.concatenate((at, before)), entry, tol)
+    s, rho_p, rho_pp, lam_p = certs.s[idx], certs.rho_p[idx], certs.rho_pp[idx], certs.rho_p_coords[idx]
+    k, c = certs.decomposition.k_norm[idx], certs.decomposition.concurrence[idx]
+    sums = k[:, [1, 1, 2]] + k[:, [2, 3, 3]]                           # K2+K3, K2+K4, K3+K4
+    pair = _VERTEX_COLUMNS[certs.k_index[idx]]
+    min_eig = states.ppt_min_eig(np.concatenate((rho_p, rho_pp, before))).reshape(3, -1)
+    mixed = wootters.decompose_stack(np.concatenate((rho_p, rho_pp, at, before)), tol)
+    _raise_first(mixed.errors, entry)
+    conc, rank = mixed.concurrence.reshape(4, -1), mixed.rank.reshape(4, -1)
+    sp = s[:, None, None]
+    return _result("robustness certificates (soundness, boundary, pseudomixture)", [
+        (_max_abs(corpus.ginibre[idx] - (1.0 + sp) * rho_p + sp * rho_pp), tol.pseudomixture),
+        (np.abs(s - 0.5 * sums.min(axis=-1) * c), 0.0),                # s = C min(K_i + K_j) / 2
+        (np.take_along_axis(k, pair, axis=-1).sum(axis=-1) - sums.min(axis=-1), 0.0),
+        (np.abs(lam_p[:, 0] - lam_p[:, 1] - lam_p[:, 2] - lam_p[:, 3]), tol.plane),
+        (np.abs(np.sum(lam_p * k, axis=-1) - 1.0), tol.pseudomixture),
+        (-min_eig[0], tol.ppt), (-min_eig[1], tol.ppt),                # rho', rho'' separable
+        (conc[0], tol.pseudomixture), (conc[1], tol.pseudomixture),
+        (rank[1] - 2, 0),
+        (conc[2], tol.pseudomixture),                                  # entanglement dies at s
+        (_flag(min_eig[2] >= -tol.ppt), 0.0), (_flag(conc[3] <= 0.0), 0.0),   # and not before
+    ], entry, detail=f"{len(idx)} entangled states")
+
+
+def _check_plane_dominance(corpus: Corpus) -> PropertyResult:
+    certs, seeds = corpus.certificates, corpus.seeds("ginibre")
+    n = corpus.share(20, 5)
+    _raise_first(certs.errors[:n], seeds)
+    idx = np.flatnonzero(certs.s[:n] != 0.0)
+    weights = corpus.rng(3).dirichlet(np.ones(3), (len(idx), 100))
+    k, c = certs.decomposition.k_norm[idx, None], certs.decomposition.concurrence[idx, None]
+    lowest = np.min([_plane_robustness(k, c, plane, weights) for plane in (1, 2, 3, 4)], axis=0)
+    dip = np.maximum(certs.s[idx, None] - lowest, 0.0).max(axis=-1, initial=0.0)
+    return _result("plane robustness never beats the certificate", [(dip, corpus.tol.plane)],
+                   corpus.seeds("ginibre", idx))
+
+
+def _check_coset_identities(corpus: Corpus) -> PropertyResult:
+    tol = corpus.tol
+    angles, lam = coset._draw_rows(corpus.rng(4), corpus.size, 2.0, 0.0)
+    y, x, k = coset._y_stack(angles), coset._x_stack(angles), coset._k_stack(angles)
+    vectors = coset._closed_form_x_stack(angles, lam)
+    return _result("coset identities (orthogonality, closed forms)", [
+        (_max_abs(y.swapaxes(-1, -2) @ y - _EYE), tol.coset_orthogonality),
+        (_max_abs(x.swapaxes(-1, -2) @ states.SIGMA_YY @ x - _EYE), tol.coset_orthogonality),
+        (np.abs(k - np.sum(np.abs(x) ** 2, axis=-2)).max(axis=-1), tol.coset_k),
+        (_max_abs(vectors - x * np.sqrt(lam)[:, None, :]), tol.coset_vectors),
+        (np.abs(np.sum(np.abs(vectors) ** 2, axis=(-2, -1)) - np.sum(lam * k, axis=-1)), tol.coset_vectors),
+    ], corpus.draws(4))
+
+
+def _check_coset_roundtrip(corpus: Corpus) -> PropertyResult:
+    tol, entry = corpus.tol, corpus.draws(5)
+    angles, lam = coset._draw_rows(corpus.rng(5), max(corpus.size // 2, 10), 1.0, 0.05)
+    rho, k, _ = coset.density_stack(angles, lam)
+    _require_states(rho, entry, tol)
+    dec = wootters.decompose_stack(rho, tol)
+    _raise_first(dec.errors, entry)
+    return _result("coset roundtrip recovers K through decomposition", [
+        (np.abs(dec.k_norm - k).max(axis=-1), tol.coset_roundtrip),
+        (np.abs(dec.lambdas - lam / np.sum(lam * k, axis=-1, keepdims=True)).max(axis=-1),
+         tol.coset_roundtrip),
+    ], entry)
+
+
+def _check_thresholds(corpus: Corpus) -> PropertyResult:
     """Singlet PT eigenvalue -1/2, bisect(singlet, I/4) = 2, Werner boundary 1/3.
 
     Reported as the worst deviation relative to each value's own tolerance,
     so the bound is 1.
     """
+    tol = corpus.tol
     singlet = states.werner(1.0)
-    mixed = DensityMatrix(np.eye(4) / 4.0)
+    mixed = states.DensityMatrix(np.eye(4) / 4.0)
     ratios = [abs(states.is_separable_ppt(singlet, tol)[1] + 0.5) / max(tol.singular_agreement, 1e-300)]
     s_mix = oracle.bisect_relative_robustness(singlet, mixed, tolerances=tol)
     ratios.append(abs(s_mix - 2.0) / max(tol.bisect_formula, 1e-300))
@@ -254,28 +378,26 @@ def _check_thresholds(corpus: int, seed: int, tol: Tolerances) -> PropertyResult
         else:
             hi = mid
     ratios.append(abs(0.5 * (lo + hi) - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300))
-    worst = max(ratios)
-    return PropertyResult("known thresholds (singlet PT, Werner boundary, bisection)",
-                          worst <= 1.0, worst, 1.0)
+    names = ("singlet PT minimum eigenvalue", "bisection from the singlet toward I/4", "Werner boundary")
+    return _result("known thresholds (singlet PT, Werner boundary, bisection)",
+                   [(np.array(ratios), 1.0)], lambda i: names[i])
 
 
-def _check_ppt_monotone(corpus: int, seed: int, tol: Tolerances) -> PropertyResult:
-    rng = np.random.default_rng(seed + 6)
-    violations = 0
-    for rho in _corpus("ginibre", 5, seed, tol):
-        if states.is_separable_ppt(rho, tol)[0]:
-            continue
-        mixture = oracle.ProductMixture(
-            rng.dirichlet(np.ones(8)),
-            np.stack([np.arccos(rng.uniform(-1, 1, 8)), rng.uniform(0, 2 * np.pi, 8),
-                      np.arccos(rng.uniform(-1, 1, 8)), rng.uniform(0, 2 * np.pi, 8)], axis=1),
-        ).to_density()
-        grid = [states.ppt_min_eig((rho.matrix + s * mixture.matrix) / (1 + s)) >= -tol.ppt
-                for s in np.linspace(0.0, 40.0, 100)]
-        if grid != sorted(grid):
-            violations += 1
-    return PropertyResult("PPT status is monotone along separable rays",
-                          violations == 0, float(violations), 0.5)
+def _check_ppt_monotone(corpus: Corpus) -> PropertyResult:
+    tol, rng = corpus.tol, corpus.rng(6)
+    rho = corpus.ginibre[:corpus.share(20, 5)]
+    idx = np.flatnonzero(states.ppt_min_eig(rho) < -tol.ppt)
+    entry = corpus.seeds("ginibre", idx)
+    shape = (len(idx), 8)
+    weights = rng.dirichlet(np.ones(8), len(idx))
+    angles = np.stack([np.arccos(rng.uniform(-1, 1, shape)), rng.uniform(0, 2 * np.pi, shape),
+                       np.arccos(rng.uniform(-1, 1, shape)), rng.uniform(0, 2 * np.pi, shape)], axis=-1)
+    sigma = oracle._product_mixtures(weights, angles)                  # separable directions
+    _require_states(sigma, entry, tol)
+    s = np.linspace(0.0, 50.0, 100)[:, None, None]
+    ppt = states.ppt_min_eig((rho[idx, None] + s * sigma[:, None]) / (1 + s)) >= -tol.ppt
+    violated = (ppt[:, :-1] & ~ppt[:, 1:]).any(axis=-1)             # PPT, then entangled again
+    return _result("PPT status is monotone along separable rays", [(_flag(violated), 0.5)], entry)
 
 
 _GROUPS = (
@@ -297,12 +419,14 @@ _GROUPS = (
 
 
 def run_all(corpus: int = 200, seed: int = 0, tolerances: Tolerances = DEFAULT):
-    """Run every property group; exceptions become named failures."""
+    """Run every property group on one shared corpus; exceptions become named failures."""
+    shared = Corpus(corpus, seed, tolerances)
     results = []
     for group in _GROUPS:
         try:
-            results.append(group(corpus, seed, tolerances))
+            results.append(group(shared))
         except Exception as exc:  # noqa: BLE001 - failures must be reported, not raised
+            error, entry = (exc.error, exc.entry) if isinstance(exc, _EntryError) else (exc, "")
             name = group.__name__.removeprefix("_check_")
-            results.append(PropertyResult(name, False, detail=f"raised {exc!r}"))
+            results.append(PropertyResult(name, False, detail=f"raised {error!r}", worst_entry=entry))
     return results

@@ -218,8 +218,12 @@ def tilde_norm(matrix: np.ndarray) -> float:
     Invariant under simultaneous local-unitary conjugation of M.  The
     absolute value keeps the result real for indefinite M.
     """
-    m = numerics._as_matrix(matrix)
-    return math.sqrt(abs(np.trace(m @ states.tilde_matrix(m)).real))
+    return float(_tilde_norms(numerics._as_matrix(matrix)))
+
+
+def _tilde_norms(m: np.ndarray) -> np.ndarray:
+    """``tilde_norm`` of a 4x4 matrix or of each matrix of an (..., 4, 4) stack."""
+    return np.sqrt(np.abs(np.trace(m @ states.tilde_matrix(m), axis1=-2, axis2=-1).real))
 
 
 def tilde_distance(a: DensityMatrix, b: DensityMatrix) -> float:

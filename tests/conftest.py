@@ -2,13 +2,13 @@
 
 import numpy as np
 
-from qrobust import sample_state
-from qrobust.states import SIGMA_YY
+from qrobust import verify
+from qrobust.states import SIGMA_YY, DensityMatrix
 
 
-def ginibre_corpus(n, base=0):
-    """The standard seeded corpus: one generator per index, seeds base..base+n-1."""
-    return [sample_state("ginibre", base + i) for i in range(n)]
+def ginibre_states(n):
+    """The registry's Ginibre corpus of size n (seeds 0, ..., n - 1) as states."""
+    return [DensityMatrix(m) for m in verify.Corpus(n).ginibre]
 
 
 def random_hermitian(rng):

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Corpora are frozen by seed (one generator per state index, base seed 0) so
-every run checks identical states.  Runtime bounds are asserted with the
+every run checks identical states.  Criteria that restate a property group
+of ``qrobust verify`` run that group.  Runtime bounds are asserted with the
 budgets the criteria state; all are generous on commodity hardware.
 """
 
@@ -10,24 +11,12 @@ import time
 
 import numpy as np
 
-from conftest import ginibre_corpus
-from qrobust import concurrence, decompose
-from qrobust.coset import build_X, build_Y, k_closed_form, sample_params
-from qrobust.numerics import hermitian_eig
+from conftest import ginibre_states
+from qrobust import decompose, verify
 from qrobust.oracle import bisect_relative_robustness, minimize_absolute_robustness
 from qrobust.robustness import robustness
-from qrobust.states import (
-    SIGMA_YY,
-    BellWeights,
-    DensityMatrix,
-    bell_diagonal,
-    partial_transpose,
-    random_local_unitary,
-    tilde_matrix,
-    werner,
-)
-
-MIXED = DensityMatrix(np.eye(4) / 4.0)
+from qrobust.states import BellWeights, bell_diagonal
+from qrobust.wootters import decompose_stack
 
 
 def _report(name, passed, detail):
@@ -37,7 +26,7 @@ def _report(name, passed, detail):
 
 def _entangled_with_certificates(n):
     pairs = []
-    for rho in ginibre_corpus(n):
+    for rho in ginibre_states(n):
         cert = robustness(rho)
         if cert.s > 0.0:
             pairs.append((rho, cert))
@@ -65,36 +54,29 @@ def test_criterion_1_bell_diagonal_identity():
             f"|s - (2p1-1)| <= {worst_s:.2e}, |K-1| <= {worst_k:.2e}, {elapsed:.2f}s")
 
 
-def test_criterion_2_defining_relation():
+def _run_group(group, size):
+    """A property group on the first ``size`` entries of the seed-0 corpus, and its wall time."""
     start = time.perf_counter()
-    worst_rel = worst_rec = 0.0
-    for rho in ginibre_corpus(1000):
-        dec = decompose(rho)
-        gram = np.conj(dec.x.T @ SIGMA_YY @ dec.x)
-        worst_rel = max(worst_rel, float(np.max(np.abs(gram - np.diag(dec.lambdas)))))
-        worst_rec = max(worst_rec, float(np.max(np.abs(dec.x @ dec.x.conj().T - rho.matrix))))
-    elapsed = time.perf_counter() - start
-    ok = worst_rel <= 1e-9 and worst_rec <= 1e-9 and elapsed < 5.0
-    _report("criterion 2 (defining relation, 1000 states)", ok,
-            f"relation <= {worst_rel:.2e}, reconstruction <= {worst_rec:.2e}, {elapsed:.2f}s")
+    corpus = verify.Corpus(size)
+    return corpus, group(corpus), time.perf_counter() - start
+
+
+def test_criterion_2_defining_relation():
+    _, result, elapsed = _run_group(verify._check_defining_relation, 1000)
+    _report("criterion 2 (defining relation, 1000 states)", result.passed and elapsed < 5.0,
+            f"{result.line()}, {elapsed:.2f}s")
 
 
 def test_criterion_3_certificate_boundary_exactness():
     start = time.perf_counter()
-    pairs = _entangled_with_certificates(200)
-    worst_at = 0.0
-    worst_before = math.inf
-    for rho, cert in pairs:
-        mix = DensityMatrix((rho.matrix + cert.s * cert.rho_pp.matrix) / (1.0 + cert.s))
-        worst_at = max(worst_at, concurrence(mix))
-        shrunk = 0.999 * cert.s
-        before = DensityMatrix((rho.matrix + shrunk * cert.rho_pp.matrix) / (1.0 + shrunk))
-        worst_before = min(worst_before, concurrence(before))
+    corpus, result, _ = _run_group(verify._check_certificates, 200)
+    # the group asks for C > 0 at 0.999 s; the criterion asks this corpus for more
+    _, before = verify._toward_vertex(corpus, 0.999)
+    worst_before = decompose_stack(before).concurrence.min()
     elapsed = time.perf_counter() - start
-    ok = worst_at <= 1e-9 and worst_before > 1e-6 and elapsed < 5.0
+    ok = result.passed and worst_before > 1e-6 and elapsed < 5.0
     _report("criterion 3 (boundary exactness, 200-state corpus)", ok,
-            f"{len(pairs)} entangled, conc@s <= {worst_at:.2e}, "
-            f"conc@0.999s >= {worst_before:.2e}, {elapsed:.2f}s")
+            f"{result.line()}, conc@0.999s >= {worst_before:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_4_oracle_equivalence():
@@ -110,79 +92,36 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_pseudomixture_identity():
-    worst = 0.0
-    for rho, cert in _entangled_with_certificates(200):
-        residual = np.max(np.abs(rho.matrix - (1.0 + cert.s) * cert.rho_p.matrix
-                                 + cert.s * cert.rho_pp.matrix))
-        worst = max(worst, float(residual))
-    ok = worst <= 1e-9
-    _report("criterion 5 (pseudomixture identity)", ok, f"max residual {worst:.2e}")
+    _, result, _ = _run_group(verify._check_certificates, 200)
+    _report("criterion 5 (pseudomixture identity)", result.passed, result.line())
 
 
 def test_criterion_6_closed_form_k():
-    start = time.perf_counter()
-    rng = np.random.default_rng(0)
-    worst_k = worst_id = 0.0
-    for _ in range(1000):
-        params = sample_params(rng, angle_scale=2.0)
-        x = build_X(params)
-        y = build_Y(params)
-        gram = np.sum(np.abs(x) ** 2, axis=0)
-        worst_k = max(worst_k, float(np.max(np.abs(k_closed_form(params) - gram))))
-        worst_id = max(worst_id, float(np.max(np.abs(y.T @ y - np.eye(4)))))
-        worst_id = max(worst_id, float(np.max(np.abs(x.T @ SIGMA_YY @ x - np.eye(4)))))
-    elapsed = time.perf_counter() - start
-    ok = worst_k <= 1e-9 and worst_id <= 1e-10 and elapsed < 5.0
-    _report("criterion 6 (closed-form K, 1000 draws)", ok,
-            f"K <= {worst_k:.2e}, identities <= {worst_id:.2e}, {elapsed:.2f}s")
+    _, result, elapsed = _run_group(verify._check_coset_identities, 1000)
+    _report("criterion 6 (closed-form K, 1000 draws)", result.passed and elapsed < 5.0,
+            f"{result.line()}, {elapsed:.2f}s")
 
 
 def test_criterion_7_tilde_norm_invariance():
-    from qrobust.wootters import tilde_norm
-
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(500):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = g + g.conj().T
-        u = random_local_unitary(rng).product()
-        n0 = tilde_norm(m)
-        n1 = tilde_norm(u @ m @ u.conj().T)
-        worst = max(worst, abs(n1 - n0) / n0)
-    ok = worst <= 1e-9
-    _report("criterion 7 (norm invariance, 500 pairs)", ok, f"relative change <= {worst:.2e}")
+    _, result, _ = _run_group(verify._check_local_unitary, 1000)
+    _report("criterion 7 (norm invariance, 500 pairs)", result.passed, result.line())
 
 
 def test_criterion_8_known_thresholds():
-    singlet = werner(1.0)
-    dev_bisect = abs(bisect_relative_robustness(singlet, MIXED, 1e-10) - 2.0)
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        from qrobust.states import is_separable_ppt
-
-        if is_separable_ppt(werner(mid))[0]:
-            lo = mid
-        else:
-            hi = mid
-    dev_boundary = abs(0.5 * (lo + hi) - 1.0 / 3.0)
-    evals, _ = hermitian_eig(partial_transpose(singlet))
-    dev_eig = abs(evals[-1] + 0.5)
-    ok = dev_bisect <= 1e-6 and dev_boundary <= 1e-8 and dev_eig <= 1e-10
-    _report("criterion 8 (known thresholds)", ok,
-            f"bisect dev {dev_bisect:.2e}, boundary dev {dev_boundary:.2e}, eig dev {dev_eig:.2e}")
+    _, result, _ = _run_group(verify._check_thresholds, 1)
+    _report("criterion 8 (known thresholds)", result.passed, result.line())
 
 
 def test_criterion_9_minimality_probe():
     start = time.perf_counter()
     findings = []
     worst_excess = -math.inf
-    for index, rho in enumerate(ginibre_corpus(20)):
+    for index, rho in enumerate(ginibre_states(20)):
         try:
             cert = robustness(rho)
         except Exception:
             continue
-        result = minimize_absolute_robustness(rho, budget=50, seed=1000 + index)
+        result = minimize_absolute_robustness(rho)
         excess = result.s_best - cert.s
         worst_excess = max(worst_excess, excess)
         assert result.s_best <= cert.s + 1e-6, f"state {index}: upper bound violated"
@@ -195,4 +134,4 @@ def test_criterion_9_minimality_probe():
               f"direction (recorded as findings, not failures); {elapsed:.1f}s")
     for index, s_formula, s_best in findings:
         print(f"    finding: state {index}: closed form {s_formula:.6f}, search {s_best:.6f}")
-    _report("criterion 9 (minimality probe, budget 50 on 20 states)", ok, detail)
+    _report("criterion 9 (minimality probe on 20 states)", ok, detail)

@@ -166,9 +166,20 @@ def test_sample_oracle_columns(tmp_path):
     assert float(row["s_best"]) <= float(row["s_formula"]) + 1e-6
 
 
-def test_sample_rejects_bad_count(tmp_path, capsys):
-    assert main(["sample", "--ensemble", "ginibre", "--n", "0",
-                 "--out", str(tmp_path / "x.csv")]) == 2
+@pytest.mark.parametrize("argv", [
+    ["sample", "--ensemble", "ginibre", "--n", "0"],
+    ["sample", "--ensemble", "ginibre", "--n", "2", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["verify", "--corpus", "0"],
+    ["verify", "--corpus", "-3"],
+])
+def test_bad_count_or_seed_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + (["--out", str(out)] if argv[0] == "sample" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and re.fullmatch(r"error: --(n|seed|corpus) must be at least [01]", lines[0])
 
 
 def test_verify_passes_small_corpus(capsys):

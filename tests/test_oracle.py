@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ginibre_corpus
+from conftest import ginibre_states
 from qrobust import concurrence
 from qrobust import oracle as oracle_module
 from qrobust.oracle import (
@@ -84,7 +84,7 @@ class TestBisection:
         assert bisect_relative_robustness(werner(0.2), MIXED) == 0.0
 
     def test_matches_certificate_along_witness(self):
-        for rho in ginibre_corpus(25):
+        for rho in ginibre_states(25):
             cert = robustness(rho)
             if cert.s == 0.0:
                 continue
@@ -102,7 +102,7 @@ class TestBisection:
         # every state of a corpus along its certificate vertex, a random
         # product mixture and I/4, at the default and a looser tolerance
         rng = np.random.default_rng(17)
-        pairs = [(rho, direction) for rho in ginibre_corpus(15)
+        pairs = [(rho, direction) for rho in ginibre_states(15)
                  for direction in (robustness(rho).rho_pp, random_mixture(rng).to_density(), MIXED)]
         entangled = 0
         for tol in (1e-10, 1e-8):
@@ -141,7 +141,7 @@ class TestBisection:
             bisect_relative_robustness(SINGLET, UP_UP)
 
     def test_stack_matches_single_calls(self):
-        rhos = ginibre_corpus(10) + [BELL_07, SINGLET, werner(0.2), werner(1.0 - 1e-3)]
+        rhos = ginibre_states(10) + [BELL_07, SINGLET, werner(0.2), werner(1.0 - 1e-3)]
         directions = [MIXED] * 10 + [robustness(BELL_07).rho_pp, MIXED, MIXED, UP_UP]
         stacked, errors = relative_robustness_stack(np.array([r.matrix for r in rhos]),
                                                     np.array([d.matrix for d in directions]))
@@ -181,19 +181,6 @@ class TestBisection:
         alone = _pencil_crossing(rho_pt, d_pt[:1])[0]
         assert values[1] == math.inf
         assert values[0] == values[2] == alone and math.isfinite(alone)
-
-    def test_ppt_monotone_along_rays(self):
-        rng = np.random.default_rng(3)
-        checked = 0
-        for rho in ginibre_corpus(10):
-            if is_separable_ppt(rho)[0]:
-                continue
-            direction = random_mixture(rng).to_density()
-            flags = [ppt_min_eig((rho.matrix + s * direction.matrix) / (1 + s)) >= -1e-11
-                     for s in np.linspace(0.0, 50.0, 100)]
-            assert flags == sorted(flags)
-            checked += 1
-        assert checked >= 3
 
 
 class TestProductMixture:
@@ -291,7 +278,7 @@ class TestAbsoluteRobustness:
 
     def test_ginibre_corpus_bounds(self):
         entangled = 0
-        for rho in ginibre_corpus(25):
+        for rho in ginibre_states(25):
             if is_separable_ppt(rho)[0]:
                 continue
             entangled += 1
@@ -356,7 +343,7 @@ class TestVerifyCertificate:
         assert report["s_bisection"] == 0.0
 
     def test_corpus_passes(self):
-        for rho in ginibre_corpus(20):
+        for rho in ginibre_states(20):
             report = verify_certificate(rho, robustness(rho))
             assert report["passed"], report
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coset, oracle, states, tolerances, verify
 from .numerics import NonHermitianInput, NonSymmetricInput, NumericalFailure
-from .robustness import RankDeficient, robustness, robustness_stack
+from .robustness import RankDeficient, _pair_sums, robustness, robustness_stack
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -47,8 +47,21 @@ sample CSV columns:
   produce nan in the closed-form columns.
 
 environment:
-  QROBUST_TOL   positive factor rescaling every tolerance in the master
-                record (default 1.0; 0 makes every check exact).
+  QROBUST_TOL   nonnegative factor rescaling every check bound in the
+                tolerance record (default 1.0; 0 makes every check exact).
+                It changes verdicts, not values; s_bisection follows the
+                PPT bound, which defines the crossing, and the SDP columns
+                follow its gap bound.  It does not move the algorithm
+                constants:
+                  numerics.TAKAGI_CLUSTER 1e-6  Takagi cluster gap
+                  numerics.TAKAGI_ZERO    1e-7  Takagi cluster zero level
+                  wootters.RANK_CUT       1e-8  rank cut on lambda_i/lambda_1
+                  wootters.TIE            1e-12 ties of lambdas, K_i, pair sums
+                  oracle.CROSSING_WIDTH   1e-10 crossing bracket width
+                Library constructors that take no record (LocalUnitary,
+                BellWeights, werner, apply_local_unitary,
+                ProductMixture.to_density, the plane-weight convexity
+                check) check at the default bounds.
 """
 
 
@@ -147,13 +160,13 @@ def _sample_chunk(args, tol, indices):
             matrices[has_cert], certs.rho_pp[has_cert], tolerances=tol)
         for j, error in zip(np.flatnonzero(has_cert), crossing_errors):
             errors[j] = error
+        min_pair = _pair_sums(decomp.k_norm).min(axis=-1)   # nan where a pair holds an undefined K_i
         for j, i in enumerate(indices[:len(matrices)]):
             if errors[j] is not None:
                 raise errors[j]
             k = decomp.k_norm[j]
-            min_pair = float(min(k[1] + k[2], k[1] + k[3], k[2] + k[3]))
             row = [str(i), _fmt(decomp.concurrence[j]), _fmt(k[0]), _fmt(k[1]), _fmt(k[2]), _fmt(k[3]),
-                   _fmt(min_pair), _fmt(certs.s[j]), _fmt(s_bisection[j])]
+                   _fmt(min_pair[j]), _fmt(certs.s[j]), _fmt(s_bisection[j])]
             if drawn.k_agreement is not None:
                 row.append(_fmt(drawn.k_agreement[j]))
             if args.oracle:

@@ -24,6 +24,15 @@ import numpy as np
 
 from .tolerances import DEFAULT, Tolerances
 
+# Takagi route parameters, relative to max(d_1, 1).  Singular values at most
+# TAKAGI_CLUSTER apart form a cluster.  d = sqrt(eig(S conj(S))) resolves only
+# to about sqrt(eps) d_1 (1.5e-8 d_1), so a cluster whose mean is at or below
+# TAKAGI_ZERO is rounding noise and keeps its orthonormal eigenvectors.  A
+# column whose diagonal |(W S W^T)_ii| exceeds _PHASE_LEVEL gets its phase fixed.
+TAKAGI_CLUSTER = 1e-6
+TAKAGI_ZERO = 1e-7
+_PHASE_LEVEL = 1e-13
+
 
 class NonHermitianInput(ValueError):
     """Input matrix deviates from M = M^dag beyond the accepted tolerance."""
@@ -133,13 +142,13 @@ def _takagi_unitary_small(t: np.ndarray) -> np.ndarray:
     return g[:k, :k] + 1j * g[k:, :k]
 
 
-def _refactor_clusters(v: np.ndarray, s: np.ndarray, d: np.ndarray, tol: Tolerances) -> None:
+def _refactor_clusters(v: np.ndarray, s: np.ndarray, d: np.ndarray) -> None:
     """Re-factor, in place, the symmetric restriction of ``s`` on each cluster
     of (near-)degenerate singular values ``d`` above the zero level, where
     single-column phases of ``v`` are not well defined."""
     scale = max(d[0], 1.0)
-    for idx in _tied_runs(d, tol.takagi_cluster * scale):
-        if len(idx) < 2 or d[idx].mean() <= tol.takagi_zero * scale:
+    for idx in _tied_runs(d, TAKAGI_CLUSTER * scale):
+        if len(idx) < 2 or d[idx].mean() <= TAKAGI_ZERO * scale:
             continue
         vc = v[:, idx]
         restriction = vc.conj().T @ s @ np.conj(vc)
@@ -162,15 +171,15 @@ def takagi_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
     evals, v = _eigh_descending(s @ s.conj())
     d = np.sqrt(evals.clip(0.0, None))
     scale = np.maximum(d[:, 0], 1.0)
-    tied = (d[:, :-1] - d[:, 1:] <= (tol.takagi_cluster * scale)[:, None]).any(axis=1)
+    tied = (d[:, :-1] - d[:, 1:] <= (TAKAGI_CLUSTER * scale)[:, None]).any(axis=1)
     for i in tied.nonzero()[0]:
-        _refactor_clusters(v[i], s[i], d[i], tol)
+        _refactor_clusters(v[i], s[i], d[i])
 
     # phase polish per column; |diagonal| refines d near the zero level
     v_bar = v.conj()
     c = np.einsum("...ji,...jk,...ki->...i", v_bar, s, v_bar)
     refined = np.abs(c)
-    polish = refined > (tol.takagi_zero * scale)[:, None] * 1e-3
+    polish = refined > (_PHASE_LEVEL * scale)[:, None]
     v = np.where(polish[:, None, :], v * np.exp(0.5j * np.arctan2(c.imag, c.real))[:, None, :], v)
     order = np.argsort(-refined, axis=-1, kind="stable")
     v = np.take_along_axis(v, order[:, None, :], axis=-1)

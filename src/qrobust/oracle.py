@@ -31,6 +31,8 @@ class ImproperDirection(RuntimeError):
 
 
 _BRACKET_CAP = 2.0 ** 16
+# relative width of the bracket that verifies a crossing: PPT at s, not PPT at s - width*(1+s)
+CROSSING_WIDTH = 1e-10
 
 # F_k = sigma_a x sigma_b / 2 (k = 4a + b), an orthonormal basis of the Hermitian 4x4 matrices, built
 # with kron (an einsum at import adds 0.16 MB of RSS); F_k^Gamma = +-F_k, - where the second factor
@@ -177,7 +179,7 @@ def _ppt_along(rho: np.ndarray, sigma: np.ndarray, s: np.ndarray, cut: float) ->
     return ppt_min_eig((rho[:, None] + s * sigma[:, None]) / (1.0 + s)) >= cut
 
 
-def _bisect(rho: np.ndarray, sigma: np.ndarray, tol: float, cut: float) -> np.ndarray:
+def _bisect(rho: np.ndarray, sigma: np.ndarray, cut: float) -> np.ndarray:
     """Double the bracket from s = 1 until the mixture is PPT, then bisect,
     for each entry of a stack whose mixture at s = 0 is not PPT; the entries
     advance in lockstep, each taking the steps it would take alone.  An
@@ -190,17 +192,16 @@ def _bisect(rho: np.ndarray, sigma: np.ndarray, tol: float, cut: float) -> np.nd
         widen &= hi <= _BRACKET_CAP
     improper = hi > _BRACKET_CAP
     lo[improper] = hi[improper]                           # closed: not bisected
-    active = np.flatnonzero(hi - lo > tol * (1.0 + hi))
+    active = np.flatnonzero(hi - lo > CROSSING_WIDTH * (1.0 + hi))
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         ppt = _ppt_along(rho[active], sigma[active], mid[:, None], cut)[:, 0]
         hi[active[ppt]], lo[active[~ppt]] = mid[ppt], mid[~ppt]
-        active = np.flatnonzero(hi - lo > tol * (1.0 + hi))
+        active = np.flatnonzero(hi - lo > CROSSING_WIDTH * (1.0 + hi))
     return np.where(improper, np.nan, hi)
 
 
-def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray,
-                              tol: float = DEFAULT.bisect_default, *,
+def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray, *,
                               tolerances: Tolerances = DEFAULT):
     """``bisect_relative_robustness`` over (N, 4, 4) stacks of states and
     directions, with the same postcondition for every entry.
@@ -211,11 +212,9 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray,
 
     Each crossing is estimated through the regularized pencil, polished by
     one Newton step, and verified by one stacked PPT test of the mixtures at
-    0, lo and hi, where hi - lo <= tol*(1+hi) brackets the Newton point.  An
-    entry whose bracket fails the test doubles and bisects, as alone.
+    0, lo and hi, where hi - lo <= CROSSING_WIDTH*(1+hi) brackets the Newton
+    point.  An entry whose bracket fails the test doubles and bisects, as alone.
     """
-    if tol < 1e-12:
-        raise ValueError("bisection tolerance must be at least 1e-12")
     cut = -tolerances.ppt
     direction_eig = ppt_min_eig(sigma)
     errors = [None if e >= cut else NotSeparableDirection(f"direction has PT eigenvalue {e:.3e}")
@@ -223,14 +222,14 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray,
     proper = np.array([error is None for error in errors], dtype=bool)
     rho, sigma = rho[proper], sigma[proper]
     s = _newton_crossing(partial_transpose_matrix(rho), partial_transpose_matrix(sigma), tolerances.ppt)
-    half = 0.4 * tol * (1.0 + s)   # hi - lo stays below tol*(1+hi) after rounding
+    half = 0.4 * CROSSING_WIDTH * (1.0 + s)   # hi - lo stays below the width after rounding
     lo, hi = np.maximum(s - half, 0.0), s + half
-    usable = (hi <= _BRACKET_CAP) & (hi - lo <= tol * (1.0 + hi))   # False where s is NaN
+    usable = (hi <= _BRACKET_CAP) & (hi - lo <= CROSSING_WIDTH * (1.0 + hi))   # False where s is NaN
     points = np.where(usable[:, None], np.stack([np.zeros(len(s)), lo, hi], axis=1), 0.0)
     at_zero, at_lo, at_hi = _ppt_along(rho, sigma, points, cut).T
     result = np.where(at_zero, 0.0, hi)
     redo = np.flatnonzero(~at_zero & ~(usable & ~at_lo & at_hi))
-    result[redo] = _bisect(rho[redo], sigma[redo], tol, cut)
+    result[redo] = _bisect(rho[redo], sigma[redo], cut)
     values = np.full(len(proper), np.nan)
     values[proper] = result
     for i in np.flatnonzero(proper)[np.isnan(result)]:
@@ -238,14 +237,13 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray,
     return values, errors
 
 
-def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix,
-                               tol: float = DEFAULT.bisect_default, *,
+def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix, *,
                                tolerances: Tolerances = DEFAULT) -> float:
     """Minimal s >= 0 such that (rho + s rho_s)/(1+s) is separable.
 
     The separable set is convex, so the PPT status along the ray is monotone
     and a verified bracket is exact.  The returned s gives a PPT mixture
-    while s - tol*(1+s) gives a non-PPT one (or s = 0).
+    while s - CROSSING_WIDTH*(1+s) gives a non-PPT one (or s = 0).
 
     Raises
     ------
@@ -254,8 +252,7 @@ def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix,
     ImproperDirection
         If no finite bracket exists (impossible for full-rank directions).
     """
-    s, errors = relative_robustness_stack(rho.matrix[None], rho_s.matrix[None], tol,
-                                          tolerances=tolerances)
+    s, errors = relative_robustness_stack(rho.matrix[None], rho_s.matrix[None], tolerances=tolerances)
     if errors[0] is not None:
         raise errors[0]
     return float(s[0])

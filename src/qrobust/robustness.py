@@ -236,14 +236,14 @@ class CertificateStack:
         )
 
 
-def _certificates(rho, lam, k, c, x, tol: Tolerances) -> dict:
+def _certificates(rho, lam, k, c, x) -> dict:
     """Certificate fields, as in ``CertificateStack``, for stacks of full-rank
     states with their lambdas, K values, concurrences and basis vectors."""
     rows = np.arange(len(c))
     xp = wootters._x_prime(x, lam, 4)
     # the first pair, lexicographically, whose sum ties with the minimum
     sums = _pair_sums(k)
-    first_min = (sums <= sums.min(axis=-1, keepdims=True) * (1.0 + tol.tie)).argmax(axis=-1)
+    first_min = (sums <= sums.min(axis=-1, keepdims=True) * (1.0 + wootters.TIE)).argmax(axis=-1)
     entangled = c != 0.0
     # separable entries get the degenerate certificate on sigma_2, the vertex of pair (3, 4)
     m = np.where(entangled, first_min, 2)
@@ -279,7 +279,7 @@ def robustness_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Certifi
     # certificates of the full-rank entries, NaN (k_index 0) elsewhere
     full = np.array([error is None for error in errors], dtype=bool)
     fields = (matrices, decomp.lambdas, decomp.k_norm, decomp.concurrence, decomp.x)
-    subset = _certificates(*(values[full] for values in fields), tol)
+    subset = _certificates(*(values[full] for values in fields))
 
     def spread(values):
         out = np.full((len(full),) + values.shape[1:], 0 if values.dtype.kind == "i" else np.nan,

@@ -181,11 +181,6 @@ def tilde_matrix(matrix: np.ndarray) -> np.ndarray:
     return SIGMA_YY @ np.conj(matrix) @ SIGMA_YY
 
 
-def tilde_vector(vector: np.ndarray) -> np.ndarray:
-    """(sigma_y x sigma_y) conj(v) for a raw 4-vector."""
-    return SIGMA_YY @ np.conj(vector)
-
-
 def spin_flip(rho: DensityMatrix) -> np.ndarray:
     """Spin-flipped state; Hermitian, unit trace, and PSD like the input."""
     return tilde_matrix(rho.matrix)
@@ -402,7 +397,7 @@ def read_state(path, tol: Tolerances = DEFAULT) -> DensityMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("state file must contain a JSON object")
@@ -415,7 +410,7 @@ def read_state(path, tol: Tolerances = DEFAULT) -> DensityMatrix:
     try:
         re = np.array(payload["re"], dtype=float)
         im = np.array(payload["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: an integer beyond float range
         raise ParseError(f"non-numeric matrix entries: {exc}") from exc
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ParseError(f"matrix blocks must be 4x4, got {re.shape} and {im.shape}")

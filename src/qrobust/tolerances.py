@@ -1,10 +1,32 @@
-"""Central numeric tolerance record.
+"""Central record of the check bounds.
 
-Every module reads its thresholds from a single :class:`Tolerances` instance so
-the whole pipeline can be tightened or loosened coherently.  The environment
-variable ``QROBUST_TOL`` (a positive scale factor, default 1.0) rescales every
-threshold; setting it to 0 turns every check into an exact-equality check,
-which is useful as a self-test of the verification harness.
+Every check of an input, a residual or a certificate reads its bound from a
+single :class:`Tolerances` instance, so the whole pipeline can be tightened
+or loosened coherently.  The environment variable ``QROBUST_TOL`` (a
+nonnegative scale factor, default 1.0) rescales every bound; setting it to
+0 turns every check into an exact-equality check, which is useful as a
+self-test of the verification harness.  A bound changes which verdict a
+check gives, not a computed value, with two exceptions that are part of
+what the value means: ``ppt`` defines the crossing that the bisection
+locates (the point where the PPT test at ``-ppt`` passes), and ``sdp_gap``
+is the bracket width at which the SDP solve stops.
+
+The parameters of the algorithms are constants of the module that runs
+each one, and ``QROBUST_TOL`` does not move them:
+
+* ``numerics.TAKAGI_CLUSTER`` (1e-6): relative gap that groups singular
+  values into a cluster;
+* ``numerics.TAKAGI_ZERO`` (1e-7): relative level at or below which a
+  cluster is rounding noise and is not re-factored;
+* ``wootters.RANK_CUT`` (1e-8): relative cut on the lambdas for the rank;
+* ``wootters.TIE`` (1e-12): relative difference at which lambdas, K_i or
+  pair sums tie;
+* ``oracle.CROSSING_WIDTH`` (1e-10): relative width of the bracket that
+  verifies each PPT crossing.
+
+The library constructors that take no record validate at ``DEFAULT``:
+``LocalUnitary``, ``BellWeights``, ``werner``, ``apply_local_unitary``,
+``ProductMixture.to_density`` and the convexity check of plane weights.
 """
 
 from __future__ import annotations
@@ -27,15 +49,11 @@ class Tolerances:
     # eigensolver / Takagi kernel
     eig_residual: float = 1e-10         # |H v - mu v| <= eig_residual * (1 + |H|_max)
     eig_orthonormality: float = 1e-12
-    takagi_cluster: float = 1e-6        # relative gap that groups singular values
-    takagi_zero: float = 1e-10          # relative level treated as zero
     takagi_residual: float = 1e-9       # |W S W^T - diag(d)|
     takagi_unitarity: float = 1e-10
     singular_agreement: float = 1e-10   # |d - singular values of S|
 
     # decomposition and derived quantities
-    rank_threshold: float = 1e-8        # relative cutoff for the Wootters rank
-    tie: float = 1e-12                  # relative difference at which lambdas, K_i or pair sums tie
     decompose_failure: float = 1e-7     # hard failure if the factorization residual exceeds this
     defining_relation: float = 1e-9     # |<x_i|~x_j> - lambda_i delta_ij|
     reconstruction: float = 1e-9
@@ -43,10 +61,9 @@ class Tolerances:
     lu_invariance: float = 1e-9
 
     # separability and certificates
-    ppt: float = 1e-11                  # PT minimum eigenvalue cutoff
+    ppt: float = 1e-11                  # PT minimum eigenvalue cutoff; defines the located crossing
     pseudomixture: float = 1e-9
     plane: float = 1e-9                 # |lambda'_1 - lambda'_2 - lambda'_3 - lambda'_4|
-    bisect_default: float = 1e-10
     bisect_formula: float = 1e-6        # |bisection - closed form| along the witness
     werner_boundary: float = 1e-8       # located singlet-weight boundary vs 1/3
     oracle_flag: float = 1e-3           # minimality-probe flag threshold
@@ -59,7 +76,7 @@ class Tolerances:
     coset_roundtrip: float = 1e-8       # K recovered through a full decomposition
 
     def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy with every threshold multiplied by ``factor``."""
+        """Return a copy with every bound multiplied by ``factor``."""
         if factor < 0:
             raise ValueError("tolerance scale must be nonnegative")
         values = {f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}

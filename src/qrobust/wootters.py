@@ -29,6 +29,12 @@ from .numerics import NumericalFailure
 from .states import DensityMatrix
 from .tolerances import DEFAULT, Tolerances
 
+# Algorithm parameters, relative to lambda_1 (and to K_max for tied K_i):
+# lambdas at or below RANK_CUT fall outside the rank, and lambdas, K_i or
+# pair sums (``robustness``) within TIE of each other are tied.
+RANK_CUT = 1e-8
+TIE = 1e-12
+
 
 @dataclass(frozen=True)
 class WoottersDecomposition:
@@ -44,7 +50,7 @@ class WoottersDecomposition:
         the rank cuts off.
     p_coord : tetrahedron coordinates P_i = <x_i|x_i> = lambda_i K_i.
     concurrence : max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
-    rank : number of lambdas above the relative rank threshold.
+    rank : number of lambdas above ``RANK_CUT * lambda_1``.
     """
 
     lambdas: np.ndarray
@@ -121,17 +127,17 @@ def _column_signs(x: np.ndarray) -> np.ndarray:
     return np.where(numerics._column_pivots((_MAGIC_ADJOINT @ x).real) < 0.0, -1.0, 1.0)
 
 
-def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> None:
+def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray) -> None:
     """Fix, in place, the rotation the defining relation leaves free in
     each cluster of tied lambdas (steps 1 and 2 of the rule below).
 
     Each |x_i> is unique only up to sign, and inside a cluster of lambdas
-    tied within ``tol.tie * lambda_1`` only up to a real orthogonal rotation;
+    tied within ``TIE * lambda_1`` only up to a real orthogonal rotation;
     both keep the defining relation and rho = X X^dag.  The rule:
 
     1. rotate each cluster onto the eigenvectors of Re(X_c^dag X_c), so its
        K_i are that matrix's eigenvalues, descending;
-    2. inside each group of K_i tied within ``tol.tie * K_max``, rotate so
+    2. inside each group of K_i tied within ``TIE * K_max``, rotate so
        that the real magic-basis coefficients are lower triangular on the
        Bell indices that carry the most weight, taken in Bell order;
     3. give every column the sign that makes its largest real magic-basis
@@ -142,13 +148,13 @@ def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray, tol: Tolerances) -> 
     ``decompose_stack`` runs steps 1 and 2 only on entries with a tied
     cluster, then step 3 (``_column_signs``) on every entry in one pass.
     """
-    for cluster in numerics._tied_runs(lambdas, tol.tie * lambdas[0]):
+    for cluster in numerics._tied_runs(lambdas, TIE * lambdas[0]):
         if len(cluster) < 2:
             continue
         xc = x[:, cluster]
         k, rot = numerics._eigh_descending((xc.conj().T @ xc).real)
         xc = xc @ rot
-        for group in numerics._tied_runs(k, tol.tie * k[0]):
+        for group in numerics._tied_runs(k, TIE * k[0]):
             if len(group) > 1:
                 xg = xc[:, group]
                 coeffs = (_MAGIC_ADJOINT @ xg).real        # full column rank
@@ -173,14 +179,14 @@ def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Decompos
         f"factorization residual {r:.3e} exceeds {tol.decompose_failure:.3e}"))
 
     x = sub @ u.conj().swapaxes(-1, -2)
-    eps_rank = tol.rank_threshold * np.maximum(lambdas[:, 0], 1e-30)
+    eps_rank = RANK_CUT * np.maximum(lambdas[:, 0], 1e-30)
     rank = (lambdas > eps_rank[:, None]).sum(axis=1)
     inside = _COLUMNS < rank[:, None]
     x = np.where(inside[:, None, :], x, 0.0)
     # entries with a cluster of lambdas tied inside the rank take steps 1 and 2 of the rule
-    clustered = ((lambdas[:, :-1] - lambdas[:, 1:] <= tol.tie * lambdas[:, :1]) & inside[:, 1:]).any(axis=1)
+    clustered = ((lambdas[:, :-1] - lambdas[:, 1:] <= TIE * lambdas[:, :1]) & inside[:, 1:]).any(axis=1)
     for i in clustered.nonzero()[0]:
-        _fix_free_rotations(x[i], lambdas[i, :rank[i]], tol)
+        _fix_free_rotations(x[i], lambdas[i, :rank[i]])
     x *= _column_signs(x)
     p_coord = (np.abs(x) ** 2).sum(axis=-2)
     k_norm = np.full(lambdas.shape, np.nan)

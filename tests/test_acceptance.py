@@ -83,7 +83,7 @@ def test_criterion_4_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for rho, cert in _entangled_with_certificates(200):
-        s_bis = bisect_relative_robustness(rho, cert.rho_pp, 1e-10)
+        s_bis = bisect_relative_robustness(rho, cert.rho_pp)
         worst = max(worst, abs(s_bis - cert.s))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -155,6 +155,33 @@ def test_sample_coset_agreement_column(tmp_path):
         assert float(line.split(",")[idx]) <= 1e-9
 
 
+def test_sample_rank_deficient_row_is_nan_in_closed_form_columns(tmp_path):
+    # Bures seed 61 has rank 3: K4 is undefined, so no pair sum involving it exists
+    out = tmp_path / "rank3.csv"
+    assert main(["sample", "--ensemble", "bures", "--n", "1", "--seed", "61", "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    values = dict(zip(header, row))
+    assert all(values[column] == "nan" for column in ("K4", "min_pair_sum", "s_formula", "s_bisection"))
+    assert all(values[column] != "nan" for column in ("concurrence", "K1", "K2", "K3"))
+
+
+def test_tolerance_scale_changes_no_computed_column(tmp_path, monkeypatch):
+    # QROBUST_TOL rescales check bounds only; Bures seed 181 has
+    # lambda_4/lambda_1 = 2.0e-8, which a scaled rank cut would drop.
+    # s_bisection follows the PPT bound, which defines the crossing.
+    argv = ["sample", "--ensemble", "bures", "--n", "200", "--seed", "0", "--out"]
+    default, scaled = tmp_path / "default.csv", tmp_path / "scaled.csv"
+    assert main([*argv, str(default)]) == 0
+    monkeypatch.setenv("QROBUST_TOL", "10")
+    assert main([*argv, str(scaled)]) == 0
+
+    def columns(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    assert columns(default)[0].endswith(",s_formula")
+    assert columns(scaled) == columns(default)
+
+
 def test_sample_oracle_columns(tmp_path):
     out = tmp_path / "oracle.csv"
     assert main(["sample", "--ensemble", "ginibre", "--n", "2", "--seed", "0",
@@ -226,6 +253,21 @@ def test_analyze_nan_entry_is_a_validation_error(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    # an integer literal beyond float range
+    '{"re": [[1' + "0" * 400 + ', 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], "im": 0}',
+    # arrays nested deeper than the JSON decoder recurses
+    '{"re": ' + "[" * 100000 + "]" * 100000 + ', "im": 0}',
+], ids=["integer_beyond_float_range", "nested_too_deep"])
+def test_analyze_malformed_file_is_a_validation_error(tmp_path, text):
+    state = tmp_path / "malformed.json"
+    state.write_text(text)
+    proc = run_cli("analyze", "--in", str(state))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
 
 
 def test_analyze_directory_is_an_io_error(tmp_path):
@@ -343,8 +385,8 @@ def test_sample_crossing_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, f
     target = sample_state("ginibre", 4 + failing_index).matrix
     real = oracle.relative_robustness_stack
 
-    def injected(rho, sigma, tol=DEFAULT.bisect_default, *, tolerances=DEFAULT):
-        s, errors = real(rho, sigma, tol, tolerances=tolerances)
+    def injected(rho, sigma, *, tolerances=DEFAULT):
+        s, errors = real(rho, sigma, tolerances=tolerances)
         for j, matrix in enumerate(rho):
             if np.array_equal(matrix, target):
                 s[j], errors[j] = np.nan, oracle.ImproperDirection("injected")

@@ -95,6 +95,16 @@ class TestTakagi:
             s = q.T @ np.diag([1.0, 1.0 + gap, 0.5, 0.25]) @ q
             self._check(0.5 * (s + s.T))
 
+    @pytest.mark.parametrize("diagonal", [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [2.0, 1.0, 1e-14, 0.0]])
+    def test_singular_values_at_rounding_level(self, diagonal):
+        # d = sqrt(eig(S conj(S))) resolves zeros only to about 1.5e-8 d_1, so
+        # two or more of them must not be taken for a cluster and re-factored
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            _, d = self._check(q.T @ np.diag(diagonal) @ q)
+            assert np.allclose(d, diagonal, atol=1e-14)
+
     def test_determinism(self):
         s = random_symmetric(np.random.default_rng(5))
         first = takagi(s)

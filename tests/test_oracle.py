@@ -7,6 +7,7 @@ from conftest import ginibre_states
 from qrobust import concurrence
 from qrobust import oracle as oracle_module
 from qrobust.oracle import (
+    CROSSING_WIDTH,
     ImproperDirection,
     NotSeparableDirection,
     ProductMixture,
@@ -40,17 +41,17 @@ UP_UP = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
 BELL_07 = bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1])))
 
 
-def assert_post_conditions(rho, direction, tol):
-    """The mixture at the returned s is PPT, and at s - tol*(1+s) it is not
-    (or s = 0 and rho is PPT); returns s."""
-    s = bisect_relative_robustness(rho, direction, tol)
+def assert_post_conditions(rho, direction):
+    """The mixture at the returned s is PPT, and at s - CROSSING_WIDTH*(1+s)
+    it is not (or s = 0 and rho is PPT); returns s."""
+    s = bisect_relative_robustness(rho, direction)
 
     def mixture(t):
         return (rho.matrix + t * direction.matrix) / (1.0 + t)
 
     assert ppt_min_eig(mixture(s)) >= -1e-11
     if s > 0.0:
-        below = max(0.0, s - tol * (1.0 + s))
+        below = max(0.0, s - CROSSING_WIDTH * (1.0 + s))
         assert ppt_min_eig(mixture(below)) < -1e-11
     else:
         assert is_separable_ppt(rho)[0]
@@ -67,7 +68,7 @@ def random_mixture(rng, n=8):
 
 class TestBisection:
     def test_singlet_against_maximally_mixed(self):
-        s = bisect_relative_robustness(SINGLET, MIXED, 1e-10)
+        s = bisect_relative_robustness(SINGLET, MIXED)
         assert abs(s - 2.0) <= 1e-6
         # cross-check through the boundary weight: separable iff weight <= 1/3
         lo, hi = 0.0, 1.0
@@ -88,26 +89,17 @@ class TestBisection:
             cert = robustness(rho)
             if cert.s == 0.0:
                 continue
-            s = bisect_relative_robustness(rho, cert.rho_pp, 1e-10)
+            s = bisect_relative_robustness(rho, cert.rho_pp)
             assert abs(s - cert.s) <= 1e-6
 
     def test_post_conditions(self):
-        tol = 1e-8
-        s = bisect_relative_robustness(SINGLET, MIXED, tol)
-        mix_at = (SINGLET.matrix + s * MIXED.matrix) / (1.0 + s)
-        assert ppt_min_eig(mix_at) >= -1e-11
-        below = max(0.0, s - tol * (1.0 + s))
-        mix_below = (SINGLET.matrix + below * MIXED.matrix) / (1.0 + below)
-        assert ppt_min_eig(mix_below) < -1e-11
+        assert assert_post_conditions(SINGLET, MIXED) > 0.0
         # every state of a corpus along its certificate vertex, a random
-        # product mixture and I/4, at the default and a looser tolerance
+        # product mixture and I/4
         rng = np.random.default_rng(17)
         pairs = [(rho, direction) for rho in ginibre_states(15)
                  for direction in (robustness(rho).rho_pp, random_mixture(rng).to_density(), MIXED)]
-        entangled = 0
-        for tol in (1e-10, 1e-8):
-            for rho, direction in pairs:
-                entangled += assert_post_conditions(rho, direction, tol) > 0.0
+        entangled = sum(assert_post_conditions(rho, direction) > 0.0 for rho, direction in pairs)
         assert entangled >= 20
 
     def test_widens_and_bisects_when_the_newton_bracket_fails(self, monkeypatch):
@@ -116,16 +108,14 @@ class TestBisection:
         # PPT test and the entry doubles its bracket and bisects
         fallbacks = []
 
-        def recording(rho, sigma, tol, cut):
+        def recording(rho, sigma, cut):
             fallbacks.append(len(rho))
-            return bisect_stack(rho, sigma, tol, cut)
+            return bisect_stack(rho, sigma, cut)
 
         monkeypatch.setattr(oracle_module, "_bisect", recording)
-        rho = werner(1.0 - 1e-3)
-        for tol in (1e-10, 1e-8):
-            s = assert_post_conditions(rho, UP_UP, tol)
-            assert 900.0 < s < 1000.0
-        assert fallbacks == [1, 1]
+        s = assert_post_conditions(werner(1.0 - 1e-3), UP_UP)
+        assert 900.0 < s < 1000.0
+        assert fallbacks == [1]
 
     def test_bracket_past_the_crossing_is_rejected(self, monkeypatch):
         # a Newton point past the crossing puts both ends of its bracket on
@@ -133,7 +123,7 @@ class TestBisection:
         newton = oracle_module._newton_crossing
         monkeypatch.setattr(oracle_module, "_newton_crossing", lambda *args: newton(*args) + 1e-6)
         for rho in (werner(0.8), BELL_07):
-            assert_post_conditions(rho, MIXED, 1e-10)
+            assert_post_conditions(rho, MIXED)
 
     def test_rejects_direction_that_never_separates(self):
         # the singlet mixed with |uu><uu| stays entangled for every s
@@ -165,10 +155,6 @@ class TestBisection:
     def test_rejects_entangled_direction(self):
         with pytest.raises(NotSeparableDirection):
             bisect_relative_robustness(MIXED, SINGLET)
-
-    def test_rejects_too_small_tolerance(self):
-        with pytest.raises(ValueError):
-            bisect_relative_robustness(SINGLET, MIXED, 1e-13)
 
     def test_failed_factorization_scores_only_its_entry(self):
         rho_pt = partial_transpose_matrix(sample_state("ginibre", 0).matrix)
@@ -288,9 +274,9 @@ class TestAbsoluteRobustness:
             assert bracket.s_upper >= negativity(rho)                      # Vidal & Werner
             assert bracket.s_lower <= robustness(rho).s
             assert bracket.s_lower <= result.s_best
-            assert result.s_best <= bracket.s_upper + DEFAULT.bisect_default * (1.0 + bracket.s_upper)
+            assert result.s_best <= bracket.s_upper + CROSSING_WIDTH * (1.0 + bracket.s_upper)
             assert result.s_lower == bracket.s_lower and result.converged
-        assert entangled >= 10
+        assert entangled >= 20
 
     def test_singular_newton_system_keeps_the_best_bracket(self, monkeypatch):
         # a LinAlgError from inverting the Newton system's factor ends the

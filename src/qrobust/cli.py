@@ -4,12 +4,8 @@ Four batch subcommands: ``analyze`` a state file, ``sample`` an ensemble into
 a CSV of per-state measures, ``param`` to generate a state from orbit
 parameters, and ``verify`` to run the property suite.  Everything is
 deterministic given the flags and seed, and numbers are printed at full
-double precision so outputs diff cleanly across runs.
-
-Exit codes: 0 success, 1 property failure (including a residual inside a
-state's decomposition above its bound, and a generated state that fails
-validation), 2 input validation, 3 unsupported input (rank deficient with
---no-fallback), 4 I/O.
+double precision so outputs diff cleanly across runs.  ``qrobust --help``
+lists the exit codes.
 """
 
 from __future__ import annotations
@@ -46,6 +42,16 @@ sample CSV columns:
   Rows hold repr'd doubles (17 significant digits); rank-deficient states
   produce nan in the closed-form columns.
 
+exit codes:
+  0  success
+  1  property failure: a verify group, a residual inside a state's
+     decomposition above its bound, a state generated by sample that fails
+     its own validation, or a PPT crossing along a certificate's direction
+     that fails (one error: line)
+  2  input validation: a malformed or invalid state file or flag
+  3  unsupported input: rank deficient with --no-fallback
+  4  I/O
+
 environment:
   QROBUST_TOL   nonnegative factor rescaling every check bound in the
                 tolerance record (default 1.0; 0 makes every check exact).
@@ -54,7 +60,6 @@ environment:
                 follow its gap bound.  It does not move the algorithm
                 constants:
                   numerics.TAKAGI_CLUSTER 1e-6  Takagi cluster gap
-                  numerics.TAKAGI_ZERO    1e-7  Takagi cluster zero level
                   wootters.RANK_CUT       1e-8  rank cut on lambda_i/lambda_1
                   wootters.TIE            1e-12 ties of lambdas, K_i, pair sums
                   oracle.CROSSING_WIDTH   1e-10 crossing bracket width
@@ -297,10 +302,11 @@ def main(argv=None) -> int:
     commands = {"analyze": cmd_analyze, "sample": cmd_sample, "param": cmd_param, "verify": cmd_verify}
     try:
         return commands[args.command](args, tol)
-    except (NumericalFailure, NonHermitianInput, NonSymmetricInput, GeneratedStateInvalid) as exc:
+    except (NumericalFailure, NonHermitianInput, NonSymmetricInput, GeneratedStateInvalid,
+            oracle.NotSeparableDirection, oracle.ImproperDirection) as exc:
         # a residual inside the decomposition of an already validated state,
-        # or a check of a state the program generated, exceeded its bound;
-        # the message names both
+        # a check of a state the program generated, or the PPT crossing along
+        # a certificate's direction failed its bound; the message names it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
 

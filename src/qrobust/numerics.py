@@ -24,14 +24,11 @@ import numpy as np
 
 from .tolerances import DEFAULT, Tolerances
 
-# Takagi route parameters, relative to max(d_1, 1).  Singular values at most
-# TAKAGI_CLUSTER apart form a cluster.  d = sqrt(eig(S conj(S))) resolves only
-# to about sqrt(eps) d_1 (1.5e-8 d_1), so a cluster whose mean is at or below
-# TAKAGI_ZERO is rounding noise and keeps its orthonormal eigenvectors.  A
-# column whose diagonal |(W S W^T)_ii| exceeds _PHASE_LEVEL gets its phase fixed.
+# Singular values at most TAKAGI_CLUSTER max(d_1, 1) apart form a cluster,
+# where single-column phases are not defined, and are re-factored together.
+# d = sqrt(eig(S conj(S))) resolves only to about sqrt(eps) d_1 (1.5e-8 d_1),
+# so zeros form a cluster too; its re-factorization is completed to a unitary.
 TAKAGI_CLUSTER = 1e-6
-TAKAGI_ZERO = 1e-7
-_PHASE_LEVEL = 1e-13
 
 
 class NonHermitianInput(ValueError):
@@ -130,37 +127,12 @@ def hermitian_eig(matrix, tol: Tolerances = DEFAULT):
     return evals[0], vecs[0]
 
 
-def _takagi_unitary_small(t: np.ndarray) -> np.ndarray:
-    """Takagi vectors of a small complex symmetric block.
-
-    Uses the real embedding [[Re T, Im T], [Im T, -Re T]]: eigenvectors with
-    eigenvalue +d map to complex vectors w with T conj(w) = d w, and the top-k
-    block of eigenvectors yields a unitary k x k factor.
-    """
-    k = t.shape[0]
-    _, g = _eigh_descending(np.block([[t.real, t.imag], [t.imag, -t.real]]))
-    return g[:k, :k] + 1j * g[k:, :k]
-
-
-def _refactor_clusters(v: np.ndarray, s: np.ndarray, d: np.ndarray) -> None:
-    """Re-factor, in place, the symmetric restriction of ``s`` on each cluster
-    of (near-)degenerate singular values ``d`` above the zero level, where
-    single-column phases of ``v`` are not well defined."""
-    scale = max(d[0], 1.0)
-    for idx in _tied_runs(d, TAKAGI_CLUSTER * scale):
-        if len(idx) < 2 or d[idx].mean() <= TAKAGI_ZERO * scale:
-            continue
-        vc = v[:, idx]
-        restriction = vc.conj().T @ s @ np.conj(vc)
-        v[:, idx] = vc @ _takagi_unitary_small(restriction)
-
-
 def takagi_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
     """``takagi`` over an (N, 4, 4) stack of finite matrices.
 
     Returns ``(w, d, errors)``; ``errors[i]`` is the ``NonSymmetricInput`` of
     entry i, or None.  Only entries with a cluster of singular values go
-    through the per-cluster re-factorization.
+    through the re-factorization, all of them in one stacked call.
     """
     transpose = matrices.swapaxes(-1, -2)
     dev = np.abs(matrices - transpose).max(axis=(-2, -1))
@@ -170,17 +142,25 @@ def takagi_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
 
     evals, v = _eigh_descending(s @ s.conj())
     d = np.sqrt(evals.clip(0.0, None))
-    scale = np.maximum(d[:, 0], 1.0)
-    tied = (d[:, :-1] - d[:, 1:] <= (TAKAGI_CLUSTER * scale)[:, None]).any(axis=1)
-    for i in tied.nonzero()[0]:
-        _refactor_clusters(v[i], s[i], d[i])
+    split = d[:, :-1] - d[:, 1:] > (TAKAGI_CLUSTER * np.maximum(d[:, 0], 1.0))[:, None]
+    tied = ~split.all(axis=1)
+    if tied.any():
+        # T = V^H S conj(V) masked to its clusters is block diagonal, so the
+        # eigenvectors (a, b) of its real embedding with eigenvalues +d stay
+        # inside the clusters and give columns a + ib; taken in descending
+        # order, a zero cluster comes last, where one QR completes it to a unitary
+        vt = v[tied]
+        block = np.cumsum(np.pad(split[tied], ((0, 0), (1, 0))), axis=1)
+        t = vt.conj().swapaxes(-1, -2) @ s[tied] @ vt.conj()
+        t = np.where(block[:, :, None] == block[:, None, :], t, 0.0)
+        g = np.linalg.eigh(np.block([[t.real, t.imag], [t.imag, -t.real]]))[1][..., :3:-1]
+        v[tied] = vt @ np.linalg.qr(g[:, :4] + 1j * g[:, 4:])[0]
 
     # phase polish per column; |diagonal| refines d near the zero level
     v_bar = v.conj()
     c = np.einsum("...ji,...jk,...ki->...i", v_bar, s, v_bar)
+    v = v * np.exp(0.5j * np.arctan2(c.imag, c.real))[:, None, :]
     refined = np.abs(c)
-    polish = refined > (_PHASE_LEVEL * scale)[:, None]
-    v = np.where(polish[:, None, :], v * np.exp(0.5j * np.arctan2(c.imag, c.real))[:, None, :], v)
     order = np.argsort(-refined, axis=-1, kind="stable")
     v = np.take_along_axis(v, order[:, None, :], axis=-1)
     refined = np.take_along_axis(refined, order, axis=-1)
@@ -193,10 +173,10 @@ def takagi(matrix, tol: Tolerances = DEFAULT):
     Returns ``(w, d)`` with ``w`` unitary, ``d`` nonnegative and descending,
     and ``w @ S @ w.T = diag(d)``; the ``d`` equal the singular values of S.
 
-    The route: diagonalize the Hermitian product S conj(S), fix one phase per
-    column, and re-factor the symmetric restriction of S on any cluster of
-    (near-)degenerate singular values, where single-column phases are not
-    well defined.
+    The route: diagonalize the Hermitian product S conj(S), re-factor the
+    symmetric restriction of S on any cluster of (near-)degenerate singular
+    values, zeros included, where single-column phases are not well
+    defined, then fix one phase per column.
 
     Raises
     ------

@@ -43,7 +43,7 @@ _PT_SIGNS = np.stack([np.ones(16)] + 2 * [np.tile([1.0, 1.0, -1.0, 1.0], 4)])
 _SIGNED_BASIS = (_PT_SIGNS[:, :, None, None] * _PAULI_BASIS).transpose(1, 0, 2, 3).reshape(16, 48)
 _BASIS_ROWS = _PAULI_BASIS.reshape(64, 4)                          # [4k + i, l] = F_k[i, l]
 _SDP_T0, _SDP_MU, _SDP_CENTRED = 10.0, 30.0, 1e-6   # first t, its growth, decrement that ends a stage
-_SDP_STAGE_STEPS, _SDP_ITERATIONS, _SDP_HALVINGS = 20, 200, 30
+_SDP_STAGE_STEPS, _SDP_ITERATIONS = 20, 200
 
 
 @dataclass(frozen=True)
@@ -273,11 +273,13 @@ def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT)
     X^Gamma >= 0, (rho + X)^Gamma >= 0 (PPT is separability for two qubits).
 
     Log-barrier Newton on t tr X - sum_a log det A_a, steps damped by
-    1/(1 + decrement) above 1/4 and halved until every block A_a is positive
-    definite; t grows once a point is centred or a stage is long.  The
-    Hessian sum_a <G_aj, G_ak>, G_ak = A_a^{-1/2} dA_a/dx_k A_a^{-1/2}, is used
-    as R^T R from a QR of the G stack, conditioned ~t rather than ~t^2: on
-    pure, Bell-diagonal and Werner states only this reaches a 1e-9 width.
+    1/(1 + decrement) above 1/4: the barrier is self-concordant, so every
+    step stays inside the Dikin ellipsoid, where each block A_a is positive
+    definite, and a trial that is not ends the solve; t grows once a point is
+    centred or a stage is long.  The Hessian sum_a <G_aj, G_ak>,
+    G_ak = A_a^{-1/2} dA_a/dx_k A_a^{-1/2}, is used as R^T R from a QR of the
+    G stack, conditioned ~t rather than ~t^2: on pure, Bell-diagonal and
+    Werner states only this reaches a 1e-9 width.
     Near central points tr X bounds R from above and ``_dual_bound`` of the
     A_a^{-1} from below; the best of each is kept.  ``converged``: the width
     met ``tolerances.sdp_gap * (1 + s_upper)`` before a stop.
@@ -307,14 +309,9 @@ def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT)
             if decrement < _SDP_CENTRED or stage == _SDP_STAGE_STEPS:
                 t, stage = t * _SDP_MU, 0
                 continue
-            step = 1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)
-            for _ in range(_SDP_HALVINGS):
-                trial = x + step * dx
-                evals, vecs = np.linalg.eigh(offset + (trial @ _SIGNED_BASIS).reshape(3, 4, 4))
-                if evals[:, 0].min() > 0.0:
-                    break
-                step *= 0.5
-            else:
+            trial = x + (1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)) * dx
+            evals, vecs = np.linalg.eigh(offset + (trial @ _SIGNED_BASIS).reshape(3, 4, 4))
+            if evals[:, 0].min() <= 0.0:                  # only rounding can leave the ellipsoid
                 break
             x, stage, steps = trial, stage + 1, steps + 1
     X = (best @ _PAULI_BASIS.reshape(16, 16)).reshape(4, 4)

@@ -414,7 +414,9 @@ def read_state(path, tol: Tolerances = DEFAULT) -> DensityMatrix:
         raise ParseError(f"non-numeric matrix entries: {exc}") from exc
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ParseError(f"matrix blocks must be 4x4, got {re.shape} and {im.shape}")
-    return DensityMatrix(re + 1j * im, tol)
+    with np.errstate(invalid="ignore"):   # 1j * inf is nan + inf j; DensityMatrix rejects it
+        matrix = re + 1j * im
+    return DensityMatrix(matrix, tol)
 
 
 def state_to_row(rho: DensityMatrix) -> list[float]:

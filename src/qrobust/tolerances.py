@@ -15,9 +15,7 @@ The parameters of the algorithms are constants of the module that runs
 each one, and ``QROBUST_TOL`` does not move them:
 
 * ``numerics.TAKAGI_CLUSTER`` (1e-6): relative gap that groups singular
-  values into a cluster;
-* ``numerics.TAKAGI_ZERO`` (1e-7): relative level at or below which a
-  cluster is rounding noise and is not re-factored;
+  values into a cluster, each of which is re-factored;
 * ``wootters.RANK_CUT`` (1e-8): relative cut on the lambdas for the rank;
 * ``wootters.TIE`` (1e-12): relative difference at which lambdas, K_i or
   pair sums tie;

@@ -270,6 +270,65 @@ def test_analyze_malformed_file_is_a_validation_error(tmp_path, text):
     assert proc.stderr.startswith("error:")
 
 
+_FUZZ_TOKENS = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"1" + b"0" * 400, b"null", b"true", b'"x"',
+                b"[]", b"{}", b"[0, 0, 0, 0]", b"-", b".", b"e", b",", b":", b"[", b"]", b"{", b"}", b'"',
+                b"\xff\xfe", b"\\u0000", b'"re"', b'"im"', b'"basis"', b"0", b"1", b" "]
+_FUZZ_VALUES = [float("nan"), float("inf"), 1e300, -1.0, 0.0, 10 ** 400, True, None, "x", [], {"re": 0},
+                [0.0] * 4, [[0.0] * 4] * 3, [[0.0] * 5] * 4]
+
+
+def _mutate(payload: dict, rng: np.random.Generator) -> bytes:
+    """A state file's payload with one value replaced (an entry, a row, a
+    block or a key's value), then zero to two random edits of its text: a
+    token replacing a span, a span deleted or copied elsewhere, or a cut."""
+    payload = json.loads(json.dumps(payload))
+    key = ["re", "im", "basis", "extra"][rng.integers(4)]
+    value = _FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))]
+    if key in ("re", "im") and rng.integers(3):
+        row = payload[key][rng.integers(4)]
+        row[rng.integers(4)] = value
+    elif rng.integers(4):
+        payload[key] = value
+    else:
+        del payload[["re", "im", "basis"][rng.integers(3)]]
+    text = json.dumps(payload).encode()
+    for _ in range(rng.integers(3)):
+        i = int(rng.integers(len(text) + 1))
+        j = min(len(text), i + int(rng.integers(40)))
+        kind = rng.integers(4)
+        if kind == 0:
+            text = text[:i] + _FUZZ_TOKENS[rng.integers(len(_FUZZ_TOKENS))] + text[j:]
+        elif kind == 1:
+            text = text[:i] + text[j:]
+        elif kind == 2:
+            k = int(rng.integers(len(text) + 1))
+            text = text[:k] + text[i:j] + text[k:]
+        else:
+            text = text[:i]
+    return text
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_mutated_state_files_never_raise(tmp_path, capsys):
+    # 500 seeded mutations of a valid state file: each one is analysed, or
+    # rejected as malformed (2) or unreadable (4) with one error line; none
+    # raises or warns
+    valid = tmp_path / "valid.json"
+    write_state(sample_state("ginibre", 0), valid)
+    payload = json.loads(valid.read_text())
+    rng = np.random.default_rng(2024)
+    state, out = tmp_path / "mutated.json", tmp_path / "report.json"
+    seen = set()
+    for n in range(500):
+        state.write_bytes(_mutate(payload, rng))
+        code = main(["analyze", "--in", str(state), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 4), (n, state.read_bytes())
+        assert (err == []) if code == 0 else (len(err) == 1 and err[0].startswith("error:")), (n, err)
+        seen.add(code)
+    assert seen >= {0, 2}
+
+
 def test_analyze_directory_is_an_io_error(tmp_path):
     proc = run_cli("analyze", "--in", str(tmp_path))
     assert proc.returncode == 4
@@ -375,28 +434,45 @@ def test_sample_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys, fa
     assert capsys.readouterr().err == "error: factorization residual 1.000e+00 exceeds 1.000e-07\n"
 
 
-@pytest.mark.parametrize("failing_index", [5, 260])
-def test_sample_crossing_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, failing_index):
-    # a crossing that fails at one entry of a chunk: the rows before it are
-    # written before its error propagates, as when rows were computed one by one
-    clean = tmp_path / "clean.csv"
-    argv = ["sample", "--ensemble", "ginibre", "--n", "300", "--seed", "4"]
-    assert main([*argv, "--out", str(clean)]) == 0
-    target = sample_state("ginibre", 4 + failing_index).matrix
+def _inject_crossing_failure(monkeypatch, target, error):
+    """Make ``relative_robustness_stack`` report ``error`` at every entry whose state is ``target``."""
     real = oracle.relative_robustness_stack
 
     def injected(rho, sigma, *, tolerances=DEFAULT):
         s, errors = real(rho, sigma, tolerances=tolerances)
         for j, matrix in enumerate(rho):
             if np.array_equal(matrix, target):
-                s[j], errors[j] = np.nan, oracle.ImproperDirection("injected")
+                s[j], errors[j] = np.nan, error
         return s, errors
 
     monkeypatch.setattr(oracle, "relative_robustness_stack", injected)
+
+
+@pytest.mark.parametrize("failing_index", [5, 260])
+def test_sample_crossing_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys, failing_index):
+    # a crossing that fails at one entry of a chunk: the rows before it are
+    # written, then one error line and exit 1, as for a residual failure
+    clean = tmp_path / "clean.csv"
+    argv = ["sample", "--ensemble", "ginibre", "--n", "300", "--seed", "4"]
+    assert main([*argv, "--out", str(clean)]) == 0
+    target = sample_state("ginibre", 4 + failing_index).matrix
+    _inject_crossing_failure(monkeypatch, target, oracle.ImproperDirection("injected"))
     failed = tmp_path / "failed.csv"
-    with pytest.raises(oracle.ImproperDirection, match="injected"):
-        main([*argv, "--out", str(failed)])
+    assert main([*argv, "--out", str(failed)]) == 1
     assert failed.read_text().splitlines() == clean.read_text().splitlines()[:failing_index + 1]
+    assert capsys.readouterr().err == "error: injected\n"
+
+
+def test_analyze_oracle_crossing_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # the certificate's crossing check raises: one error line, exit 1, no report
+    rho = sample_state("ginibre", 0)
+    state, out = tmp_path / "state.json", tmp_path / "report.json"
+    write_state(rho, state)
+    _inject_crossing_failure(monkeypatch, read_state(state).matrix,
+                             oracle.NotSeparableDirection("direction has PT eigenvalue -1.000e-03"))
+    assert main(["analyze", "--in", str(state), "--oracle", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: direction has PT eigenvalue -1.000e-03\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n, failing_index", [(10, 7), (300, 0), (300, 5), (300, 260)])

@@ -5,6 +5,7 @@ from conftest import random_hermitian, random_symmetric
 from qrobust.numerics import (
     NonHermitianInput,
     NonSymmetricInput,
+    TAKAGI_CLUSTER,
     hermitian_eig,
     hermitian_eig_stack,
     takagi,
@@ -98,12 +99,27 @@ class TestTakagi:
     @pytest.mark.parametrize("diagonal", [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [2.0, 1.0, 1e-14, 0.0]])
     def test_singular_values_at_rounding_level(self, diagonal):
         # d = sqrt(eig(S conj(S))) resolves zeros only to about 1.5e-8 d_1, so
-        # two or more of them must not be taken for a cluster and re-factored
+        # they form one cluster, and its re-factorization (a zero block of
+        # T = V^H S conj(V)) must still be completed to a unitary w
         rng = np.random.default_rng(0)
         for _ in range(4):
             q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
             _, d = self._check(q.T @ np.diag(diagonal) @ q)
             assert np.allclose(d, diagonal, atol=1e-14)
+
+    @pytest.mark.parametrize("diagonal", [
+        [1.0, 0.5, 5e-8, 5e-8], [1.0, 0.5, 1e-8, 1e-8], [1.0, 0.5, 1e-9, 1e-9], [1.0, 1.0, 1e-7, 1e-7],
+        [1.0, 1.0, 1.0 - 1.01 * TAKAGI_CLUSTER, 1.0 - 1.01 * TAKAGI_CLUSTER],
+    ], ids=["pair_5e-8", "pair_1e-8", "pair_1e-9", "pairs_1_and_1e-7", "pairs_just_over_the_gap"])
+    def test_tied_pairs(self, diagonal):
+        # a tied pair that sqrt(eig(S conj(S))) resolves only to about
+        # 1.5e-8 d_1 is still re-factored as a cluster; two pairs just over
+        # the cluster gap stay two clusters, at gap-limited rounding (3e-10)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            _, d = self._check(q.T @ np.diag(diagonal) @ q)
+            assert np.max(np.abs(d - diagonal)) <= 1e-14
 
     def test_determinism(self):
         s = random_symmetric(np.random.default_rng(5))

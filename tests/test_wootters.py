@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import concurrence_by_spectrum, ginibre_states
-from qrobust import concurrence, decompose, tilde_distance, tilde_norm
+from qrobust import concurrence, coset, decompose, oracle, tilde_distance, tilde_norm
 from qrobust.coset import CosetParams, density_from_params
+from qrobust.robustness import robustness_stack
 from qrobust.states import (
     BELL_STATES,
     SIGMA_YY,
@@ -206,3 +207,40 @@ class TestDegeneracyRule:
             xc = dec.x[:, 1:] @ rot
             kc = np.sum(np.abs(xc) ** 2, axis=0) / dec.lambdas[1:]
             assert min(kc[0] + kc[1], kc[0] + kc[2], kc[1] + kc[2]) >= best - 1e-12
+
+
+class TestStress:
+    """Seeded states whose Takagi input has clusters of singular values that
+    sqrt(eig(S conj(S))) cannot separate from zero: near-pure states carry a
+    tied triple at eps/4, and the sum of lambda_i K_i is 1, so large-K coset
+    states have lambdas of 1e-10 to 1e-6 (946 of these 1150) that form one
+    cluster."""
+
+    @staticmethod
+    def _check_full_rank(matrices):
+        # <x'_i|~x'_j> = delta_ij, to rounding of |x'_i| |x'_j| = sqrt(K_i K_j)
+        certs = robustness_stack(matrices)
+        assert all(error is None for error in certs.errors)
+        dec = certs.decomposition
+        xp = dec.x / np.sqrt(dec.lambdas)[:, None, :]
+        gram = np.conj(xp.swapaxes(-1, -2) @ SIGMA_YY @ xp)
+        scale = np.sqrt(dec.k_norm[:, :, None] * dec.k_norm[:, None, :])
+        assert np.max(np.abs(gram - np.eye(4)) / scale) <= DEFAULT.defining_relation
+        _, errors = oracle.relative_robustness_stack(matrices, certs.rho_pp)
+        assert errors == [None] * len(matrices)
+
+    @pytest.mark.parametrize("eps", [1e-7, 3e-7, 1e-6])
+    def test_near_pure_states(self, eps):
+        rng = np.random.default_rng(0)
+        phi = BELL_STATES[:, 0]
+        near_pure = DensityMatrix((1.0 - eps) * np.outer(phi, phi.conj()) + eps * np.eye(4) / 4.0)
+        self._check_full_rank(np.array([apply_local_unitary(near_pure, random_local_unitary(rng)).matrix
+                                        for _ in range(10)]))
+
+    def test_large_k_coset_states(self):
+        # angles up to 6: K_i up to about 1e10; 1150 of the 2000 states are full rank
+        angles, lam = coset._draw_rows(np.random.default_rng(11), 2000, 6.0, 0.05)
+        matrices = coset.density_stack(angles, lam)[0]
+        full = robustness_stack(matrices).decomposition.rank == 4
+        assert full.sum() == 1150
+        self._check_full_rank(matrices[full])

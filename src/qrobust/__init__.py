@@ -15,7 +15,6 @@ from .oracle import (
     ProductMixture,
     bisect_relative_robustness,
     minimize_absolute_robustness,
-    verify_certificate,
 )
 from .robustness import (
     BadWeights,
@@ -46,6 +45,7 @@ from .states import (
     write_state,
 )
 from .tolerances import DEFAULT, Tolerances
+from .verify import verify_certificate
 from .wootters import WoottersDecomposition, concurrence, decompose, tilde_distance, tilde_norm
 
 __version__ = "0.1.0"

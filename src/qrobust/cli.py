@@ -20,7 +20,7 @@ import numpy as np
 
 from . import coset, oracle, states, tolerances, verify
 from .numerics import NonHermitianInput, NonSymmetricInput, NumericalFailure
-from .robustness import RankDeficient, _pair_sums, robustness, robustness_stack
+from .robustness import RankDeficient, _pair_sums, robustness_stack
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -45,9 +45,10 @@ sample CSV columns:
 exit codes:
   0  success
   1  property failure: a verify group, a residual inside a state's
-     decomposition above its bound, a state generated by sample that fails
-     its own validation, or a PPT crossing along a certificate's direction
-     that fails (one error: line)
+     decomposition above its bound, a state generated by sample or a
+     mixture along a certificate's direction that fails its own validation,
+     or a PPT crossing along a certificate's direction that fails (one
+     error: line)
   2  input validation: a malformed or invalid state file or flag
   3  unsupported input: rank deficient with --no-fallback
   4  I/O
@@ -100,8 +101,9 @@ def _fmt(value) -> str:
 
 def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback: bool,
                      tol: tolerances.Tolerances) -> tuple[dict, int]:
+    certs = robustness_stack(rho.matrix[None], tol)
     try:
-        cert = robustness(rho, tol)
+        cert = certs.entry(0)
     except RankDeficient as exc:
         report = {"decomposition": exc.decomposition.to_report()}
         if no_fallback:
@@ -111,10 +113,15 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         report["method"] = "oracle_estimate"
         report["oracle"] = {**result.to_report(), "note": str(exc)}
         return report, EXIT_OK
+    checks, _, _ = verify.certificate_checks(rho.matrix[None], certs, tol)
+    residual = {name: float(values[0]) for name, (values, _) in checks.items()}
     report = {"decomposition": cert.decomposition.to_report(), "method": "closed_form",
-              "certificate": cert.to_report()}
+              "certificate": {**cert.to_report(), "residuals": {
+                  "pseudomixture": residual["pseudomixture"], "plane": residual["plane"],
+                  "ppt_min_eig_rho_p": -residual["rho_p_separable"],
+                  "ppt_min_eig_rho_pp": -residual["rho_pp_separable"]}}}
     if run_oracle:
-        report["verification"] = oracle.verify_certificate(rho, cert, oracle=True, tolerances=tol)
+        report["verification"] = verify.verify_certificate(rho, cert, oracle=True, tolerances=tol)
     return report, EXIT_OK
 
 
@@ -303,10 +310,11 @@ def main(argv=None) -> int:
     try:
         return commands[args.command](args, tol)
     except (NumericalFailure, NonHermitianInput, NonSymmetricInput, GeneratedStateInvalid,
-            oracle.NotSeparableDirection, oracle.ImproperDirection) as exc:
+            states.ValidationError, oracle.NotSeparableDirection, oracle.ImproperDirection) as exc:
         # a residual inside the decomposition of an already validated state,
-        # a check of a state the program generated, or the PPT crossing along
-        # a certificate's direction failed its bound; the message names it
+        # a check of a state the program generated (input states are checked
+        # before), or the PPT crossing along a certificate's direction failed
+        # its bound; the message names it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
 

@@ -5,7 +5,8 @@ partial transpose, so the relative robustness along any separable direction
 can be bracketed by PPT tests, and the absolute robustness is a small
 semidefinite program, solved here with a certified lower and upper bound.
 Nothing here reuses the closed form except as a reference direction, which
-keeps the two routes independent.
+keeps the two routes independent.  The audit of one certificate against
+these routes is ``verify.verify_certificate``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import robustness as robustness_mod
-from .robustness import RankDeficient, RobustnessCertificate
+from .robustness import RankDeficient
 from .states import DensityMatrix, is_separable_ppt, partial_transpose_matrix, ppt_min_eig
 from .tolerances import DEFAULT, Tolerances
 
@@ -346,47 +347,3 @@ def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int 
                         evaluations=2, converged=bracket.converged, gap_to_formula=float(gap),
                         s_lower=bracket.s_lower, duality_gap=bracket.duality_gap,
                         newton_steps=bracket.newton_steps)
-
-
-def verify_certificate(rho: DensityMatrix, certificate: RobustnessCertificate, *,
-                       oracle: bool = False, tolerances: Tolerances = DEFAULT) -> dict:
-    """Machine-readable check bundle for one certificate.
-
-    Recomputes every certificate invariant, bisects along the witness vertex,
-    and optionally brackets the absolute robustness; the ``checks`` block
-    holds one boolean per requirement and ``passed`` is their conjunction
-    (the minimality probe is reported but never failed on).
-    """
-    s = certificate.s
-    pseudo = float(np.max(np.abs(
-        rho.matrix - (1.0 + s) * certificate.rho_p.matrix + s * certificate.rho_pp.matrix)))
-    lam_p = certificate.rho_p_coords
-    plane = float(abs(lam_p[0] - lam_p[1] - lam_p[2] - lam_p[3])) if s > 0.0 else 0.0
-    flag_p, min_eig_p = is_separable_ppt(certificate.rho_p, tolerances)
-    flag_pp, min_eig_pp = is_separable_ppt(certificate.rho_pp, tolerances)
-    s_bisection = bisect_relative_robustness(rho, certificate.rho_pp, tolerances=tolerances)
-    deviation = abs(s_bisection - s)
-
-    checks = {
-        "pseudomixture": pseudo <= tolerances.pseudomixture,
-        "plane": plane <= tolerances.plane,
-        "rho_p_separable": flag_p,
-        "rho_pp_separable": flag_pp,
-        "bisection_matches_formula": deviation <= tolerances.bisect_formula,
-    }
-    report = {
-        "s_formula": float(s),
-        "s_bisection": float(s_bisection),
-        "bisection_formula_gap": float(deviation),
-        "pseudomixture_residual": pseudo,
-        "plane_residual": plane,
-        "ppt_min_eig_rho_p": float(min_eig_p),
-        "ppt_min_eig_rho_pp": float(min_eig_pp),
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    if oracle:
-        result = minimize_absolute_robustness(rho, tolerances=tolerances)
-        report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
-                            "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
-    return report

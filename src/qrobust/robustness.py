@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wootters
-from .states import DensityMatrix, ppt_min_eig
+from .states import DensityMatrix
 from .tolerances import DEFAULT, Tolerances
 from .wootters import WoottersDecomposition
 
@@ -62,7 +62,6 @@ class RobustnessCertificate:
     rho_pp: DensityMatrix
     rho_p: DensityMatrix
     rho_p_coords: np.ndarray
-    residuals: dict
     decomposition: WoottersDecomposition
 
     def to_report(self) -> dict:
@@ -71,7 +70,6 @@ class RobustnessCertificate:
             "k_index": int(self.k_index),
             "pair": [int(i) for i in self.pair],
             "lambda_prime": [float(v) for v in self.rho_p_coords],
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
         }
 
 
@@ -217,7 +215,6 @@ class CertificateStack:
     rho_pp: np.ndarray
     rho_p: np.ndarray
     rho_p_coords: np.ndarray
-    residuals: dict
     decomposition: wootters.DecompositionStack
     errors: list
 
@@ -231,7 +228,6 @@ class CertificateStack:
             rho_pp=DensityMatrix._by_construction(self.rho_pp[i]),
             rho_p=DensityMatrix._by_construction(self.rho_p[i]),
             rho_p_coords=self.rho_p_coords[i],
-            residuals={name: float(values[i]) for name, values in self.residuals.items()},
             decomposition=self.decomposition.entry(i),
         )
 
@@ -253,18 +249,7 @@ def _certificates(rho, lam, k, c, x) -> dict:
     one_hot = k_index[:, None] == _PLANE_VERTICES          # vertex weights (a2, a3, a4)
     lam_p = np.where(entangled[:, None], _prime_coords(lam, c, one_hot * _vertex_rates(k)), lam)
     rho_p = np.where(entangled[:, None, None], (xp * lam_p[:, None, :]) @ xp.conj().swapaxes(-1, -2), rho)
-    plane = lam_p[:, 0] - lam_p[:, 1] - lam_p[:, 2] - lam_p[:, 3]
-    min_eigs = ppt_min_eig(np.concatenate((rho_p, rho_pp)))
-    return {
-        "s": s, "k_index": k_index, "rho_pp": rho_pp, "rho_p": rho_p, "rho_p_coords": lam_p,
-        "residuals": {
-            "pseudomixture": np.abs(rho - (1.0 + s)[:, None, None] * rho_p
-                                    + s[:, None, None] * rho_pp).max(axis=(-2, -1)),
-            "plane": np.where(entangled, np.abs(plane), 0.0),
-            "ppt_min_eig_rho_p": min_eigs[:len(c)],
-            "ppt_min_eig_rho_pp": min_eigs[len(c):],
-        },
-    }
+    return {"s": s, "k_index": k_index, "rho_pp": rho_pp, "rho_p": rho_p, "rho_p_coords": lam_p}
 
 
 def robustness_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> CertificateStack:
@@ -288,8 +273,7 @@ def robustness_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Certifi
         out.setflags(write=False)
         return out
 
-    cert = {name: spread(values) for name, values in subset.items() if name != "residuals"}
-    cert["residuals"] = {name: spread(values) for name, values in subset["residuals"].items()}
+    cert = {name: spread(values) for name, values in subset.items()}
     return CertificateStack(**cert, decomposition=decomp, errors=errors)
 
 
@@ -299,8 +283,9 @@ def robustness(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> RobustnessCerti
     For an entangled state the certificate satisfies, exactly up to rounding:
     the pseudomixture rho = (1+s) rho' - s rho''; rho' on the boundary plane;
     both rho' and rho'' separable; and s is the entanglement-death point of
-    the ray from rho through rho''.  Separable full-rank inputs get the
-    degenerate certificate (s = 0, rho' = rho, rho'' = sigma_2).
+    the ray from rho through rho'' (``verify.certificate_checks`` checks
+    each).  Separable full-rank inputs get the degenerate certificate
+    (s = 0, rho' = rho, rho'' = sigma_2).
 
     Raises
     ------

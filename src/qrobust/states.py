@@ -418,14 +418,3 @@ def read_state(path, tol: Tolerances = DEFAULT) -> DensityMatrix:
         matrix = re + 1j * im
     return DensityMatrix(matrix, tol)
 
-
-def state_to_row(rho: DensityMatrix) -> list[float]:
-    """Flatten a state to 32 CSV columns: 16 real then 16 imaginary, row-major."""
-    return [float(x) for x in rho.matrix.real.ravel()] + [float(x) for x in rho.matrix.imag.ravel()]
-
-
-def state_from_row(row, tol: Tolerances = DEFAULT) -> DensityMatrix:
-    values = np.array([float(x) for x in row])
-    if values.shape != (32,):
-        raise ParseError(f"expected 32 columns, got {values.shape[0]}")
-    return DensityMatrix(values[:16].reshape(4, 4) + 1j * values[16:].reshape(4, 4), tol)

@@ -6,20 +6,23 @@ residual against the tolerance field that names it.  ``qrobust verify`` runs
 every group on one shared corpus; the tests call the same groups at their
 own corpus sizes.  Any exception inside a group counts as a failure of that
 group, so a broken kernel or a zeroed tolerance record surfaces as named
-failing properties rather than a crash.
+failing properties rather than a crash.  The certificate group's checks
+(``certificate_checks``) also run on one state, as ``verify_certificate``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import coset, oracle, states, wootters
 from .numerics import hermitian_eig_stack, takagi_stack
-from .robustness import _VERTEX_PAIRS, CertificateStack, _plane_robustness, robustness_stack
+from .oracle import minimize_absolute_robustness
+from .robustness import (_VERTEX_PAIRS, CertificateStack, RobustnessCertificate, _pair_sums, _plane_robustness,
+                         robustness_stack)
 from .tolerances import DEFAULT, Tolerances
 
 _EYE = np.eye(4)
@@ -163,15 +166,6 @@ def _gaussian(rng: np.random.Generator, count: int) -> np.ndarray:
     return z[:, 0] + 1j * z[:, 1]
 
 
-def _toward_vertex(corpus: Corpus, t: float):
-    """(rho + t s rho'')/(1 + t s) for the entangled Ginibre states: their
-    indices and the mixtures."""
-    certs = corpus.certificates
-    idx = np.flatnonzero(certs.s != 0.0)
-    ts = (t * certs.s[idx])[:, None, None]
-    return idx, (corpus.ginibre[idx] + ts * certs.rho_pp[idx]) / (1.0 + ts)
-
-
 def _check_eig(corpus: Corpus) -> PropertyResult:
     tol, entry = corpus.tol, corpus.draws(0)
     g = _gaussian(corpus.rng(0), corpus.size)
@@ -287,34 +281,97 @@ def _check_local_unitary(corpus: Corpus) -> PropertyResult:
     ], entry)
 
 
-def _check_certificates(corpus: Corpus) -> PropertyResult:
-    tol, certs, seeds = corpus.tol, corpus.certificates, corpus.seeds("ginibre")
-    _raise_first(certs.errors, seeds)
-    idx, at = _toward_vertex(corpus, 1.0)
-    _, before = _toward_vertex(corpus, 0.999)
-    entry = corpus.seeds("ginibre", idx)
-    _require_states(np.concatenate((at, before)), entry, tol)
-    s, rho_p, rho_pp, lam_p = certs.s[idx], certs.rho_p[idx], certs.rho_pp[idx], certs.rho_p_coords[idx]
-    k, c = certs.decomposition.k_norm[idx], certs.decomposition.concurrence[idx]
-    sums = k[:, [1, 1, 2]] + k[:, [2, 3, 3]]                           # K2+K3, K2+K4, K3+K4
-    pair = _VERTEX_COLUMNS[certs.k_index[idx]]
-    min_eig = states.ppt_min_eig(np.concatenate((rho_p, rho_pp, before))).reshape(3, -1)
-    mixed = wootters.decompose_stack(np.concatenate((rho_p, rho_pp, at, before)), tol)
-    _raise_first(mixed.errors, entry)
+def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances):
+    """Every check of the certificates ``certs`` of the states ``rho`` (N, 4, 4),
+    none of them failed: ``(checks, s_bisection, errors)``.
+
+    ``checks`` maps each check's name to its residuals, one per entry, and its
+    bound; ``s_bisection`` holds the PPT crossings along each rho''; and
+    ``errors[i]`` is a library error of entry i (a mixture that fails the
+    state checks, or a decomposition or crossing that fails), or None.  An
+    entry's residuals mean something only when its error is None.  A
+    separable entry has the degenerate certificate (s = 0, rho' = rho), and
+    the checks of the entanglement a certificate removes read 0 on it.
+    """
+    s, rho_p, rho_pp, lam_p = certs.s, certs.rho_p, certs.rho_pp, certs.rho_p_coords
+    k, c = certs.decomposition.k_norm, certs.decomposition.concurrence
+    n, ent = len(s), np.flatnonzero(s != 0.0)
+
+    def entangled(residual):
+        out = np.zeros(n)
+        out[ent] = residual
+        return out
+
+    s_bisection, errors = oracle.relative_robustness_stack(rho, rho_pp, tolerances=tol)
+    ts = np.stack((s[ent], 0.999 * s[ent]))[:, :, None, None]
+    at, before = (rho[ent] + ts * rho_pp[ent]) / (1.0 + ts)            # at s, and just before it
+    failure = states._density_failure(np.concatenate((at, before)), tol)
+    if failure is not None:
+        i = np.tile(ent, 2)[failure[0]]
+        errors[i] = errors[i] or states.ValidationError(f"mixture along rho'': {failure[1]}")
+    mixed = wootters.decompose_stack(np.concatenate((rho_p[ent], rho_pp[ent], at, before)), tol)
+    for i, error in zip(np.tile(ent, 4), mixed.errors):
+        errors[i] = errors[i] or error
     conc, rank = mixed.concurrence.reshape(4, -1), mixed.rank.reshape(4, -1)
+    min_eig = states.ppt_min_eig(np.concatenate((rho_p, rho_pp, before)))
+    sums = _pair_sums(k)
+    pair_sum = np.take_along_axis(k[ent], _VERTEX_COLUMNS[certs.k_index[ent]], axis=-1).sum(axis=-1)
+    plane = lam_p[ent, 0] - lam_p[ent, 1] - lam_p[ent, 2] - lam_p[ent, 3]
     sp = s[:, None, None]
-    return _result("robustness certificates (soundness, boundary, pseudomixture)", [
-        (_max_abs(corpus.ginibre[idx] - (1.0 + sp) * rho_p + sp * rho_pp), tol.pseudomixture),
-        (np.abs(s - 0.5 * sums.min(axis=-1) * c), 0.0),                # s = C min(K_i + K_j) / 2
-        (np.take_along_axis(k, pair, axis=-1).sum(axis=-1) - sums.min(axis=-1), 0.0),
-        (np.abs(lam_p[:, 0] - lam_p[:, 1] - lam_p[:, 2] - lam_p[:, 3]), tol.plane),
-        (np.abs(np.sum(lam_p * k, axis=-1) - 1.0), tol.pseudomixture),
-        (-min_eig[0], tol.ppt), (-min_eig[1], tol.ppt),                # rho', rho'' separable
-        (conc[0], tol.pseudomixture), (conc[1], tol.pseudomixture),
-        (rank[1] - 2, 0),
-        (conc[2], tol.pseudomixture),                                  # entanglement dies at s
-        (_flag(min_eig[2] >= -tol.ppt), 0.0), (_flag(conc[3] <= 0.0), 0.0),   # and not before
-    ], entry, detail=f"{len(idx)} entangled states")
+    return {
+        "pseudomixture": (_max_abs(rho - (1.0 + sp) * rho_p + sp * rho_pp), tol.pseudomixture),
+        "closed_form": (np.abs(s - 0.5 * sums.min(axis=-1) * c), 0.0),      # s = C min(K_i + K_j) / 2
+        "minimal_pair": (entangled(pair_sum - sums[ent].min(axis=-1)), 0.0),  # at the vertex of the pair
+        "plane": (entangled(np.abs(plane)), tol.plane),
+        "rho_p_trace": (np.abs(np.sum(lam_p * k, axis=-1) - 1.0), tol.pseudomixture),
+        "rho_p_separable": (-min_eig[:n], tol.ppt),
+        "rho_pp_separable": (-min_eig[n:2 * n], tol.ppt),
+        "rho_p_concurrence": (entangled(conc[0]), tol.pseudomixture),
+        "rho_pp_concurrence": (entangled(conc[1]), tol.pseudomixture),
+        "rho_pp_rank": (entangled(rank[1] - 2), 0),
+        "separable_at_s": (entangled(conc[2]), tol.pseudomixture),     # entanglement dies at s
+        "npt_before_s": (entangled(_flag(min_eig[2 * n:] >= -tol.ppt)), 0.0),   # and not before
+        "entangled_before_s": (entangled(_flag(conc[3] <= 0.0)), 0.0),
+        "crossing": (np.abs(s_bisection - s), tol.bisect_formula),          # along rho''
+        "k_at_least_1": (entangled(1.0 - k[ent].min(axis=-1)), tol.defining_relation),   # so s >= C
+    }, s_bisection, errors
+
+
+def _check_certificates(corpus: Corpus) -> PropertyResult:
+    certs, seeds = corpus.certificates, corpus.seeds("ginibre")
+    _raise_first(certs.errors, seeds)
+    checks, _, errors = certificate_checks(corpus.ginibre, certs, corpus.tol)
+    _raise_first(errors, seeds)
+    return _result("robustness certificates (soundness, boundary, pseudomixture)", list(checks.values()),
+                   seeds, detail=f"{np.count_nonzero(certs.s)} entangled states")
+
+
+def verify_certificate(rho: states.DensityMatrix, certificate: RobustnessCertificate, *,
+                       oracle: bool = False, tolerances: Tolerances = DEFAULT) -> dict:
+    """Machine-readable audit of one certificate: the N = 1 run of
+    ``certificate_checks``.  ``checks`` gives each named check's residual,
+    bound and verdict, and ``passed`` is their conjunction; with ``oracle``
+    the report adds the absolute-robustness bracket, reported but never
+    failed on.  An error of the run, such as a crossing's
+    ``NotSeparableDirection``, is raised.
+    """
+    stack = CertificateStack(
+        s=np.array([certificate.s]), k_index=np.array([certificate.k_index]), rho_pp=certificate.rho_pp.matrix[None],
+        rho_p=certificate.rho_p.matrix[None], rho_p_coords=certificate.rho_p_coords[None], errors=[None],
+        decomposition=wootters.DecompositionStack(
+            **{name: np.array([v]) for name, v in asdict(certificate.decomposition).items()}, errors=[None]))
+    checks, s_bisection, errors = certificate_checks(rho.matrix[None], stack, tolerances)
+    if errors[0] is not None:
+        raise errors[0]
+    verdicts = {name: {"residual": float(residual[0]), "bound": float(bound), "passed": bool(residual[0] <= bound)}
+                for name, (residual, bound) in checks.items()}
+    report = {"s_formula": float(certificate.s), "s_bisection": float(s_bisection[0]), "checks": verdicts,
+              "passed": all(verdict["passed"] for verdict in verdicts.values())}
+    if oracle:
+        result = minimize_absolute_robustness(rho, tolerances=tolerances)
+        report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
+                            "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
+    return report
 
 
 def _check_plane_dominance(corpus: Corpus) -> PropertyResult:

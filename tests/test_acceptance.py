@@ -13,24 +13,16 @@ import numpy as np
 
 from conftest import ginibre_states
 from qrobust import decompose, verify
-from qrobust.oracle import bisect_relative_robustness, minimize_absolute_robustness
+from qrobust.oracle import minimize_absolute_robustness
 from qrobust.robustness import robustness
 from qrobust.states import BellWeights, bell_diagonal
+from qrobust.tolerances import DEFAULT
 from qrobust.wootters import decompose_stack
 
 
 def _report(name, passed, detail):
     print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     assert passed, f"{name}: {detail}"
-
-
-def _entangled_with_certificates(n):
-    pairs = []
-    for rho in ginibre_states(n):
-        cert = robustness(rho)
-        if cert.s > 0.0:
-            pairs.append((rho, cert))
-    return pairs
 
 
 def test_criterion_1_bell_diagonal_identity():
@@ -71,7 +63,10 @@ def test_criterion_3_certificate_boundary_exactness():
     start = time.perf_counter()
     corpus, result, _ = _run_group(verify._check_certificates, 200)
     # the group asks for C > 0 at 0.999 s; the criterion asks this corpus for more
-    _, before = verify._toward_vertex(corpus, 0.999)
+    certs = corpus.certificates
+    entangled = certs.s != 0.0
+    ts = 0.999 * certs.s[entangled, None, None]
+    before = (corpus.ginibre[entangled] + ts * certs.rho_pp[entangled]) / (1.0 + ts)
     worst_before = decompose_stack(before).concurrence.min()
     elapsed = time.perf_counter() - start
     ok = result.passed and worst_before > 1e-6 and elapsed < 5.0
@@ -80,15 +75,10 @@ def test_criterion_3_certificate_boundary_exactness():
 
 
 def test_criterion_4_oracle_equivalence():
-    start = time.perf_counter()
-    worst = 0.0
-    for rho, cert in _entangled_with_certificates(200):
-        s_bis = bisect_relative_robustness(rho, cert.rho_pp)
-        worst = max(worst, abs(s_bis - cert.s))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 30.0
-    _report("criterion 4 (bisection equals closed form)", ok,
-            f"|bisect - s| <= {worst:.2e}, {elapsed:.2f}s")
+    # the group's crossing check: |bisection along rho'' - s| <= bisect_formula
+    _, result, elapsed = _run_group(verify._check_certificates, 200)
+    ok = result.passed and DEFAULT.bisect_formula == 1e-6 and elapsed < 30.0
+    _report("criterion 4 (bisection equals closed form)", ok, f"{result.line()}, {elapsed:.2f}s")
 
 
 def test_criterion_5_pseudomixture_identity():

@@ -92,9 +92,13 @@ def test_analyze_no_fallback_exit_code(tmp_path, capsys):
 def test_analyze_oracle_verification_block(tmp_path, capsys):
     state = tmp_path / "bell.json"
     write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
+    assert main(["analyze", "--in", str(state)]) == 0
+    plain = json.loads(capsys.readouterr().out)
     assert main(["analyze", "--in", str(state), "--oracle"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verification"]["passed"]
+    assert report["verification"]["checks"]["crossing"]["passed"]
+    assert report["certificate"]["residuals"] == plain["certificate"]["residuals"]
     block = report["verification"]["oracle"]
     assert block["s_best"] <= 0.4 + 1e-6
     assert block["route"] == "sdp" and block["s_lower"] <= 0.4
@@ -473,6 +477,17 @@ def test_analyze_oracle_crossing_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert main(["analyze", "--in", str(state), "--oracle", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: direction has PT eigenvalue -1.000e-03\n"
     assert not out.exists()
+
+
+def test_analyze_oracle_mixture_validation_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # at this scale the state and its decomposition pass, and the audit's
+    # mixture along rho'' misses unit trace by rounding: one error line, exit 1
+    state, out = tmp_path / "state.json", tmp_path / "report.json"
+    write_state(sample_state("bell_diagonal", 1), state)
+    monkeypatch.setenv("QROBUST_TOL", "1e-7")
+    assert main(["analyze", "--in", str(state), "--out", str(out)]) == 0
+    assert main(["analyze", "--in", str(state), "--oracle", "--out", str(out)]) == 1
+    assert re.fullmatch(r"error: mixture along rho'': trace deviates from 1: .*\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("n, failing_index", [(10, 7), (300, 0), (300, 5), (300, 260)])

@@ -18,7 +18,6 @@ from qrobust.oracle import (
     _pencil_crossing,
     minimize_absolute_robustness,
     relative_robustness_stack,
-    verify_certificate,
 )
 from qrobust.robustness import robustness
 from qrobust.states import (
@@ -34,6 +33,7 @@ from qrobust.states import (
     werner,
 )
 from qrobust.tolerances import DEFAULT
+from qrobust.verify import Corpus, certificate_checks, verify_certificate
 
 MIXED = DensityMatrix(np.eye(4) / 4.0)
 SINGLET = werner(1.0)
@@ -319,8 +319,8 @@ class TestVerifyCertificate:
         report = verify_certificate(BELL_07, robustness(BELL_07))
         assert report["passed"]
         assert abs(report["s_bisection"] - 0.4) <= 1e-6
-        assert report["bisection_formula_gap"] <= 1e-6
-        assert report["pseudomixture_residual"] <= 1e-9
+        assert report["checks"]["crossing"]["residual"] <= 1e-6
+        assert report["checks"]["pseudomixture"]["residual"] <= 1e-9
 
     def test_separable_trivially_passes(self):
         report = verify_certificate(MIXED, robustness(MIXED))
@@ -329,9 +329,16 @@ class TestVerifyCertificate:
         assert report["s_bisection"] == 0.0
 
     def test_corpus_passes(self):
-        for rho in ginibre_states(20):
+        # each audit is the N = 1 run of the corpus run, bit for bit
+        corpus = Corpus(20)
+        checks, s_bisection, errors = certificate_checks(corpus.ginibre, corpus.certificates, DEFAULT)
+        assert errors == [None] * 20
+        for i, rho in enumerate(ginibre_states(20)):
             report = verify_certificate(rho, robustness(rho))
             assert report["passed"], report
+            assert repr(report["s_bisection"]) == repr(float(s_bisection[i]))
+            assert ({name: repr(check["residual"]) for name, check in report["checks"].items()}
+                    == {name: repr(float(residual[i])) for name, (residual, _) in checks.items()}), i
 
     def test_oracle_block_present_when_requested(self):
         report = verify_certificate(BELL_07, robustness(BELL_07), oracle=True)

@@ -25,8 +25,6 @@ from qrobust.states import (
     sample_stack,
     sample_state,
     spin_flip,
-    state_from_row,
-    state_to_row,
     werner,
     write_state,
 )
@@ -248,12 +246,6 @@ class TestStateFiles:
         path.write_text(json.dumps({"basis": "dd,du,ud,uu", "re": [[0.0] * 4] * 4, "im": [[0.0] * 4] * 4}))
         with pytest.raises(ParseError):
             read_state(path)
-
-    def test_csv_row_round_trip(self):
-        rho = sample_state("bures", 5)
-        row = state_to_row(rho)
-        assert len(row) == 32
-        assert np.array_equal(state_from_row(row).matrix, rho.matrix)
 
 
 def test_ppt_min_eig_over_a_stack():

@@ -57,8 +57,17 @@ def _decomposition(**change):
     return fault
 
 
+def _certificates(**change):
+    """A fault that replaces fields of the corpus's certificates, each computed from them."""
+    def fault(monkeypatch, corpus):
+        certs = corpus.certificates
+        corpus.__dict__["certificates"] = dataclasses.replace(certs, **{k: f(certs) for k, f in change.items()})
+    return fault
+
+
 # name: (group, fault, bound of the one check it breaks), for each check that a
-# deleted per-state test made and its group now makes
+# deleted per-state test made and its group now makes, and for a scaled rho',
+# which the certificate group and ``verify_certificate`` must both catch
 FAULTS = {
     "ascending_eig": (verify._check_eig, _patched(
         verify, "hermitian_eig_stack", lambda r: (r[0][:, ::-1], r[1][:, :, ::-1], r[2])), 0.0),
@@ -74,6 +83,8 @@ FAULTS = {
         rank=lambda d: d.rank - (np.arange(len(d.rank)) == 3)), 0),
     "unnormalized_p_coord": (verify._check_defining_relation, _decomposition(
         p_coord=lambda d: d.p_coord * (1.0 + 1e-6)), DEFAULT.reconstruction),
+    "scaled_rho_p": (verify._check_certificates, _certificates(
+        rho_p=lambda c: c.rho_p * (1.0 + 1e-6)), DEFAULT.pseudomixture),
 }
 
 
@@ -85,6 +96,19 @@ def test_group_catches_the_fault_its_deleted_test_caught(monkeypatch, fault, gro
     result = group(corpus)
     assert not result.passed, result.line()
     assert result.bound == bound and result.worst_entry.startswith(("draw ", "ginibre seed "))
+
+
+def test_verify_certificate_fails_the_check_its_group_fails(monkeypatch):
+    # the audit of the group's worst entry is its N = 1 run: the same residual, named
+    group, fault, bound = FAULTS["scaled_rho_p"]
+    corpus = verify.Corpus(20)
+    fault(monkeypatch, corpus)
+    result = group(corpus)
+    i = int(re.fullmatch(r"ginibre seed (\d+)", result.worst_entry).group(1)) - corpus.seed
+    report = verify.verify_certificate(states.DensityMatrix(corpus.ginibre[i]), corpus.certificates.entry(i))
+    failed = {name: check for name, check in report["checks"].items() if not check["passed"]}
+    assert failed == {"pseudomixture": {"residual": result.worst, "bound": bound, "passed": False}}
+    assert not report["passed"]
 
 
 @pytest.mark.parametrize("field, group", [

@@ -3,7 +3,9 @@
 Separability of a two-qubit state is decided exactly by positivity of the
 partial transpose, so the relative robustness along any separable direction
 can be bracketed by PPT tests, and the absolute robustness is a small
-semidefinite program, solved here with a certified lower and upper bound.
+semidefinite program, solved here by a primal-dual interior-point method
+(about ten predictor-corrector iterations) with a certified lower and upper
+bound.
 Nothing here reuses the closed form except as a reference direction, which
 keeps the two routes independent.  The audit of one certificate against
 these routes is ``verify.verify_certificate``.
@@ -43,8 +45,9 @@ _PAULI_BASIS = np.array([np.kron(a, b) for a in _PAULI for b in _PAULI]) / 2.0
 _PT_SIGNS = np.stack([np.ones(16)] + 2 * [np.tile([1.0, 1.0, -1.0, 1.0], 4)])
 _SIGNED_BASIS = (_PT_SIGNS[:, :, None, None] * _PAULI_BASIS).transpose(1, 0, 2, 3).reshape(16, 48)
 _BASIS_ROWS = _PAULI_BASIS.reshape(64, 4)                          # [4k + i, l] = F_k[i, l]
-_SDP_T0, _SDP_MU, _SDP_CENTRED = 10.0, 30.0, 1e-6   # first t, its growth, decrement that ends a stage
-_SDP_STAGE_STEPS, _SDP_ITERATIONS = 20, 200
+_SDP_ITERATIONS, _SDP_STEP = 50, 0.98        # iteration cap; share of the way to the boundary per step
+_SDP_C = 2.0 * np.eye(16)[0]                  # coordinates of I: tr X = c^T x
+_SDP_Z0 = np.stack(3 * [np.eye(4) / 2.0])     # the dual blocks' start
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,8 @@ def _product_mixtures(weights: np.ndarray, bloch_angles: np.ndarray) -> np.ndarr
 @dataclass(frozen=True)
 class SDPBracket:
     """s_lower <= R(rho) <= s_upper; ``direction`` is X/tr X (a full-rank PPT
-    state) at the point that gave s_upper; duality_gap = s_upper - s_lower."""
+    state) at the point that gave s_upper; duality_gap = s_upper - s_lower;
+    ``newton_steps`` counts the solver's predictor-corrector iterations."""
 
     s_lower: float
     s_upper: float
@@ -108,7 +112,8 @@ class OracleResult:
     crossing along the certificate vertex (I/4 without a closed form),
     ``s_best`` the crossing along the SDP direction ``best_direction``, an
     upper bound on the absolute robustness, and ``s_lower`` the SDP's lower
-    bound; ``evaluations`` counts the crossings, and ``gap_to_formula`` is
+    bound; ``evaluations`` counts the crossings, ``newton_steps`` the SDP's
+    predictor-corrector iterations, and ``gap_to_formula`` is
     s_formula - s_best (NaN without a closed form)."""
 
     s_direction: float
@@ -269,52 +274,73 @@ def _dual_bound(evals: np.ndarray, vecs: np.ndarray, rho_pt: np.ndarray) -> floa
     return -float(np.sum(z[2] * rho_pt.T).real) / np.linalg.eigvalsh(total)[-1]
 
 
+def _nt_direction(rhs: np.ndarray, lam: np.ndarray, stack: np.ndarray, q_inv: np.ndarray,
+                  residual: np.ndarray):
+    """Solve the Newton system in the NT scaling S~ = Z~ = diag(lam) (3, 4):
+    Lam dW + dW Lam = ``rhs`` (3, 4, 4) for dW = dS~ + dZ~, dS~ = sum_k dx_k G_k
+    and A*(dZ) = ``residual``, through the Schur factor ``q_inv`` of the G
+    ``stack`` (96, 16).  Returns dx, [dS~, dZ~] (2, 3, 4, 4) and the primal
+    and dual step lengths: ``_SDP_STEP`` of the way to the boundary, at most 1."""
+    w = rhs / (lam[:, :, None] + lam[:, None, :])
+    dx = q_inv @ (q_inv.T @ (stack.T @ np.stack([w.real, w.imag]).ravel() - residual))
+    ds = (stack @ dx).reshape(2, 3, 4, 4)
+    ds = ds[0] + 1j * ds[1]
+    d = np.stack([ds, w - ds])
+    scale = 1.0 / np.sqrt(lam)
+    edge = np.linalg.eigvalsh(scale[:, :, None] * d * scale[:, None, :])[..., 0].min(axis=1)
+    return dx, d, _SDP_STEP / np.maximum(-edge, _SDP_STEP)
+
+
 def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT) -> SDPBracket:
     """Certified bracket on the absolute robustness R = min tr X over X >= 0,
     X^Gamma >= 0, (rho + X)^Gamma >= 0 (PPT is separability for two qubits).
 
-    Log-barrier Newton on t tr X - sum_a log det A_a, steps damped by
-    1/(1 + decrement) above 1/4: the barrier is self-concordant, so every
-    step stays inside the Dikin ellipsoid, where each block A_a is positive
-    definite, and a trial that is not ends the solve; t grows once a point is
-    centred or a stage is long.  The Hessian sum_a <G_aj, G_ak>,
-    G_ak = A_a^{-1/2} dA_a/dx_k A_a^{-1/2}, is used as R^T R from a QR of the
-    G stack, conditioned ~t rather than ~t^2: on pure, Bell-diagonal and
-    Werner states only this reaches a 1e-9 width.
-    Near central points tr X bounds R from above and ``_dual_bound`` of the
-    A_a^{-1} from below; the best of each is kept.  ``converged``: the width
-    met ``tolerances.sdp_gap * (1 + s_upper)`` before a stop.
+    Primal-dual path following (Vandenberghe & Boyd, SIAM Rev. 38, 49, sec. 6):
+    x holds the coordinates of X, each slack block S_a(x) gets a dual block
+    Z_a, and the dual residual is c - A*(Z) with c the coordinates of I.  Each
+    iteration takes a Mehrotra predictor and corrector, sigma = (mu_aff/mu)^3,
+    in the Nesterov-Todd scaling R_a^-1 S_a R_a^-H = R_a^H Z_a R_a = diag(lambda),
+    built from the Cholesky factors of S_a and Z_a and one SVD, and steps
+    ``_SDP_STEP`` of the way to the boundary.  The Schur matrix
+    sum_a <G_aj, G_ak>, G_ak = R_a^-1 dS_a/dx_k R_a^-H, is used as Q^T Q from a
+    QR of the G stack, whose condition number is the square root of the
+    Schur matrix's: on pure, Bell-diagonal and Werner states, whose optima are
+    degenerate, only this reaches a 1e-9 width.
+    tr X bounds R from above at an x whose blocks passed the Cholesky test,
+    and ``_dual_bound`` of the Z_a from below; the best of each is kept.
+    ``newton_steps`` counts predictor-corrector iterations, and a
+    ``LinAlgError`` ends the solve.  ``converged``: the width met
+    ``tolerances.sdp_gap * (1 + s_upper)`` before a stop.
     """
     offset = np.stack([np.zeros((4, 4)), np.zeros((4, 4)), partial_transpose_matrix(rho.matrix)])
-    x = 2.0 * np.eye(16)[0]                               # X = I, strictly feasible
-    evals, vecs = np.linalg.eigh(offset + (x @ _SIGNED_BASIS).reshape(3, 4, 4))
-    t, stage, steps = _SDP_T0, 0, 0
-    upper, lower, best = 2.0 * x[0], 0.0, x               # R >= 0 always
-    with contextlib.suppress(np.linalg.LinAlgError):      # a singular QR factor ends the solve
+    x, z = _SDP_C, _SDP_Z0                                # X = I, Z_a = I/2
+    upper, lower, best, steps = 2.0 * x[0], 0.0, x, 0     # R >= 0 always
+    with contextlib.suppress(np.linalg.LinAlgError):      # a failed factorization ends the solve
         for _ in range(_SDP_ITERATIONS):
-            fv = (_BASIS_ROWS @ vecs).reshape(3, 16, 4, 4).transpose(0, 2, 1, 3).reshape(3, 4, 64)
-            g = (vecs.conj().swapaxes(1, 2) @ fv).reshape(3, 4, 16, 4)      # [a, p, k, j] = (V^H F_k V)_pj
-            g = g * _PT_SIGNS[:, None, :, None] / np.sqrt(evals[:, :, None, None] * evals[:, None, None, :])
-            grad = -np.einsum("apkp->k", g).real
-            grad[0] += 2.0 * t                                                # t tr X = 2 t x_0
-            stack = np.concatenate([g.real, g.imag]).transpose(0, 1, 3, 2).reshape(96, 16)
-            r_inv = np.linalg.inv(np.linalg.qr(stack, mode="r"))              # Hessian^-1 = r_inv r_inv^T
-            z = r_inv.T @ grad
-            dx, decrement = -(r_inv @ z), math.sqrt(z @ z)
-            if decrement < 0.25:
-                if 2.0 * x[0] < upper:
-                    upper, best = 2.0 * x[0], x
-                lower = max(lower, _dual_bound(1.0 / evals, vecs, offset[2]))  # A_a^{-1}, rho^Gamma
-                if upper - lower <= tolerances.sdp_gap * (1.0 + upper):
-                    break
-            if decrement < _SDP_CENTRED or stage == _SDP_STAGE_STEPS:
-                t, stage = t * _SDP_MU, 0
-                continue
-            trial = x + (1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)) * dx
-            evals, vecs = np.linalg.eigh(offset + (trial @ _SIGNED_BASIS).reshape(3, 4, 4))
-            if evals[:, 0].min() <= 0.0:                  # only rounding can leave the ellipsoid
+            factors = np.linalg.cholesky(np.concatenate([offset + (x @ _SIGNED_BASIS).reshape(3, 4, 4), z]))
+            if 2.0 * x[0] < upper:                        # S_a(x) > 0 passed: x is feasible
+                upper, best = 2.0 * x[0], x
+            lower = max(lower, _dual_bound(*np.linalg.eigh(z), offset[2]))
+            if upper - lower <= tolerances.sdp_gap * (1.0 + upper):
                 break
-            x, stage, steps = trial, stage + 1, steps + 1
+            _, lam, vh = np.linalg.svd(factors[3:].conj().swapaxes(1, 2) @ factors[:3])
+            r_inv = np.sqrt(lam)[:, :, None] * vh @ np.linalg.inv(factors[:3])   # Lam^1/2 V^H L_S^-1
+            fr = (_BASIS_ROWS @ r_inv.conj().swapaxes(1, 2)).reshape(3, 16, 4, 4)
+            g = (r_inv @ fr.transpose(0, 2, 1, 3).reshape(3, 4, 64)).reshape(3, 4, 16, 4)
+            g = g * _PT_SIGNS[:, None, :, None]                               # [a, p, k, j] = (G_ak)_pj
+            stack = np.concatenate([g.real, g.imag]).transpose(0, 1, 3, 2).reshape(96, 16)
+            q_inv = np.linalg.inv(np.linalg.qr(stack, mode="r"))              # Schur^-1 = q_inv q_inv^T
+            system = (lam, stack, q_inv, _SDP_C - (_SIGNED_BASIS.conj() @ z.reshape(48)).real)
+            diag, mu = lam[:, :, None] * np.eye(4), np.sum(lam ** 2) / 12.0   # Lam, tr(S Z)/12
+            _, (ds, dz), (ap, ad) = _nt_direction(-2.0 * diag ** 2, *system)  # predictor, sigma = 0
+            mu_aff = np.einsum("aij,aji->", diag + ap * ds, diag + ad * dz).real / 12.0
+            cross = ds @ dz                                                   # second-order term
+            rhs = 2.0 * mu * (mu_aff / mu) ** 3 * np.eye(4) - 2.0 * diag ** 2 - cross - cross.conj().swapaxes(1, 2)
+            dx, (_, dz), (ap, ad) = _nt_direction(rhs, *system)              # corrector
+            x = x + ap * dx
+            z = z + ad * (r_inv.conj().swapaxes(1, 2) @ dz @ r_inv)
+            # kept Hermitian: unsymmetrized, the rounding of G stalls 11 of the 40 Bures states of seeds 0-39
+            z, steps = 0.5 * (z + z.conj().swapaxes(1, 2)), steps + 1
     X = (best @ _PAULI_BASIS.reshape(16, 16)).reshape(4, 4)
     return SDPBracket(s_lower=float(lower), s_upper=float(upper), direction=X / np.trace(X).real,
                       duality_gap=float(upper - lower), newton_steps=steps,
@@ -324,8 +350,11 @@ def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT)
 def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int = 0, *,
                                  tolerances: Tolerances = DEFAULT) -> OracleResult:
     """Absolute robustness of ``rho``: ``s_best`` is the PPT-verified
-    ``bisect_relative_robustness`` crossing along the direction X/tr X of
-    ``absolute_robustness``, whose certified lower bound is ``s_lower``.
+    crossing along the direction X/tr X of ``absolute_robustness``, whose
+    certified lower bound is ``s_lower``, and ``s_direction`` the crossing
+    along the reference; both come from one ``relative_robustness_stack`` call
+    with the postcondition of ``bisect_relative_robustness``, whose errors it
+    raises, the reference's first.
     ``budget`` and ``seed`` are accepted for older callers and do nothing.
     """
     if is_separable_ppt(rho, tolerances)[0]:
@@ -338,10 +367,13 @@ def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int 
         s_formula, reference = cert.s, cert.rho_pp
     except RankDeficient:
         pass
-    s_direction = bisect_relative_robustness(rho, reference, tolerances=tolerances)
     bracket = absolute_robustness(rho, tolerances=tolerances)
+    (s_direction, s_best), errors = relative_robustness_stack(
+        np.stack(2 * [rho.matrix]), np.stack([reference.matrix, bracket.direction]), tolerances=tolerances)
+    for error in errors:                                  # the reference direction's error first
+        if error is not None:
+            raise error
     direction = DensityMatrix(bracket.direction)
-    s_best = bisect_relative_robustness(rho, direction, tolerances=tolerances)
     gap = s_formula - s_best if math.isfinite(s_formula) else math.nan
     return OracleResult(s_direction=float(s_direction), s_best=float(s_best), best_direction=direction,
                         evaluations=2, converged=bracket.converged, gap_to_formula=float(gap),

@@ -279,23 +279,40 @@ class TestAbsoluteRobustness:
         assert entangled >= 20
 
     def test_singular_newton_system_keeps_the_best_bracket(self, monkeypatch):
-        # a LinAlgError from inverting the Newton system's factor ends the
-        # solve with the best bracket so far: finite, containing R, not converged
+        # a LinAlgError from factoring the Newton system in the fifth iteration
+        # ends the solve after four with the best bracket so far: finite,
+        # containing R, not converged
         calls = []
-        inv = np.linalg.inv
+        qr = np.linalg.qr
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             calls.append(args)
-            if len(calls) > 30:
+            if len(calls) > 4:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return inv(*args)
+            return qr(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "inv", failing)
+        monkeypatch.setattr(np.linalg, "qr", failing)
         bracket = absolute_robustness(pure_state(0.5))
-        assert len(calls) == 31
+        assert len(calls) == 5 and bracket.newton_steps == 4
         assert 0.0 < bracket.s_lower <= math.sin(1.0) <= bracket.s_upper < math.inf
         assert not bracket.converged
         assert bracket.duality_gap > DEFAULT.sdp_gap * (1.0 + bracket.s_upper)
+
+    def test_predictor_corrector_converges_in_few_iterations(self):
+        # degenerate optima and near-separable states included; R = C on
+        # Bell-diagonal states and (3p - 1)/2 on Werner states
+        eps = 1e-8
+        phi = np.zeros((4, 4))
+        phi[::3, ::3] = 0.5
+        cases = [(SINGLET, 1.0), (bell_diagonal(BellWeights(np.array([0.8, 0.2, 0.0, 0.0]))), 0.6),
+                 (werner(1.0 / 3.0 + eps), 1.5 * eps),
+                 (DensityMatrix((1.0 - eps) * phi + eps * np.eye(4) / 4.0), 1.0 - 1.5 * eps)]
+        cases += [(rho, None) for rho in ginibre_states(25) if not is_separable_ppt(rho)[0]]
+        for rho, value in cases:
+            bracket = absolute_robustness(rho)
+            assert bracket.converged, bracket
+            assert value is None or bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
+            assert bracket.newton_steps <= 25, bracket
 
     def test_unreachable_gap_target_is_not_converged(self):
         bracket = absolute_robustness(BELL_07, tolerances=DEFAULT.scaled(0.0))

@@ -109,19 +109,19 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
-        result = oracle.minimize_absolute_robustness(rho, tolerances=tol)
+        result = oracle._minimize(rho, certs, tol)
         report["method"] = "oracle_estimate"
         report["oracle"] = {**result.to_report(), "note": str(exc)}
         return report, EXIT_OK
-    checks, _, _ = verify.certificate_checks(rho.matrix[None], certs, tol)
-    residual = {name: float(values[0]) for name, (values, _) in checks.items()}
+    run = verify.certificate_checks(rho.matrix[None], certs, tol)
+    residual = {name: float(values[0]) for name, (values, _) in run[0].items()}
     report = {"decomposition": cert.decomposition.to_report(), "method": "closed_form",
               "certificate": {**cert.to_report(), "residuals": {
                   "pseudomixture": residual["pseudomixture"], "plane": residual["plane"],
                   "ppt_min_eig_rho_p": -residual["rho_p_separable"],
                   "ppt_min_eig_rho_pp": -residual["rho_pp_separable"]}}}
     if run_oracle:
-        report["verification"] = verify.verify_certificate(rho, cert, oracle=True, tolerances=tol)
+        report["verification"] = verify._audit(rho, certs, run, tol, with_oracle=True)
     return report, EXIT_OK
 
 

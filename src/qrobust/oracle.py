@@ -44,7 +44,14 @@ _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0
 _PAULI_BASIS = np.array([np.kron(a, b) for a in _PAULI for b in _PAULI]) / 2.0
 _PT_SIGNS = np.stack([np.ones(16)] + 2 * [np.tile([1.0, 1.0, -1.0, 1.0], 4)])
 _SIGNED_BASIS = (_PT_SIGNS[:, :, None, None] * _PAULI_BASIS).transpose(1, 0, 2, 3).reshape(16, 48)
-_BASIS_ROWS = _PAULI_BASIS.reshape(64, 4)                          # [4k + i, l] = F_k[i, l]
+_SIGNED_BASIS_CONJ = _SIGNED_BASIS.conj()                          # A*(Z) = Re(conj basis @ vec Z)
+_SIGNED_COLUMNS = np.ascontiguousarray(_SIGNED_BASIS.reshape(16, 3, 16).transpose(1, 2, 0))  # [a, :, k] = vec
+_EYE = np.eye(4)
+# A passing Cholesky test proves only lambda_min(A) >= -delta: the factor is exact for A + dA with
+# ||dA|| <= ~20 eps max A_ii (Higham, Accuracy and Stability, Thm 10.3, in complex arithmetic), and
+# forming S_a(x) errs by ~12 eps (||x|| + max|rho^Gamma|) in norm.  delta = _ROUNDING times
+# ||x|| + max|rho^Gamma| for S_a(x), times max|Z| for Z_a, covers both by a factor of two or more.
+_ROUNDING = 64.0 * np.finfo(float).eps
 _SDP_ITERATIONS, _SDP_STEP = 50, 0.98        # iteration cap; share of the way to the boundary per step
 _SDP_C = 2.0 * np.eye(16)[0]                  # coordinates of I: tr X = c^T x
 _SDP_Z0 = np.stack(3 * [np.eye(4) / 2.0])     # the dual blocks' start
@@ -264,14 +271,16 @@ def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix, *,
     return float(s[0])
 
 
-def _dual_bound(evals: np.ndarray, vecs: np.ndarray, rho_pt: np.ndarray) -> float:
-    """Lower bound -tr(Z_3 rho^Gamma) on the absolute robustness from any
-    Hermitian triple, given by its eigenpairs (3, 4) and (3, 4, 4): clipped to
-    PSD and scaled together to Z_1 + Z_2^Gamma + Z_3^Gamma <= I, the triple is
-    dual feasible, so every feasible X has tr X >= -tr(Z_3 rho^Gamma)."""
-    z = (vecs * np.maximum(evals, 0.0)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+def _dual_bound(z: np.ndarray, rho_pt: np.ndarray) -> float:
+    """Lower bound on the absolute robustness from dual blocks ``z`` (3, 4, 4)
+    that passed a Cholesky test, hence are PSD up to delta = ``_ROUNDING``
+    max|Z| (any PSD triple qualifies): the Z_a + delta I, scaled together by
+    lambda_max(Z_1 + (Z_2 + Z_3)^Gamma) + 3 delta, are dual feasible, so every
+    feasible X has tr X >= -tr(Z_3 rho^Gamma) - delta over that scale
+    (tr rho^Gamma = 1).  One partial transpose, one 4x4 ``eigvalsh``."""
+    delta = _ROUNDING * np.abs(z).max()
     total = z[0] + partial_transpose_matrix(z[1] + z[2])
-    return -float(np.sum(z[2] * rho_pt.T).real) / np.linalg.eigvalsh(total)[-1]
+    return (-np.vdot(rho_pt, z[2]).real - delta) / (np.linalg.eigvalsh(total)[-1] + 3.0 * delta)
 
 
 def _nt_direction(rhs: np.ndarray, lam: np.ndarray, stack: np.ndarray, q_inv: np.ndarray,
@@ -282,7 +291,7 @@ def _nt_direction(rhs: np.ndarray, lam: np.ndarray, stack: np.ndarray, q_inv: np
     ``stack`` (96, 16).  Returns dx, [dS~, dZ~] (2, 3, 4, 4) and the primal
     and dual step lengths: ``_SDP_STEP`` of the way to the boundary, at most 1."""
     w = rhs / (lam[:, :, None] + lam[:, None, :])
-    dx = q_inv @ (q_inv.T @ (stack.T @ np.stack([w.real, w.imag]).ravel() - residual))
+    dx = q_inv @ (q_inv.T @ (stack.T @ np.concatenate([w.real, w.imag]).ravel() - residual))
     ds = (stack @ dx).reshape(2, 3, 4, 4)
     ds = ds[0] + 1j * ds[1]
     d = np.stack([ds, w - ds])
@@ -306,36 +315,42 @@ def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT)
     QR of the G stack, whose condition number is the square root of the
     Schur matrix's: on pure, Bell-diagonal and Werner states, whose optima are
     degenerate, only this reaches a 1e-9 width.
-    tr X bounds R from above at an x whose blocks passed the Cholesky test,
-    and ``_dual_bound`` of the Z_a from below; the best of each is kept.
+    A passing Cholesky test proves a block PSD only up to a rounding-level
+    delta (see ``_ROUNDING``), so tr X + 4 delta bounds R from above at an x
+    whose blocks passed it (X + delta I is feasible), and ``_dual_bound`` of
+    the Z_a, which passed it in the same factorization, from below; the best
+    of each is kept.
     ``newton_steps`` counts predictor-corrector iterations, and a
     ``LinAlgError`` ends the solve.  ``converged``: the width met
     ``tolerances.sdp_gap * (1 + s_upper)`` before a stop.
     """
-    offset = np.stack([np.zeros((4, 4)), np.zeros((4, 4)), partial_transpose_matrix(rho.matrix)])
+    rho_pt = partial_transpose_matrix(rho.matrix)
+    offset, scale = np.stack([np.zeros((4, 4)), np.zeros((4, 4)), rho_pt]), np.abs(rho_pt).max()
     x, z = _SDP_C, _SDP_Z0                                # X = I, Z_a = I/2
-    upper, lower, best, steps = 2.0 * x[0], 0.0, x, 0     # R >= 0 always
+    upper, lower, best, steps = 2.0 * x[0], 0.0, x, 0     # X = I is feasible exactly; R >= 0 always
     with contextlib.suppress(np.linalg.LinAlgError):      # a failed factorization ends the solve
         for _ in range(_SDP_ITERATIONS):
             factors = np.linalg.cholesky(np.concatenate([offset + (x @ _SIGNED_BASIS).reshape(3, 4, 4), z]))
-            if 2.0 * x[0] < upper:                        # S_a(x) > 0 passed: x is feasible
-                upper, best = 2.0 * x[0], x
-            lower = max(lower, _dual_bound(*np.linalg.eigh(z), offset[2]))
+            # the test proves only S_a(x) >= -delta I: tr(X + delta I) is the certified bound
+            trace = 2.0 * x[0] + 4.0 * _ROUNDING * (math.sqrt(x @ x) + scale)
+            if trace < upper:
+                upper, best = trace, x
+            lower = max(lower, _dual_bound(z, rho_pt))   # the Z_a passed the same test
             if upper - lower <= tolerances.sdp_gap * (1.0 + upper):
                 break
             _, lam, vh = np.linalg.svd(factors[3:].conj().swapaxes(1, 2) @ factors[:3])
             r_inv = np.sqrt(lam)[:, :, None] * vh @ np.linalg.inv(factors[:3])   # Lam^1/2 V^H L_S^-1
-            fr = (_BASIS_ROWS @ r_inv.conj().swapaxes(1, 2)).reshape(3, 16, 4, 4)
-            g = (r_inv @ fr.transpose(0, 2, 1, 3).reshape(3, 4, 64)).reshape(3, 4, 16, 4)
-            g = g * _PT_SIGNS[:, None, :, None]                               # [a, p, k, j] = (G_ak)_pj
-            stack = np.concatenate([g.real, g.imag]).transpose(0, 1, 3, 2).reshape(96, 16)
+            # vec(R^-1 F R^-H) = (R^-1 kron conj R^-1) vec F: g[a, 4p + j, k] = (G_ak)_pj
+            g = (r_inv[:, :, None, :, None] * r_inv.conj()[:, None, :, None, :]).reshape(3, 16, 16) @ _SIGNED_COLUMNS
+            stack = np.concatenate([g.real, g.imag]).reshape(96, 16)
             q_inv = np.linalg.inv(np.linalg.qr(stack, mode="r"))              # Schur^-1 = q_inv q_inv^T
-            system = (lam, stack, q_inv, _SDP_C - (_SIGNED_BASIS.conj() @ z.reshape(48)).real)
-            diag, mu = lam[:, :, None] * np.eye(4), np.sum(lam ** 2) / 12.0   # Lam, tr(S Z)/12
-            _, (ds, dz), (ap, ad) = _nt_direction(-2.0 * diag ** 2, *system)  # predictor, sigma = 0
+            system = (lam, stack, q_inv, _SDP_C - (_SIGNED_BASIS_CONJ @ z.reshape(48)).real)
+            diag, mu = lam[:, :, None] * _EYE, np.sum(lam ** 2) / 12.0   # Lam, tr(S Z)/12
+            square = 2.0 * diag ** 2
+            _, (ds, dz), (ap, ad) = _nt_direction(-square, *system)          # predictor, sigma = 0
             mu_aff = np.einsum("aij,aji->", diag + ap * ds, diag + ad * dz).real / 12.0
             cross = ds @ dz                                                   # second-order term
-            rhs = 2.0 * mu * (mu_aff / mu) ** 3 * np.eye(4) - 2.0 * diag ** 2 - cross - cross.conj().swapaxes(1, 2)
+            rhs = 2.0 * mu * (mu_aff / mu) ** 3 * _EYE - square - cross - cross.conj().swapaxes(1, 2)
             dx, (_, dz), (ap, ad) = _nt_direction(rhs, *system)              # corrector
             x = x + ap * dx
             z = z + ad * (r_inv.conj().swapaxes(1, 2) @ dz @ r_inv)
@@ -357,16 +372,24 @@ def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int 
     raises, the reference's first.
     ``budget`` and ``seed`` are accepted for older callers and do nothing.
     """
+    return _minimize(rho, None, tolerances)
+
+
+def _minimize(rho: DensityMatrix, certs, tolerances: Tolerances) -> OracleResult:
+    """``minimize_absolute_robustness`` of ``rho`` given its N = 1
+    ``robustness_stack`` ``certs`` where the caller has one (None: built here
+    for an entangled ``rho``); the reference is the stack's rho'' (I/4 where
+    its entry raises ``RankDeficient``)."""
     if is_separable_ppt(rho, tolerances)[0]:
         return OracleResult(s_direction=0.0, s_best=0.0, best_direction=rho, evaluations=1,
                             converged=True, gap_to_formula=0.0, s_lower=0.0, duality_gap=0.0,
                             newton_steps=0)
+    if certs is None:
+        certs = robustness_mod.robustness_stack(rho.matrix[None], tolerances)
     s_formula, reference = math.nan, DensityMatrix(np.eye(4) / 4.0)
-    try:
-        cert = robustness_mod.robustness(rho, tolerances)
+    with contextlib.suppress(RankDeficient):
+        cert = certs.entry(0)
         s_formula, reference = cert.s, cert.rho_pp
-    except RankDeficient:
-        pass
     bracket = absolute_robustness(rho, tolerances=tolerances)
     (s_direction, s_best), errors = relative_robustness_stack(
         np.stack(2 * [rho.matrix]), np.stack([reference.matrix, bracket.direction]), tolerances=tolerances)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import coset, oracle, states, wootters
 from .numerics import hermitian_eig_stack, takagi_stack
-from .oracle import minimize_absolute_robustness
 from .robustness import (_VERTEX_PAIRS, CertificateStack, RobustnessCertificate, _pair_sums, _plane_robustness,
                          robustness_stack)
 from .tolerances import DEFAULT, Tolerances
@@ -360,15 +359,24 @@ def verify_certificate(rho: states.DensityMatrix, certificate: RobustnessCertifi
         rho_p=certificate.rho_p.matrix[None], rho_p_coords=certificate.rho_p_coords[None], errors=[None],
         decomposition=wootters.DecompositionStack(
             **{name: np.array([v]) for name, v in asdict(certificate.decomposition).items()}, errors=[None]))
-    checks, s_bisection, errors = certificate_checks(rho.matrix[None], stack, tolerances)
+    return _audit(rho, stack, certificate_checks(rho.matrix[None], stack, tolerances), tolerances,
+                  with_oracle=oracle)
+
+
+def _audit(rho: states.DensityMatrix, certs: CertificateStack, run, tolerances: Tolerances, *,
+           with_oracle: bool) -> dict:
+    """``verify_certificate`` of ``rho`` from its N = 1 certificate stack
+    ``certs`` and the ``certificate_checks`` ``run`` of it; the oracle block
+    reuses ``certs``."""
+    checks, s_bisection, errors = run
     if errors[0] is not None:
         raise errors[0]
     verdicts = {name: {"residual": float(residual[0]), "bound": float(bound), "passed": bool(residual[0] <= bound)}
                 for name, (residual, bound) in checks.items()}
-    report = {"s_formula": float(certificate.s), "s_bisection": float(s_bisection[0]), "checks": verdicts,
+    report = {"s_formula": float(certs.s[0]), "s_bisection": float(s_bisection[0]), "checks": verdicts,
               "passed": all(verdict["passed"] for verdict in verdicts.values())}
-    if oracle:
-        result = minimize_absolute_robustness(rho, tolerances=tolerances)
+    if with_oracle:
+        result = oracle._minimize(rho, certs, tolerances)
         report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
                             "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
     return report

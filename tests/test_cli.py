@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import qrobust
-from qrobust import cli, oracle, states, wootters
+from qrobust import cli, oracle, states, verify, wootters
 from qrobust.cli import main
 from qrobust.numerics import NumericalFailure
+from qrobust.robustness import RankDeficient, robustness
 from qrobust.states import (BellWeights, DensityMatrix, bell_diagonal, read_state, sample_state, werner,
                             write_state)
 from qrobust.tolerances import DEFAULT
@@ -103,6 +104,49 @@ def test_analyze_oracle_verification_block(tmp_path, capsys):
     assert block["s_best"] <= 0.4 + 1e-6
     assert block["route"] == "sdp" and block["s_lower"] <= 0.4
     assert {"duality_gap", "newton_steps", "converged"} <= block.keys()
+
+
+def _counting(monkeypatch, module, name):
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_fallback_decomposes_once(tmp_path, monkeypatch, capsys):
+    # the oracle fallback reuses analyze's decomposition, and its report is
+    # the one the public search gives
+    state = tmp_path / "singlet.json"
+    write_state(werner(1.0), state)
+    calls = _counting(monkeypatch, wootters, "decompose_stack")
+    assert main(["analyze", "--in", str(state)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    rho = read_state(state)
+    with pytest.raises(RankDeficient) as exc:
+        robustness(rho)
+    expected = {"input": str(state), "decomposition": exc.value.decomposition.to_report(),
+                "method": "oracle_estimate",
+                "oracle": {**oracle.minimize_absolute_robustness(rho).to_report(), "note": str(exc.value)}}
+    assert capsys.readouterr().out == json.dumps(cli._jsonify(expected), indent=1) + "\n"
+
+
+def test_analyze_oracle_runs_the_certificate_checks_once(tmp_path, monkeypatch, capsys):
+    # the audit takes the run behind the residuals, and its report is the
+    # public audit's
+    state = tmp_path / "bell.json"
+    write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
+    calls = _counting(monkeypatch, verify, "certificate_checks")
+    assert main(["analyze", "--in", str(state), "--oracle"]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    rho = read_state(state)
+    expected = cli._jsonify(verify.verify_certificate(rho, robustness(rho), oracle=True))
+    assert json.loads(capsys.readouterr().out)["verification"] == expected
 
 
 def test_analyze_missing_file(tmp_path, capsys):

@@ -319,16 +319,40 @@ class TestAbsoluteRobustness:
         assert not bracket.converged
         assert bracket.s_lower <= 0.4 <= bracket.s_upper
 
-    def test_dual_bound_is_a_proof_for_any_hermitian_triple(self):
-        # the clipping and the rescale make every triple a dual-feasible
-        # point; triples diagonal in the eigenbasis of rho^Gamma with weights
-        # of both signs break the bound without either of them
+    def test_zero_gap_brackets_contain_known_values(self):
+        # at sdp_gap = 0 the solve runs until a factorization fails; only the
+        # rounding-level margin keeps both bounds on their side of R there
+        # (tr X alone falls below R on the Bell-diagonal state at 0.7)
+        rng = np.random.default_rng(5)
+        known = [(werner(0.8), 0.7), (SINGLET, 1.0)]
+        for p in (0.7, 0.8, 0.9, rng.uniform(0.5, 1.0)):
+            known.append((bell_diagonal(BellWeights(np.array([p] + 3 * [(1.0 - p) / 3.0]))), 2.0 * p - 1.0))
+        for p in rng.uniform(1.0 / 3.0, 1.0, 4):
+            known.append((werner(p), (3.0 * p - 1.0) / 2.0))
+        for theta in rng.uniform(0.05, math.pi / 4, 4):
+            known.append((pure_state(theta, random_local_unitary(rng)), abs(math.sin(2.0 * theta))))
+        for rho, value in known:
+            bracket = absolute_robustness(rho, tolerances=DEFAULT.scaled(0.0))
+            assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
+
+    def test_dual_bound_is_a_proof_for_any_psd_triple(self):
+        # the rescale makes every PSD triple dual feasible, rank-deficient ones
+        # included; triples diagonal in the eigenbasis of rho^Gamma, with their
+        # weight on its negative eigenvector, reach R on the singlet
         rng = np.random.default_rng(0)
         for rho, value in [(BELL_07, 0.4), (werner(0.8), 0.7), (SINGLET, 1.0)]:
             rho_pt = partial_transpose_matrix(rho.matrix)
-            vecs = np.broadcast_to(np.linalg.eigh(rho_pt)[1], (3, 4, 4))
-            for _ in range(20):
-                assert _dual_bound(rng.uniform(-5.0, 5.0, (3, 4)), vecs, rho_pt) <= value + 1e-12
+            vecs = np.linalg.eigh(rho_pt)[1]
+            for rank in 4 * [1, 2, 3, 4]:
+                weights = rng.uniform(0.0, 5.0, (3, 4)) * (rng.permuted(np.arange(4) < rank))
+                triples = [(vecs * weights[:, None, :]) @ vecs.conj().T]
+                a = rng.standard_normal((3, 4, rank)) + 1j * rng.standard_normal((3, 4, rank))
+                triples.append(rng.uniform(0.0, 5.0) * a @ a.conj().swapaxes(1, 2))
+                for z in triples:
+                    assert _dual_bound(z, rho_pt) <= value + 1e-12
+            lowest = np.zeros((3, 4, 4), dtype=complex)
+            lowest[2] = np.outer(vecs[:, 0], vecs[:, 0].conj())
+            assert _dual_bound(lowest, rho_pt) <= value + 1e-12
 
 
 class TestVerifyCertificate:

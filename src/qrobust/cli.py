@@ -30,10 +30,6 @@ EXIT_IO = 4
 
 _SAMPLE_CHUNK = 256   # rows computed together by ``sample``; bounds the stacked arrays at large --n
 
-
-class GeneratedStateInvalid(RuntimeError):
-    """A state generated by ``sample`` failed the validation of its own construction."""
-
 _EPILOG = """\
 sample CSV columns:
   seed_index, concurrence, K1, K2, K3, K4, min_pair_sum, s_formula, s_bisection
@@ -109,7 +105,7 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
-        result = oracle._minimize(rho, certs, tol)
+        result = oracle._minimize(rho, certs, 0, tol)
         report["method"] = "oracle_estimate"
         report["oracle"] = {**result.to_report(), "note": str(exc)}
         return report, EXIT_OK
@@ -157,7 +153,7 @@ def _sample_rows(args, tol):
 def _sample_chunk(args, tol, indices):
     """Rows for ``indices``: the states drawn as one stack, each from its own
     seed, then one stacked certificate and one stacked crossing for the whole
-    chunk.  Rows before an entry that fails are still yielded; the failure is
+    chunk; ``--oracle`` rows reuse the chunk's certificates.  Rows before an entry that fails are still yielded; the failure is
     raised then."""
     drawn = states.sample_stack(args.ensemble, [args.seed + i for i in indices], tol)
     matrices = drawn.matrices
@@ -183,12 +179,12 @@ def _sample_chunk(args, tol, indices):
                 row.append(_fmt(drawn.k_agreement[j]))
             if args.oracle:
                 rho = states.DensityMatrix._by_construction(matrices[j])
-                result = oracle.minimize_absolute_robustness(rho, tolerances=tol)
+                result = oracle._minimize(rho, certs, j, tol)
                 row += [_fmt(result.s_best), _fmt(result.gap_to_formula)]
             yield row
     if drawn.error is not None:
-        raise GeneratedStateInvalid(f"seed {args.seed + indices[len(matrices)]}: "
-                                    f"generated state failed validation: {drawn.error}")
+        raise states.ValidationError(f"seed {args.seed + indices[len(matrices)]}: "
+                                     f"generated state failed validation: {drawn.error}")
 
 
 def cmd_sample(args, tol) -> int:
@@ -309,8 +305,8 @@ def main(argv=None) -> int:
     commands = {"analyze": cmd_analyze, "sample": cmd_sample, "param": cmd_param, "verify": cmd_verify}
     try:
         return commands[args.command](args, tol)
-    except (NumericalFailure, NonHermitianInput, NonSymmetricInput, GeneratedStateInvalid,
-            states.ValidationError, oracle.NotSeparableDirection, oracle.ImproperDirection) as exc:
+    except (NumericalFailure, NonHermitianInput, NonSymmetricInput, states.ValidationError,
+            oracle.NotSeparableDirection, oracle.ImproperDirection) as exc:
         # a residual inside the decomposition of an already validated state,
         # a check of a state the program generated (input states are checked
         # before), or the PPT crossing along a certificate's direction failed

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import robustness as robustness_mod
-from .robustness import RankDeficient
+from .robustness import CertificateStack, RankDeficient, robustness_stack
 from .states import DensityMatrix, is_separable_ppt, partial_transpose_matrix, ppt_min_eig
 from .tolerances import DEFAULT, Tolerances
 
@@ -144,44 +143,30 @@ class OracleResult:
                 "evaluations": self.evaluations}
 
 
-def _pencil_crossing(rho_pt: np.ndarray, d_pt: np.ndarray) -> np.ndarray:
-    """Smallest s >= 0 with rho_pt + s d_pt >= 0 for each direction of an
-    (m, 4, 4) stack ``d_pt``; ``rho_pt`` is one matrix or an (m, 4, 4) stack.
-
-    Solved through a regularized pencil: the tiny identity shift keeps the
-    Cholesky factor well conditioned and amounts to mixing D with O(1e-10) of
-    the maximally mixed state, which is still separable.  An entry whose
-    factorization fails scores inf without affecting the others.
-    """
-    eps = 1e-10 * np.maximum(1.0, np.abs(np.trace(d_pt, axis1=1, axis2=2).real))
-    try:
-        inv = np.linalg.inv(np.linalg.cholesky(d_pt + eps[:, None, None] * np.eye(4)))
-        lowest = np.linalg.eigvalsh(inv @ rho_pt @ inv.conj().swapaxes(1, 2))[:, 0]
-    except np.linalg.LinAlgError:  # score the entries one by one
-        if len(d_pt) == 1:
-            return np.array([math.inf])
-        rho_rows = np.broadcast_to(rho_pt, d_pt.shape)
-        return np.concatenate([_pencil_crossing(rho_rows[i:i + 1], d_pt[i:i + 1]) for i in range(len(d_pt))])
-    return np.where(lowest < 0.0, -lowest, 0.0)
-
-
 def _newton_crossing(rho_pt: np.ndarray, sigma_pt: np.ndarray, ppt: float) -> np.ndarray:
     """Root of g(s) = lambda_min(rho_pt + s sigma_pt) + ppt (1 + s) for each
-    entry of two (N, 4, 4) stacks: the pencil estimate polished by one Newton
-    step; NaN where either fails.
+    entry of two (N, 4, 4) stacks whose directions passed the PPT test: the
+    regularized pencil's estimate polished by one Newton step; NaN where the
+    slope is not positive.
 
+    The pencil gives the smallest s >= 0 with rho_pt + s (sigma_pt + eps I)
+    >= 0 from the Cholesky factor of sigma_pt + eps I, eps = max(1e-10
+    max(1, |tr sigma_pt|), 2 ppt).  A direction that passed the test has
+    lambda_min(sigma_pt) >= -ppt, so the shifted matrix always factors, and
+    the shift mixes sigma with a little of I/4, which is still separable.
     g is concave and increasing for a PPT direction, so the step lands at or
     just below the root; g(s) >= 0 is the PPT test of (rho + s sigma)/(1+s).
     """
-    start = _pencil_crossing(rho_pt, sigma_pt)
-    finite = np.isfinite(start)
-    start = np.where(finite, start, 0.0)
+    eps = np.maximum(1e-10 * np.maximum(1.0, np.abs(np.trace(sigma_pt, axis1=1, axis2=2).real)), 2.0 * ppt)
+    inv = np.linalg.inv(np.linalg.cholesky(sigma_pt + eps[:, None, None] * _EYE))
+    lowest = np.linalg.eigvalsh(inv @ rho_pt @ inv.conj().swapaxes(1, 2))[:, 0]
+    start = np.where(lowest < 0.0, -lowest, 0.0)
     evals, vecs = np.linalg.eigh(rho_pt + start[:, None, None] * sigma_pt)
     v = vecs[:, :, :1]
     slope = (v.conj().swapaxes(1, 2) @ sigma_pt @ v)[:, 0, 0].real + ppt
     value = evals[:, 0] + ppt * (1.0 + start)
     step = np.full(len(start), np.nan)
-    np.divide(value, slope, out=step, where=finite & (slope > 0.0))
+    np.divide(value, slope, out=step, where=slope > 0.0)
     return np.maximum(start - step, 0.0)
 
 
@@ -372,27 +357,28 @@ def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int 
     raises, the reference's first.
     ``budget`` and ``seed`` are accepted for older callers and do nothing.
     """
-    return _minimize(rho, None, tolerances)
+    return _minimize(rho, robustness_stack(rho.matrix[None], tolerances), 0, tolerances)
 
 
-def _minimize(rho: DensityMatrix, certs, tolerances: Tolerances) -> OracleResult:
-    """``minimize_absolute_robustness`` of ``rho`` given its N = 1
-    ``robustness_stack`` ``certs`` where the caller has one (None: built here
-    for an entangled ``rho``); the reference is the stack's rho'' (I/4 where
-    its entry raises ``RankDeficient``)."""
+def _minimize(rho: DensityMatrix, certs: CertificateStack, i: int, tolerances: Tolerances) -> OracleResult:
+    """``minimize_absolute_robustness`` of ``rho``, entry ``i`` of the
+    caller's ``robustness_stack`` ``certs``.  The reference is the entry's
+    rho'', or I/4 where the entry's error is ``RankDeficient``; any other
+    error of the entry is raised."""
     if is_separable_ppt(rho, tolerances)[0]:
         return OracleResult(s_direction=0.0, s_best=0.0, best_direction=rho, evaluations=1,
                             converged=True, gap_to_formula=0.0, s_lower=0.0, duality_gap=0.0,
                             newton_steps=0)
-    if certs is None:
-        certs = robustness_mod.robustness_stack(rho.matrix[None], tolerances)
-    s_formula, reference = math.nan, DensityMatrix(np.eye(4) / 4.0)
-    with contextlib.suppress(RankDeficient):
-        cert = certs.entry(0)
-        s_formula, reference = cert.s, cert.rho_pp
+    failure = certs.errors[i]
+    if isinstance(failure, RankDeficient):
+        s_formula, reference = math.nan, _EYE / 4.0
+    elif failure is not None:
+        raise failure
+    else:
+        s_formula, reference = float(certs.s[i]), certs.rho_pp[i]
     bracket = absolute_robustness(rho, tolerances=tolerances)
     (s_direction, s_best), errors = relative_robustness_stack(
-        np.stack(2 * [rho.matrix]), np.stack([reference.matrix, bracket.direction]), tolerances=tolerances)
+        np.stack(2 * [rho.matrix]), np.stack([reference, bracket.direction]), tolerances=tolerances)
     for error in errors:                                  # the reference direction's error first
         if error is not None:
             raise error

@@ -40,15 +40,17 @@ class BadWeights(ValueError):
     """Vertex weights must be convex."""
 
 
-# vertex index k -> the pair (i, j) of directions it mixes (1-based)
+# vertex index k -> the pair (i, j) of directions it mixes (1-based); the tables below derive from it
 _VERTEX_PAIRS = {1: (1, 2), 2: (3, 4), 3: (2, 4), 4: (2, 3)}
-# candidate pairs for the minimum, in the lexicographic order that settles ties
-_MIN_PAIRS = ((2, 3), (2, 4), (3, 4))
-_MIN_PAIR_COLUMNS = np.array(_MIN_PAIRS) - 1                            # 0-based
-_MIN_PAIR_VERTEX = np.array([9 - i - j for i, j in _MIN_PAIRS])       # the vertex each pair spans
-_PLANE_VERTICES = np.array([2, 3, 4])
-# for direction i = 2, 3, 4: the two plane vertices (as indices of a2, a3, a4) that mix it
-_MIXING_RATES = (np.array([1, 0, 0]), np.array([2, 2, 1]))
+_VERTEX_COLUMNS = np.array([(0, 0)] + [_VERTEX_PAIRS[k] for k in (1, 2, 3, 4)]) - 1   # 0-based; row 0 unused
+# the s1 plane's vertices sigma_2, sigma_3, sigma_4: the pairs without direction 1
+_PLANE_VERTICES = np.array([k for k, pair in _VERTEX_PAIRS.items() if 1 not in pair])
+# the candidate pairs for the minimum, (2, 3), (2, 4), (3, 4): the lexicographic order settles ties
+_MIN_PAIR_VERTEX = _PLANE_VERTICES[::-1]
+_MIN_PAIR_COLUMNS = _VERTEX_COLUMNS[_MIN_PAIR_VERTEX]
+# for direction i = 2, 3, 4: the two plane vertices (as indices of a2, a3, a4) whose pairs hold it
+_MIXING_RATES = np.array([[v for v, k in enumerate(_PLANE_VERTICES) if i in _VERTEX_PAIRS[k]]
+                          for i in (2, 3, 4)]).T
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def _check_convex(weights, n: int) -> np.ndarray:
 
 
 def _pair_sums(k: np.ndarray) -> np.ndarray:
-    """K_2+K_3, K_2+K_4, K_3+K_4 (the ``_MIN_PAIRS`` order) along the last axis
+    """K_2+K_3, K_2+K_4, K_3+K_4 (the ``_MIN_PAIR_COLUMNS`` order) along the last axis
     of K values (4,) or (N, 4)."""
     return k[..., _MIN_PAIR_COLUMNS[:, 0]] + k[..., _MIN_PAIR_COLUMNS[:, 1]]
 
@@ -162,7 +164,7 @@ def rho_prime_coords(decomp: WoottersDecomposition, weights) -> np.ndarray:
 # plane 1 is the s1 plane of sigma_2, sigma_3, sigma_4, whose rates are
 # ``_vertex_rates``; planes 2, 3 and 4 hold the pair-mixtures with that index,
 # partners ascending, and a partner 1 (column 0) adds no rate
-_PLANE_PAIRS = {1: _MIN_PAIR_COLUMNS[::-1],
+_PLANE_PAIRS = {1: _VERTEX_COLUMNS[_PLANE_VERTICES],
                 **{p: np.array([(p - 1, m) for m in range(4) if m != p - 1]) for p in (2, 3, 4)}}
 
 

@@ -20,13 +20,11 @@ import numpy as np
 
 from . import coset, oracle, states, wootters
 from .numerics import hermitian_eig_stack, takagi_stack
-from .robustness import (_VERTEX_PAIRS, CertificateStack, RobustnessCertificate, _pair_sums, _plane_robustness,
+from .robustness import (_VERTEX_COLUMNS, CertificateStack, RobustnessCertificate, _pair_sums, _plane_robustness,
                          robustness_stack)
 from .tolerances import DEFAULT, Tolerances
 
 _EYE = np.eye(4)
-# 0-based K columns of the pair each vertex sigma_k mixes, indexed by k (0 unused)
-_VERTEX_COLUMNS = np.array([(0, 0)] + [_VERTEX_PAIRS[k] for k in (1, 2, 3, 4)]) - 1
 
 
 @dataclass
@@ -376,7 +374,7 @@ def _audit(rho: states.DensityMatrix, certs: CertificateStack, run, tolerances: 
     report = {"s_formula": float(certs.s[0]), "s_bisection": float(s_bisection[0]), "checks": verdicts,
               "passed": all(verdict["passed"] for verdict in verdicts.values())}
     if with_oracle:
-        result = oracle._minimize(rho, certs, tolerances)
+        result = oracle._minimize(rho, certs, 0, tolerances)
         report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
                             "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
     return report

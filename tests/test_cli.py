@@ -241,6 +241,28 @@ def test_sample_oracle_columns(tmp_path):
     assert float(row["s_best"]) <= float(row["s_formula"]) + 1e-6
 
 
+def test_sample_oracle_decomposes_once(tmp_path, monkeypatch):
+    # the --oracle columns reuse the chunk's certificates
+    calls = _counting(monkeypatch, wootters, "decompose_stack")
+    assert main(["sample", "--ensemble", "ginibre", "--n", "6", "--oracle", "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ensemble, seed, n", [("ginibre", 0, 4), ("bures", 59, 4)])
+def test_sample_oracle_columns_are_the_public_search(tmp_path, ensemble, seed, n):
+    # each row's s_best and gap are those of the search on its state alone;
+    # Bures seed 61 is rank deficient: the I/4 reference and a nan gap
+    out = tmp_path / "oracle.csv"
+    assert main(["sample", "--ensemble", ensemble, "--n", str(n), "--seed", str(seed),
+                 "--oracle", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    for i, row in enumerate(rows):
+        result = oracle.minimize_absolute_robustness(sample_state(ensemble, seed + i))
+        assert row[-2:] == [repr(result.s_best), repr(result.gap_to_formula)]
+    if ensemble == "bures":
+        assert rows[61 - seed][-1] == "nan" and rows[61 - seed][7] == "nan"
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--ensemble", "ginibre", "--n", "0"],
     ["sample", "--ensemble", "ginibre", "--n", "2", "--seed", "-1"],

@@ -15,7 +15,6 @@ from qrobust.oracle import (
     bisect_relative_robustness,
     _bisect as bisect_stack,
     _dual_bound,
-    _pencil_crossing,
     minimize_absolute_robustness,
     relative_robustness_stack,
 )
@@ -23,6 +22,7 @@ from qrobust.robustness import robustness
 from qrobust.states import (
     BellWeights,
     DensityMatrix,
+    _bell_mixture,
     apply_local_unitary,
     bell_diagonal,
     is_separable_ppt,
@@ -41,21 +41,33 @@ UP_UP = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
 BELL_07 = bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1])))
 
 
-def assert_post_conditions(rho, direction):
+def assert_post_conditions(rho, direction, tolerances=DEFAULT):
     """The mixture at the returned s is PPT, and at s - CROSSING_WIDTH*(1+s)
     it is not (or s = 0 and rho is PPT); returns s."""
-    s = bisect_relative_robustness(rho, direction)
+    s = bisect_relative_robustness(rho, direction, tolerances=tolerances)
 
     def mixture(t):
         return (rho.matrix + t * direction.matrix) / (1.0 + t)
 
-    assert ppt_min_eig(mixture(s)) >= -1e-11
+    assert ppt_min_eig(mixture(s)) >= -tolerances.ppt
     if s > 0.0:
         below = max(0.0, s - CROSSING_WIDTH * (1.0 + s))
-        assert ppt_min_eig(mixture(below)) < -1e-11
+        assert ppt_min_eig(mixture(below)) < -tolerances.ppt
     else:
-        assert is_separable_ppt(rho)[0]
+        assert is_separable_ppt(rho, tolerances)[0]
     return s
+
+
+def record_fallbacks(monkeypatch):
+    """The number of entries each ``_bisect`` call receives, in call order."""
+    fallbacks = []
+
+    def recording(rho, sigma, cut):
+        fallbacks.append(len(rho))
+        return bisect_stack(rho, sigma, cut)
+
+    monkeypatch.setattr(oracle_module, "_bisect", recording)
+    return fallbacks
 
 
 def random_mixture(rng, n=8):
@@ -106,13 +118,7 @@ class TestBisection:
         # along the rank-1 product state |uu><uu| the regularized pencil
         # misjudges a crossing near s = 1e3, so the Newton bracket fails its
         # PPT test and the entry doubles its bracket and bisects
-        fallbacks = []
-
-        def recording(rho, sigma, cut):
-            fallbacks.append(len(rho))
-            return bisect_stack(rho, sigma, cut)
-
-        monkeypatch.setattr(oracle_module, "_bisect", recording)
+        fallbacks = record_fallbacks(monkeypatch)
         s = assert_post_conditions(werner(1.0 - 1e-3), UP_UP)
         assert 900.0 < s < 1000.0
         assert fallbacks == [1]
@@ -156,17 +162,17 @@ class TestBisection:
         with pytest.raises(NotSeparableDirection):
             bisect_relative_robustness(MIXED, SINGLET)
 
-    def test_failed_factorization_scores_only_its_entry(self):
-        rho_pt = partial_transpose_matrix(sample_state("ginibre", 0).matrix)
-        mixture = random_mixture(np.random.default_rng(5), n=3)
-        terms = np.array([ProductMixture(w, mixture.bloch_angles).matrix() for w in np.eye(3)])
-        # a negative weight makes the middle direction indefinite, so its Cholesky factor fails
-        weights = np.stack([mixture.weights, [1.0, -0.5, 0.5], mixture.weights])
-        d_pt = partial_transpose_matrix(np.einsum("bn,nij->bij", weights, terms))
-        values = _pencil_crossing(rho_pt, d_pt)
-        alone = _pencil_crossing(rho_pt, d_pt[:1])[0]
-        assert values[1] == math.inf
-        assert values[0] == values[2] == alone and math.isfinite(alone)
+    def test_direction_that_passed_the_ppt_test_factors(self, monkeypatch):
+        # a Bell-diagonal direction with PT eigenvalue -5e-10 passes the PPT
+        # test at ppt 1e-9; the pencil's shift of at least 2 ppt makes it
+        # positive definite, so no entry along it falls back to bisection
+        fallbacks = record_fallbacks(monkeypatch)
+        tol = DEFAULT.scaled(100)
+        direction = DensityMatrix(_bell_mixture(np.array([0.5 + 5e-10, 0.2, 0.2, 0.1 - 5e-10])))
+        assert -tol.ppt < ppt_min_eig(direction.matrix) < -4e-10
+        for weights in ([0.1, 0.7, 0.1, 0.1], [0.1, 0.1, 0.7, 0.1], [0.2 / 3, 0.8, 0.2 / 3, 0.2 / 3]):
+            assert assert_post_conditions(DensityMatrix(_bell_mixture(np.array(weights))), direction, tol) > 0.0
+        assert fallbacks and not any(fallbacks)
 
 
 class TestProductMixture:

@@ -74,18 +74,6 @@ def _column_pivots(v: np.ndarray) -> np.ndarray:
     return pivots.reshape(v.shape[:-2] + (1, n))
 
 
-def _tied_runs(values: np.ndarray, gap: float) -> list:
-    """Split a descending array into maximal runs of neighbours at most
-    ``gap`` apart; returns one index range per run, singletons included."""
-    runs, start = [], 0
-    for i in range(1, len(values)):
-        if values[i - 1] - values[i] > gap:
-            runs.append(range(start, i))
-            start = i
-    runs.append(range(start, len(values)))
-    return runs
-
-
 def _entry_errors(deviation: np.ndarray, bound: float, make) -> list:
     """``make(deviation)`` for each entry whose deviation exceeds ``bound``, else None."""
     return [make(d) if d > bound else None for d in deviation.tolist()]

@@ -127,9 +127,19 @@ def _column_signs(x: np.ndarray) -> np.ndarray:
     return np.where(numerics._column_pivots((_MAGIC_ADJOINT @ x).real) < 0.0, -1.0, 1.0)
 
 
-def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray) -> None:
-    """Fix, in place, the rotation the defining relation leaves free in
-    each cluster of tied lambdas (steps 1 and 2 of the rule below).
+def _tie_patterns(tied: np.ndarray):
+    """Group the rows of (N, n - 1) flags of tied neighbours by pattern: yields the
+    rows of each pattern with a tie and the slice of each run of tied neighbours."""
+    n = tied.shape[1]
+    codes = tied @ (1 << np.arange(n))
+    for code in sorted(set(codes.tolist()) - {0}):          # np.unique would import numpy.ma
+        cuts = [0, *(j + 1 for j in range(n) if not code >> j & 1), n + 1]
+        yield np.flatnonzero(codes == code), [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+
+
+def _fix_free_rotations(x: np.ndarray, tied: np.ndarray) -> None:
+    """Fix in place, over an (N, 4, 4) stack, the rotation the defining relation
+    leaves free in each cluster of lambdas that ``tied`` flags (steps 1 and 2 below).
 
     Each |x_i> is unique only up to sign, and inside a cluster of lambdas
     tied within ``TIE * lambda_1`` only up to a real orthogonal rotation;
@@ -144,31 +154,31 @@ def _fix_free_rotations(x: np.ndarray, lambdas: np.ndarray) -> None:
        coefficient positive (ties go to the lower Bell index).
 
     A Bell-diagonal state thus gets columns proportional to the magic
-    vectors in Bell order, whatever basis the eigensolver returned.
-    ``decompose_stack`` runs steps 1 and 2 only on entries with a tied
-    cluster, then step 3 (``_column_signs``) on every entry in one pass.
+    vectors in Bell order, whatever basis the eigensolver returned.  Step 1 is
+    one eigensolver call per cluster of the entries sharing a pattern of lambda
+    ties, step 2 one QR call per group of those also sharing a pattern of K ties.
     """
-    for cluster in numerics._tied_runs(lambdas, TIE * lambdas[0]):
-        if len(cluster) < 2:
-            continue
-        xc = x[:, cluster]
-        k, rot = numerics._eigh_descending((xc.conj().T @ xc).real)
-        xc = xc @ rot
-        for group in numerics._tied_runs(k, TIE * k[0]):
-            if len(group) > 1:
-                xg = xc[:, group]
-                coeffs = (_MAGIC_ADJOINT @ xg).real        # full column rank
-                rows = np.sort(np.argsort(-np.sum(coeffs ** 2, axis=1), kind="stable")[:len(group)])
-                xc[:, group] = xg @ np.linalg.qr(coeffs[rows].T)[0]   # coeffs[rows] @ q = r.T
-        x[:, cluster] = xc
+    for idx, clusters in _tie_patterns(tied):
+        for cluster in clusters:
+            xc = x[idx, :, cluster]
+            k, rot = numerics._eigh_descending((xc.conj().swapaxes(-1, -2) @ xc).real)
+            xc = xc @ rot
+            for sub, groups in _tie_patterns(k[:, :-1] - k[:, 1:] <= TIE * k[:, :1]):
+                for group in groups:
+                    xg = xc[sub, :, group]
+                    coeffs = (_MAGIC_ADJOINT @ xg).real        # full column rank
+                    order = np.argsort(-np.sum(coeffs ** 2, axis=-1), axis=-1, kind="stable")
+                    top = np.take_along_axis(coeffs, np.sort(order[:, :xg.shape[-1]])[:, :, None], axis=1)
+                    xc[sub, :, group] = xg @ np.linalg.qr(top.swapaxes(-1, -2))[0]   # top @ q = r.T
+            x[idx, :, cluster] = xc
 
 
 def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> DecompositionStack:
     """``decompose`` over an (N, 4, 4) stack of validated state matrices.
 
-    Each entry gets the bits its own N = 1 call gets.  An entry whose
-    residual check fails is recorded in ``errors`` and does not stop the
-    others.
+    Each entry gets the bits its own N = 1 call gets; the tie rule runs once
+    per pattern of ties, and not at all without one.  An entry whose residual
+    check fails is recorded in ``errors`` and does not stop the others.
     """
     mu, vecs, eig_errors = numerics.hermitian_eig_stack(matrices, tol)
     sub = vecs * np.sqrt(mu.clip(0.0, None))[:, None, :]
@@ -183,10 +193,9 @@ def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Decompos
     rank = (lambdas > eps_rank[:, None]).sum(axis=1)
     inside = _COLUMNS < rank[:, None]
     x = np.where(inside[:, None, :], x, 0.0)
-    # entries with a cluster of lambdas tied inside the rank take steps 1 and 2 of the rule
-    clustered = ((lambdas[:, :-1] - lambdas[:, 1:] <= TIE * lambdas[:, :1]) & inside[:, 1:]).any(axis=1)
-    for i in clustered.nonzero()[0]:
-        _fix_free_rotations(x[i], lambdas[i, :rank[i]])
+    tied = (lambdas[:, :-1] - lambdas[:, 1:] <= TIE * lambdas[:, :1]) & inside[:, 1:]
+    if tied.any():
+        _fix_free_rotations(x, tied)
     x *= _column_signs(x)
     p_coord = (np.abs(x) ** 2).sum(axis=-2)
     k_norm = np.full(lambdas.shape, np.nan)

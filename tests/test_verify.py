@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from qrobust import states, verify
+from qrobust import oracle, states, verify
 from qrobust.states import ValidationError, ppt_min_eig, sample_state
 from qrobust.tolerances import DEFAULT
 
@@ -143,3 +143,21 @@ def test_failed_draw_names_its_seed():
     with pytest.raises(ValidationError) as single:
         sample_state("ginibre", seed, exact)
     assert failed.detail == f"raised {single.value!r}"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1000.0, 0.0])
+def test_thresholds_match_the_scalar_bisection(scale):
+    # the stacked Werner rounds against the one-point-at-a-time bisection they replace
+    tol = DEFAULT.scaled(scale)
+    singlet, lo, hi = states.werner(1.0), 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if states.is_separable_ppt(states.werner(mid), tol)[0] else (lo, mid)
+    s_mix = oracle.bisect_relative_robustness(singlet, states.DensityMatrix(np.eye(4) / 4.0), tolerances=tol)
+    ratios = np.array([abs(states.is_separable_ppt(singlet, tol)[1] + 0.5) / max(tol.singular_agreement, 1e-300),
+                       abs(s_mix - 2.0) / max(tol.bisect_formula, 1e-300),
+                       abs(0.5 * (lo + hi) - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300)])
+    result = verify._check_thresholds(verify.Corpus(5, 0, tol))
+    names = ("singlet PT minimum eigenvalue", "bisection from the singlet toward I/4", "Werner boundary")
+    expected = verify._result(result.name, [(ratios, 1.0)], names.__getitem__)
+    assert result == expected and result.line() == expected.line()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import concurrence_by_spectrum, ginibre_states
-from qrobust import concurrence, coset, decompose, oracle, tilde_distance, tilde_norm
+from qrobust import concurrence, coset, decompose, numerics, oracle, tilde_distance, tilde_norm, wootters
 from qrobust.coset import CosetParams, density_from_params
 from qrobust.robustness import robustness_stack
 from qrobust.states import (
@@ -18,6 +18,7 @@ from qrobust.states import (
     werner,
 )
 from qrobust.tolerances import DEFAULT
+from qrobust.wootters import TIE, decompose_stack
 
 MIXED = DensityMatrix(np.eye(4) / 4.0)
 SINGLET = werner(1.0)
@@ -207,6 +208,73 @@ class TestDegeneracyRule:
             xc = dec.x[:, 1:] @ rot
             kc = np.sum(np.abs(xc) ** 2, axis=0) / dec.lambdas[1:]
             assert min(kc[0] + kc[1], kc[0] + kc[2], kc[1] + kc[2]) >= best - 1e-12
+
+
+def _runs(tied):
+    """Index lists of the runs of two or more neighbours that the flags ``tied`` join."""
+    runs, start = [], 0
+    for j, joined in enumerate([*tied, False]):
+        if not joined:
+            if j > start:
+                runs.append(list(range(start, j + 1)))
+            start = j + 1
+    return runs
+
+
+def _per_entry_rule(x, tied):
+    """Steps 1 and 2 of the tie rule one entry, cluster and group at a time."""
+    for i in np.flatnonzero(tied.any(axis=1)):
+        for cluster in _runs(tied[i]):
+            xc = x[i][:, cluster]
+            k, rot = numerics._eigh_descending((xc.conj().T @ xc).real)
+            xc = xc @ rot
+            for group in _runs(k[:-1] - k[1:] <= TIE * k[0]):
+                xg = xc[:, group]
+                coeffs = (wootters._MAGIC_ADJOINT @ xg).real
+                rows = np.sort(np.argsort(-np.sum(coeffs ** 2, axis=1), kind="stable")[:len(group)])
+                xc[:, group] = xg @ np.linalg.qr(coeffs[rows].T)[0]
+            x[i][:, cluster] = xc
+
+
+class TestStackedTieRule:
+    """``decompose_stack`` runs the tie rule as one pass per pattern of ties.
+    One stack holds all seven patterns of lambda ties inside the rank, with
+    tied, unequal and untied K_i in them; each entry must get the bits of its
+    own ``decompose`` call, in either order of the stack."""
+
+    @staticmethod
+    def _stack():
+        angles = dict(theta1=0.4, theta2=-0.2, xi1=0.3, xi2=0.1, phi1=0.25, phi2=-0.5)
+        coset_lams = ([0.55, 0.15, 0.15, 0.15],                     # tied cluster, unequal K
+                      [0.55, 0.15 + 2.2e-8, 0.15, 0.15 - 2.2e-8],   # near tie: not rotated
+                      [0.4, 0.4, 0.1, 0.1])
+        bell = [bell_diagonal(BellWeights(np.array(w))).matrix for w in TIED_WEIGHTS + ([0.4, 0.4, 0.1, 0.1],)]
+        ginibre = [rho.matrix for rho in ginibre_states(30)]
+        certs = robustness_stack(np.array(bell + ginibre))
+        # rho'' vertices: tied lambdas, with tied K_i (Bell diagonal) or unequal K_i (Ginibre)
+        vertices = list(certs.rho_pp[certs.s > 0.0])
+        rotated = apply_local_unitary(BELL_07, random_local_unitary(np.random.default_rng(4))).matrix
+        cosets = [density_from_params(CosetParams(**angles, lam=np.array(lam))).matrix for lam in coset_lams]
+        return np.array(bell + ginibre + vertices + cosets + [rotated, MIXED.matrix, SINGLET.matrix])
+
+    def test_every_entry_gets_the_bits_of_its_own_call(self):
+        matrices = self._stack()
+        dec, rev = decompose_stack(matrices), decompose_stack(matrices[::-1])
+        tied = (-np.diff(dec.lambdas) <= TIE * dec.lambdas[:, :1]) & (np.arange(1, 4) < dec.rank[:, None])
+        assert set((tied @ [1, 2, 4]).tolist()) == set(range(8))
+        for i, rho in enumerate(matrices):
+            one = decompose(DensityMatrix(rho))
+            for field in ("lambdas", "x", "k_norm", "p_coord"):
+                assert np.array_equal(getattr(dec, field)[i], getattr(one, field), equal_nan=True), (i, field)
+                assert np.array_equal(getattr(rev, field)[-1 - i], getattr(one, field), equal_nan=True), (i, field)
+
+    def test_stacked_passes_match_the_per_entry_loop(self, monkeypatch):
+        matrices = self._stack()
+        dec = decompose_stack(matrices)
+        monkeypatch.setattr(wootters, "_fix_free_rotations", _per_entry_rule)
+        reference = decompose_stack(matrices)
+        for field in ("lambdas", "x", "k_norm", "p_coord"):
+            assert np.array_equal(getattr(dec, field), getattr(reference, field), equal_nan=True), field
 
 
 class TestStress:

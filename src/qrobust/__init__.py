@@ -9,24 +9,9 @@ prescribed basis norms in closed form.
 """
 
 from .coset import CosetParams, build_X, build_Y, closed_form_x, density_from_params, k_closed_form
-from .numerics import NonHermitianInput, NonSymmetricInput, NumericalFailure, hermitian_eig, takagi
-from .oracle import (
-    OracleResult,
-    ProductMixture,
-    bisect_relative_robustness,
-    minimize_absolute_robustness,
-)
-from .robustness import (
-    BadWeights,
-    RankDeficient,
-    RobustnessCertificate,
-    plane_robustness_other,
-    plane_robustness_s1,
-    rho_prime_coords,
-    robustness,
-    separability_gap,
-    sigma_vertex,
-)
+from .numerics import NonHermitianInput, NonSymmetricInput, NumericalFailure
+from .oracle import OracleResult, bisect_relative_robustness, minimize_absolute_robustness
+from .robustness import RankDeficient, RobustnessCertificate, robustness
 from .states import (
     BellWeights,
     DensityMatrix,
@@ -46,12 +31,11 @@ from .states import (
 )
 from .tolerances import DEFAULT, Tolerances
 from .verify import verify_certificate
-from .wootters import WoottersDecomposition, concurrence, decompose, tilde_distance, tilde_norm
+from .wootters import WoottersDecomposition, concurrence, decompose
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadWeights",
     "BellWeights",
     "CosetParams",
     "DEFAULT",
@@ -62,7 +46,6 @@ __all__ = [
     "NumericalFailure",
     "OracleResult",
     "ParseError",
-    "ProductMixture",
     "RankDeficient",
     "RobustnessCertificate",
     "Tolerances",
@@ -78,23 +61,14 @@ __all__ = [
     "concurrence",
     "decompose",
     "density_from_params",
-    "hermitian_eig",
     "is_separable_ppt",
     "k_closed_form",
     "minimize_absolute_robustness",
     "partial_transpose",
-    "plane_robustness_other",
-    "plane_robustness_s1",
     "read_state",
-    "rho_prime_coords",
     "robustness",
     "sample_state",
-    "separability_gap",
-    "sigma_vertex",
     "spin_flip",
-    "takagi",
-    "tilde_distance",
-    "tilde_norm",
     "verify_certificate",
     "werner",
     "write_state",

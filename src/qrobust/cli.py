@@ -61,9 +61,8 @@ environment:
                   wootters.TIE            1e-12 ties of lambdas, K_i, pair sums
                   oracle.CROSSING_WIDTH   1e-10 crossing bracket width
                 Library constructors that take no record (LocalUnitary,
-                BellWeights, werner, apply_local_unitary,
-                ProductMixture.to_density, the plane-weight convexity
-                check) check at the default bounds.
+                BellWeights, werner, apply_local_unitary) check at the
+                default bounds.
 """
 
 

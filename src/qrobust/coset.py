@@ -74,9 +74,12 @@ class CosetParams:
 def params_failure(angles: np.ndarray, lam: np.ndarray):
     """The first invalid parameter set of (6,) angles and (4,) weights, or of
     (N, 6) and (N, 4) rows, as ``(index, message)``, or None.  Checks, in
-    order: xi nonnegative, weights nonnegative, weights descending."""
+    order: angles and weights finite, xi nonnegative, weights nonnegative,
+    weights descending."""
     rows = angles.reshape(-1, 6)
     return _first_failure([
+        (~(np.isfinite(angles).all(axis=-1) & np.isfinite(lam).all(axis=-1)),
+         lambda i: f"angles and weights must be finite, got {rows[i].tolist()} and {lam.reshape(-1, 4)[i].tolist()}"),
         (angles[..., 2:4].min(axis=-1) < 0.0,
          lambda i: f"xi angles must be nonnegative, got ({rows[i, 2]}, {rows[i, 3]})"),
         (lam.min(axis=-1) < 0.0, lambda i: f"weights must be nonnegative, got {lam.reshape(-1, 4)[i].tolist()}"),
@@ -246,12 +249,16 @@ def density_from_params(params: CosetParams, tol: Tolerances = DEFAULT) -> Densi
     """State sum_i lambda_i |x'_i><x'_i| with the weights rescaled to unit
     trace: :func:`density_stack` of one parameter set, validated.
 
+    Angles large enough to overflow cosh or sinh give entries that are not
+    finite, which the validation rejects.
+
     Raises
     ------
     DegenerateInput
         If every weight is zero.
     """
-    rho, _, _ = density_stack(np.array(params.angles), params.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho, _, _ = density_stack(np.array(params.angles), params.lam)
     return DensityMatrix(rho, tol)
 
 

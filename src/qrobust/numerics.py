@@ -13,9 +13,9 @@ Inside a degenerate eigenspace LAPACK returns an arbitrary basis.  Callers
 that report vectors from such a space fix the basis by their own written
 rule (see ``wootters.decompose``).
 
-Both run on (N, 4, 4) stacks (``hermitian_eig_stack``, ``takagi_stack``),
-and the single-matrix functions are their N = 1 calls.  An entry of a
-stack gets the bits its own single-matrix call gets.
+Both run on (N, 4, 4) stacks (``hermitian_eig_stack``, ``takagi_stack``), a
+single matrix being a stack with N = 1.  An entry of a stack gets the bits
+its own N = 1 call gets, whatever else the stack holds.
 """
 
 from __future__ import annotations
@@ -85,10 +85,14 @@ def _first_error(*stages) -> list:
 
 
 def hermitian_eig_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
-    """``hermitian_eig`` over an (N, 4, 4) stack of finite matrices.
+    """Eigendecomposition of each 4x4 Hermitian matrix of an (N, 4, 4) stack
+    of finite matrices.
 
-    Returns ``(eigenvalues, eigenvectors, errors)``; ``errors[i]`` is the
-    ``NonHermitianInput`` of entry i, or None.  Every entry is decomposed, a
+    Returns ``(eigenvalues, eigenvectors, errors)``: eigenvalues (N, 4)
+    descending, eigenvectors (N, 4, 4) as orthonormal columns, each phased
+    so that its largest-magnitude component is real and positive, and
+    ``errors[i]``, the ``NonHermitianInput`` of entry i (``max |M - M^dag|``
+    above the hermiticity tolerance), or None.  Every entry is decomposed, a
     failing one included.
     """
     adjoint = matrices.conj().swapaxes(-1, -2)
@@ -98,28 +102,20 @@ def hermitian_eig_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
     return (*_eigh_descending(0.5 * (matrices + adjoint)), errors)
 
 
-def hermitian_eig(matrix, tol: Tolerances = DEFAULT):
-    """Eigendecomposition of a 4x4 Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues descending and
-    eigenvectors as orthonormal columns, deterministically oriented.
-
-    Raises
-    ------
-    NonHermitianInput
-        If ``max |M - M^dag|`` exceeds the hermiticity tolerance.
-    """
-    evals, vecs, errors = hermitian_eig_stack(_as_matrix(matrix)[None], tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return evals[0], vecs[0]
-
-
 def takagi_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
-    """``takagi`` over an (N, 4, 4) stack of finite matrices.
+    """Takagi factorization of each 4x4 complex symmetric matrix S of an
+    (N, 4, 4) stack of finite matrices.
 
-    Returns ``(w, d, errors)``; ``errors[i]`` is the ``NonSymmetricInput`` of
-    entry i, or None.  Only entries with a cluster of singular values go
+    Returns ``(w, d, errors)``: ``w`` (N, 4, 4) unitary and ``d`` (N, 4)
+    nonnegative and descending, with ``w @ S @ w.T = diag(d)``, so the ``d``
+    equal the singular values of S; ``errors[i]`` is the
+    ``NonSymmetricInput`` of entry i (``max |S - S^T|`` above the symmetry
+    tolerance), or None.
+
+    The route: diagonalize the Hermitian product S conj(S), re-factor the
+    symmetric restriction of S on any cluster of (near-)degenerate singular
+    values, zeros included, where single-column phases are not well
+    defined, then fix one phase per column.  Only entries with a cluster go
     through the re-factorization, all of them in one stacked call.
     """
     transpose = matrices.swapaxes(-1, -2)
@@ -153,25 +149,3 @@ def takagi_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
     v = np.take_along_axis(v, order[:, None, :], axis=-1)
     refined = np.take_along_axis(refined, order, axis=-1)
     return v.conj().swapaxes(-1, -2), refined, errors
-
-
-def takagi(matrix, tol: Tolerances = DEFAULT):
-    """Takagi factorization of a 4x4 complex symmetric matrix.
-
-    Returns ``(w, d)`` with ``w`` unitary, ``d`` nonnegative and descending,
-    and ``w @ S @ w.T = diag(d)``; the ``d`` equal the singular values of S.
-
-    The route: diagonalize the Hermitian product S conj(S), re-factor the
-    symmetric restriction of S on any cluster of (near-)degenerate singular
-    values, zeros included, where single-column phases are not well
-    defined, then fix one phase per column.
-
-    Raises
-    ------
-    NonSymmetricInput
-        If ``max |S - S^T|`` exceeds the symmetry tolerance.
-    """
-    w, d, errors = takagi_stack(_as_matrix(matrix)[None], tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return w[0], d[0]

@@ -56,41 +56,15 @@ _SDP_C = 2.0 * np.eye(16)[0]                  # coordinates of I: tr X = c^T x
 _SDP_Z0 = np.stack(3 * [np.eye(4) / 2.0])     # the dual blocks' start
 
 
-@dataclass(frozen=True)
-class ProductMixture:
-    """Convex mixture of product pure states |a_n> x |b_n>.
-
-    ``bloch_angles`` has one row (theta_a, phi_a, theta_b, phi_b) per term;
-    each single-qubit factor is cos(theta/2)|u> + e^{i phi} sin(theta/2)|d>.
-    Separable by construction.
-    """
-
-    weights: np.ndarray
-    bloch_angles: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        ang = np.array(self.bloch_angles, dtype=float)
-        if w.ndim != 1 or np.any(w < 0.0) or w.sum() <= 0.0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        if ang.shape != (w.shape[0], 4):
-            raise ValueError(f"bloch_angles must have shape ({w.shape[0]}, 4)")
-        w = w / w.sum()
-        w.setflags(write=False)
-        ang.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bloch_angles", ang)
-
-    def matrix(self) -> np.ndarray:
-        return _product_mixtures(self.weights, self.bloch_angles)
-
-    def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.matrix())
-
-
 def _product_mixtures(weights: np.ndarray, bloch_angles: np.ndarray) -> np.ndarray:
-    """``ProductMixture.matrix`` of (n,) weights and (n, 4) angles, or of each
-    row of (..., n) weights and (..., n, 4) angles: (..., 4, 4)."""
+    """The convex mixture of product pure states |a_n> x |b_n>, separable by
+    construction, of (n,) weights and (n, 4) angles, or of each row of
+    (..., n) weights and (..., n, 4) angles: (..., 4, 4).
+
+    An angle row (theta_a, phi_a, theta_b, phi_b) gives the single-qubit
+    factors cos(theta/2)|u> + e^{i phi} sin(theta/2)|d>.  The weights are
+    used as given, so they must be convex.
+    """
     tha, pha, thb, phb = np.moveaxis(bloch_angles, -1, 0)
     a = np.stack([np.cos(tha / 2.0), np.exp(1j * pha) * np.sin(tha / 2.0)], axis=-1)
     b = np.stack([np.cos(thb / 2.0), np.exp(1j * phb) * np.sin(thb / 2.0)], axis=-1)

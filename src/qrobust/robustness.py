@@ -36,10 +36,6 @@ class RankDeficient(ValueError):
         self.decomposition = decomposition
 
 
-class BadWeights(ValueError):
-    """Vertex weights must be convex."""
-
-
 # vertex index k -> the pair (i, j) of directions it mixes (1-based); the tables below derive from it
 _VERTEX_PAIRS = {1: (1, 2), 2: (3, 4), 3: (2, 4), 4: (2, 3)}
 _VERTEX_COLUMNS = np.array([(0, 0)] + [_VERTEX_PAIRS[k] for k in (1, 2, 3, 4)]) - 1   # 0-based; row 0 unused
@@ -75,23 +71,6 @@ class RobustnessCertificate:
         }
 
 
-def _require_full_rank(decomp: WoottersDecomposition) -> None:
-    if decomp.rank < 4:
-        raise RankDeficient(decomp)
-
-
-def separability_gap(decomp: WoottersDecomposition) -> float:
-    """P1/K1 - P2/K2 - P3/K3 - P4/K4 = lambda_1 - lambda_2 - lambda_3 - lambda_4.
-
-    Nonpositive exactly for separable states; equals the concurrence when
-    positive.  States with zero gap lie on the boundary plane of the
-    dominance region.
-    """
-    _require_full_rank(decomp)
-    p, k = decomp.p_coord, decomp.k_norm
-    return float(p[0] / k[0] - p[1] / k[1] - p[2] / k[2] - p[3] / k[3])
-
-
 def _pair_vertices(xp: np.ndarray, k: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(|x'_a><x'_a| + |x'_b><x'_b|) / (K_a + K_b) for each entry of a stack
     of normalized bases (N, 4, 4) and K values (N, 4); a, b hold 0-based
@@ -100,29 +79,6 @@ def _pair_vertices(xp: np.ndarray, k: np.ndarray, a: np.ndarray, b: np.ndarray) 
     xa, xb = xp[rows, :, a], xp[rows, :, b]
     return ((xa[:, :, None] * xa.conj()[:, None, :] + xb[:, :, None] * xb.conj()[:, None, :])
             / (k[rows, a] + k[rows, b])[:, None, None])
-
-
-def pair_vertex(decomp: WoottersDecomposition, i: int, j: int) -> DensityMatrix:
-    """Octahedron vertex (|x'_i><x'_i| + |x'_j><x'_j|) / (K_i + K_j), 1-based."""
-    _require_full_rank(decomp)
-    m = _pair_vertices(decomp.x_prime()[None], decomp.k_norm[None], np.array([i - 1]), np.array([j - 1]))
-    return DensityMatrix._by_construction(m[0])
-
-
-def sigma_vertex(decomp: WoottersDecomposition, k: int) -> DensityMatrix:
-    """The named separable vertex sigma_k, k in {1, 2, 3, 4}."""
-    if k not in _VERTEX_PAIRS:
-        raise ValueError(f"k must be in 1..4, got {k}")
-    return pair_vertex(decomp, *_VERTEX_PAIRS[k])
-
-
-def _check_convex(weights, n: int) -> np.ndarray:
-    w = np.array(weights, dtype=float)
-    if w.shape != (n,):
-        raise BadWeights(f"expected {n} weights, got shape {w.shape}")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > DEFAULT.unit_weight:
-        raise BadWeights(f"weights must be convex, got {w.tolist()}")
-    return w
 
 
 def _pair_sums(k: np.ndarray) -> np.ndarray:
@@ -137,27 +93,20 @@ def _vertex_rates(k: np.ndarray) -> np.ndarray:
 
 
 def _prime_coords(lam: np.ndarray, c: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """``rho_prime_coords`` over stacks: lambdas (N, 4), concurrences (N,) and
-    weighted vertex rates a_k/(K_i+K_j) (N, 3)."""
+    """Coordinates lambda'_i of the boundary state rho' for lambdas (N, 4),
+    concurrences (N,) and the vertex rates a_k/(K_i+K_j) (N, 3) weighted by
+    vertex weights (a2, a3, a4).
+
+    rho' is where the ray from rho through sum_k a_k sigma_k leaves the
+    entangled region; its coordinates satisfy
+    lambda'_1 - lambda'_2 - lambda'_3 - lambda'_4 = 0.
+    """
     total = rates.sum(axis=-1)
     half_c = 0.5 * c
     coords = total[:, None] * lam
     # lambda'_i, i = 2, 3, 4, gains C/2 times the rates of the two vertices that mix direction i
     coords[:, 1:] += half_c[:, None] * (rates[:, _MIXING_RATES[0]] + rates[:, _MIXING_RATES[1]])
     return coords / (total + half_c)[:, None]
-
-
-def rho_prime_coords(decomp: WoottersDecomposition, weights) -> np.ndarray:
-    """Coordinates lambda'_i of the boundary state rho' for vertex weights (a2, a3, a4).
-
-    rho' is where the ray from rho through sum_k a_k sigma_k leaves the
-    entangled region; its coordinates satisfy
-    lambda'_1 - lambda'_2 - lambda'_3 - lambda'_4 = 0.
-    """
-    _require_full_rank(decomp)
-    a = _check_convex(weights, 3)
-    rates = a * _vertex_rates(decomp.k_norm)
-    return _prime_coords(decomp.lambdas[None], np.array([decomp.concurrence]), rates[None])[0]
 
 
 # per plane, the 0-based K columns (a, b) of each vertex's rate 1/(K_a + K_b):
@@ -169,39 +118,21 @@ _PLANE_PAIRS = {1: _VERTEX_COLUMNS[_PLANE_VERTICES],
 
 
 def _plane_robustness(k: np.ndarray, c: np.ndarray, plane: int, weights: np.ndarray) -> np.ndarray:
-    """C / (2 sum_v w_v / (K_a + K_b)) over the vertices of ``plane`` for K
-    values (..., 4), concurrences (...) and convex weights (..., 3): 0 where
-    C = 0, inf where no weight falls on a vertex with a rate."""
+    """Relative robustness C / (2 sum_v w_v / (K_a + K_b)) along a mixture of
+    the vertices of ``plane``, for K values (..., 4), concurrences (...) and
+    convex weights (..., 3): 0 where C = 0, inf where no weight falls on a
+    vertex with a rate.
+
+    On plane 1 (sigma_2, sigma_3, sigma_4) the certificate value is the
+    minimum over the weights.  A vertex paired with direction 1 adds equally
+    to both sides of the separability gap, so it never contributes to the
+    decay rate; planes 2, 3 and 4 therefore cannot beat that minimum.
+    """
     a, b = _PLANE_PAIRS[plane].T
     rates = np.where(b == 0, 0.0, 1.0 / (k[..., a] + k[..., b]))
     with np.errstate(divide="ignore", invalid="ignore"):
         value = c / (2.0 * np.sum(weights * rates, axis=-1))
     return np.where(c == 0.0, 0.0, value)
-
-
-def plane_robustness_s1(decomp: WoottersDecomposition, weights) -> float:
-    """Relative robustness along a mixture of sigma_2, sigma_3, sigma_4.
-
-    s1 = C / (2 a2/(K3+K4) + 2 a3/(K2+K4) + 2 a4/(K2+K3)); the certificate
-    value is its minimum over convex weights.
-    """
-    _require_full_rank(decomp)
-    return float(_plane_robustness(decomp.k_norm, decomp.concurrence, 1, _check_convex(weights, 3)))
-
-
-def plane_robustness_other(decomp: WoottersDecomposition, plane: int, weights) -> float:
-    """Relative robustness with the outer separable state on plane 2, 3, or 4.
-
-    The plane's three vertices are the pair-mixtures containing the dominant
-    index; weights are given over those vertices in ascending partner order.
-    A vertex paired with direction 1 adds equally to both sides of the
-    separability gap, so it never contributes to the decay rate; these planes
-    therefore cannot beat the certificate minimum.
-    """
-    _require_full_rank(decomp)
-    if plane not in (2, 3, 4):
-        raise ValueError(f"plane must be 2, 3, or 4, got {plane}")
-    return float(_plane_robustness(decomp.k_norm, decomp.concurrence, plane, _check_convex(weights, 3)))
 
 
 @dataclass(frozen=True)
@@ -238,7 +169,7 @@ def _certificates(rho, lam, k, c, x) -> dict:
     """Certificate fields, as in ``CertificateStack``, for stacks of full-rank
     states with their lambdas, K values, concurrences and basis vectors."""
     rows = np.arange(len(c))
-    xp = wootters._x_prime(x, lam, 4)
+    xp = wootters._x_prime(x, lam)
     # the first pair, lexicographically, whose sum ties with the minimum
     sums = _pair_sums(k)
     first_min = (sums <= sums.min(axis=-1, keepdims=True) * (1.0 + wootters.TIE)).argmax(axis=-1)

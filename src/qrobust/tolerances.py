@@ -23,8 +23,7 @@ each one, and ``QROBUST_TOL`` does not move them:
   verifies each PPT crossing.
 
 The library constructors that take no record validate at ``DEFAULT``:
-``LocalUnitary``, ``BellWeights``, ``werner``, ``apply_local_unitary``,
-``ProductMixture.to_density`` and the convexity check of plane weights.
+``LocalUnitary``, ``BellWeights``, ``werner`` and ``apply_local_unitary``.
 """
 
 from __future__ import annotations

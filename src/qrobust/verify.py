@@ -242,7 +242,7 @@ def _check_moments(corpus: Corpus) -> PropertyResult:
 def _check_xprime(corpus: Corpus) -> PropertyResult:
     dec = corpus.decomposition
     full = dec.rank == 4
-    xp = wootters._x_prime(dec.x[full], dec.lambdas[full], 4)
+    xp = wootters._x_prime(dec.x[full], dec.lambdas[full])
     residual = np.zeros(len(full))
     residual[full] = _max_abs(_tilde_gram(xp) - _EYE)
     return _result("normalized basis tilde-orthonormality", [

@@ -60,10 +60,6 @@ class WoottersDecomposition:
     concurrence: float
     rank: int
 
-    def x_prime(self) -> np.ndarray:
-        """Columns |x'_i> = |x_i>/sqrt(lambda_i); zero beyond the rank."""
-        return _x_prime(self.x, self.lambdas, self.rank)
-
     def to_report(self) -> dict:
         return {
             "lambdas": [float(v) for v in self.lambdas],
@@ -104,12 +100,9 @@ class DecompositionStack:
         )
 
 
-def _x_prime(x: np.ndarray, lambdas: np.ndarray, rank: int) -> np.ndarray:
-    """|x_i>/sqrt(lambda_i) for the columns below ``rank``, zero beyond; over
-    one matrix or a stack of matrices of the same rank."""
-    xp = np.zeros_like(x)
-    xp[..., :rank] = x[..., :rank] / np.sqrt(lambdas[..., :rank])[..., None, :]
-    return xp
+def _x_prime(x: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """The columns |x'_i> = |x_i>/sqrt(lambda_i) of a stack of full-rank bases."""
+    return x / np.sqrt(lambdas)[..., None, :]
 
 
 _COLUMNS = np.arange(4)
@@ -227,20 +220,12 @@ def concurrence(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float:
     return decompose(rho, tol).concurrence
 
 
-def tilde_norm(matrix: np.ndarray) -> float:
-    """sqrt |tr(M M~)| for a Hermitian 4x4 matrix.
+def _tilde_norms(m: np.ndarray) -> np.ndarray:
+    """sqrt |tr(M M~)| of a Hermitian 4x4 matrix M or of each matrix of an
+    (..., 4, 4) stack.
 
     Invariant under simultaneous local-unitary conjugation of M.  The
-    absolute value keeps the result real for indefinite M.
+    absolute value keeps the result real for indefinite M.  Of a difference
+    M = a - b of two states it is a distance: zero iff a = b, locally invariant.
     """
-    return float(_tilde_norms(numerics._as_matrix(matrix)))
-
-
-def _tilde_norms(m: np.ndarray) -> np.ndarray:
-    """``tilde_norm`` of a 4x4 matrix or of each matrix of an (..., 4, 4) stack."""
     return np.sqrt(np.abs(np.trace(m @ states.tilde_matrix(m), axis1=-2, axis2=-1).real))
-
-
-def tilde_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Distance sqrt |tr((a-b)(a~-b~))|; zero iff a = b, locally invariant."""
-    return tilde_norm(a.matrix - b.matrix)

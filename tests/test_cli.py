@@ -52,6 +52,28 @@ def test_param_rejects_zero_weights(tmp_path, capsys):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--theta1", "inf"), ("--theta1", "1e300"), ("--lambda", "inf,0.3,0.1,0.1"), ("--lambda", "nan,0.3,0.1,0.1"),
+])
+def test_param_non_finite_or_overflowing_input_exits_2(tmp_path, capsys, flag, value):
+    # an angle or weight that is not finite, or an angle whose cosh overflows,
+    # is an input error, not a RuntimeWarning (which pytest turns into an error)
+    args = {**dict(zip(BELL_ARGS[::2], BELL_ARGS[1::2])), flag: value}
+    out = tmp_path / "x.json"
+    assert main(["param", *(item for pair in args.items() for item in pair), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_public_names_resolve_and_star_import_works():
+    assert len(set(qrobust.__all__)) == len(qrobust.__all__)
+    assert all(hasattr(qrobust, name) for name in qrobust.__all__)
+    namespace = {}
+    exec("from qrobust import *", namespace)
+    assert set(qrobust.__all__) <= namespace.keys()
+
+
 def test_analyze_bell_diagonal(tmp_path, capsys):
     state = tmp_path / "bell.json"
     write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)

@@ -2,65 +2,55 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_symmetric
-from qrobust.numerics import (
-    NonHermitianInput,
-    NonSymmetricInput,
-    TAKAGI_CLUSTER,
-    hermitian_eig,
-    hermitian_eig_stack,
-    takagi,
-    takagi_stack,
-)
+from qrobust.numerics import NonHermitianInput, NonSymmetricInput, TAKAGI_CLUSTER, hermitian_eig_stack, takagi_stack
 from qrobust.states import SIGMA_YY
+
+
+def stack(*matrices):
+    return np.array(matrices, dtype=complex)
 
 
 class TestHermitianEig:
     def test_identity(self):
-        evals, vecs = hermitian_eig(np.eye(4))
+        evals, vecs, _ = hermitian_eig_stack(stack(np.eye(4)))
         assert np.allclose(evals, 1.0, atol=0)
-        assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-12)
+        assert np.allclose(vecs[0].conj().T @ vecs[0], np.eye(4), atol=1e-12)
 
     def test_diagonal_already_sorted(self):
-        evals, vecs = hermitian_eig(np.diag([3.0, 2.0, 1.0, 0.0]))
-        assert np.array_equal(evals, [3.0, 2.0, 1.0, 0.0])
-        assert np.array_equal(vecs, np.eye(4))
+        evals, vecs, _ = hermitian_eig_stack(stack(np.diag([3.0, 2.0, 1.0, 0.0])))
+        assert np.array_equal(evals[0], [3.0, 2.0, 1.0, 0.0])
+        assert np.array_equal(vecs[0], np.eye(4))
 
     def test_sigma_yy_spectrum(self):
-        evals, _ = hermitian_eig(SIGMA_YY)
-        assert np.allclose(evals, [1.0, 1.0, -1.0, -1.0], atol=1e-14)
+        evals, _, _ = hermitian_eig_stack(stack(SIGMA_YY))
+        assert np.allclose(evals[0], [1.0, 1.0, -1.0, -1.0], atol=1e-14)
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex)
         m[0, 1] = 1e-6
-        with pytest.raises(NonHermitianInput):
-            hermitian_eig(m)
-
-    def test_rejects_non_finite(self):
-        m = np.eye(4, dtype=complex)
-        m[2, 2] = np.nan
-        with pytest.raises(ValueError):
-            hermitian_eig(m)
+        _, _, errors = hermitian_eig_stack(stack(np.eye(4), m))
+        assert errors[0] is None and isinstance(errors[1], NonHermitianInput)
 
     def test_orientation_largest_component_real_positive(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            _, vecs = hermitian_eig(random_hermitian(rng))
-            for i in range(4):
-                j = int(np.argmax(np.abs(vecs[:, i])))
-                assert vecs[j, i].real > 0
-                assert abs(vecs[j, i].imag) <= 1e-12
+        _, vecs, _ = hermitian_eig_stack(stack(*(random_hermitian(rng) for _ in range(50))))
+        pivots = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
+        assert np.all(pivots.real > 0)
+        assert np.max(np.abs(pivots.imag)) <= 1e-12
 
     def test_determinism(self):
-        h = random_hermitian(np.random.default_rng(11))
-        first = hermitian_eig(h)
-        second = hermitian_eig(h)
+        h = stack(random_hermitian(np.random.default_rng(11)))
+        first = hermitian_eig_stack(h)
+        second = hermitian_eig_stack(h)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
 
 class TestTakagi:
     def _check(self, s, atol=1e-9):
-        w, d = takagi(s)
+        w, d, errors = takagi_stack(stack(s))
+        assert errors == [None]
+        w, d = w[0], d[0]
         assert np.max(np.abs(w @ s @ w.T - np.diag(d))) <= atol
         assert np.max(np.abs(w.conj().T @ w - np.eye(4))) <= 1e-10
         assert np.all(d >= 0) and np.all(np.diff(d) <= 0)
@@ -79,16 +69,15 @@ class TestTakagi:
         assert np.allclose(d, 1.0, atol=1e-12)
 
     def test_zero_matrix(self):
-        w, d = takagi(np.zeros((4, 4)))
-        assert np.array_equal(d, np.zeros(4))
-        assert np.max(np.abs(w.conj().T @ w - np.eye(4))) <= 1e-12
+        w, d, _ = takagi_stack(stack(np.zeros((4, 4))))
+        assert np.array_equal(d[0], np.zeros(4))
+        assert np.max(np.abs(w[0].conj().T @ w[0] - np.eye(4))) <= 1e-12
 
     def test_rejects_non_symmetric(self):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 1] = 1.0
-        with pytest.raises(NonSymmetricInput):
-            takagi(m)
-
+        _, _, errors = takagi_stack(stack(np.zeros((4, 4)), m))
+        assert errors[0] is None and isinstance(errors[1], NonSymmetricInput)
     def test_near_degenerate_clusters(self):
         rng = np.random.default_rng(9)
         for gap in (1e-5, 1e-7, 1e-9, 0.0):
@@ -122,24 +111,25 @@ class TestTakagi:
             assert np.max(np.abs(d - diagonal)) <= 1e-14
 
     def test_determinism(self):
-        s = random_symmetric(np.random.default_rng(5))
-        first = takagi(s)
-        second = takagi(s)
+        s = stack(random_symmetric(np.random.default_rng(5)))
+        first = takagi_stack(s)
+        second = takagi_stack(s)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
 
 def test_stacks_equal_single_calls_bit_for_bit():
+    # each entry of a stack gets the bits of its own N = 1 stack call
     rng = np.random.default_rng(21)
-    hermitian = [random_hermitian(rng) for _ in range(20)] + [np.eye(4), SIGMA_YY]
-    symmetric = [random_symmetric(rng) for _ in range(20)] + [np.zeros((4, 4)), 1j * np.eye(4)]
-    evals, vecs, errors = hermitian_eig_stack(np.array(hermitian, dtype=complex))
+    hermitian = stack(*(random_hermitian(rng) for _ in range(20)), np.eye(4), SIGMA_YY)
+    symmetric = stack(*(random_symmetric(rng) for _ in range(20)), np.zeros((4, 4)), 1j * np.eye(4))
+    evals, vecs, errors = hermitian_eig_stack(hermitian)
     assert errors == [None] * len(hermitian)
-    for i, h in enumerate(hermitian):
-        e, v = hermitian_eig(h)
-        assert e.tobytes() == evals[i].tobytes() and v.tobytes() == vecs[i].tobytes()
-    w_stack, d_stack, errors = takagi_stack(np.array(symmetric, dtype=complex))
+    for i in range(len(hermitian)):
+        e, v, _ = hermitian_eig_stack(hermitian[i:i + 1])
+        assert e.tobytes() == evals[i:i + 1].tobytes() and v.tobytes() == vecs[i:i + 1].tobytes()
+    w_stack, d_stack, errors = takagi_stack(symmetric)
     assert errors == [None] * len(symmetric)
-    for i, s in enumerate(symmetric):
-        w, d = takagi(s)
-        assert w.tobytes() == w_stack[i].tobytes() and d.tobytes() == d_stack[i].tobytes()
+    for i in range(len(symmetric)):
+        w, d, _ = takagi_stack(symmetric[i:i + 1])
+        assert w.tobytes() == w_stack[i:i + 1].tobytes() and d.tobytes() == d_stack[i:i + 1].tobytes()

@@ -10,11 +10,11 @@ from qrobust.oracle import (
     CROSSING_WIDTH,
     ImproperDirection,
     NotSeparableDirection,
-    ProductMixture,
     absolute_robustness,
     bisect_relative_robustness,
     _bisect as bisect_stack,
     _dual_bound,
+    _product_mixtures,
     minimize_absolute_robustness,
     relative_robustness_stack,
 )
@@ -71,11 +71,10 @@ def record_fallbacks(monkeypatch):
 
 
 def random_mixture(rng, n=8):
-    return ProductMixture(
-        rng.dirichlet(np.ones(n)),
-        np.stack([np.arccos(rng.uniform(-1, 1, n)), rng.uniform(0, 2 * np.pi, n),
-                  np.arccos(rng.uniform(-1, 1, n)), rng.uniform(0, 2 * np.pi, n)], axis=1),
-    )
+    """Weights (n,) and Bloch angles (n, 4) of a random mixture of n product states."""
+    return (rng.dirichlet(np.ones(n)),
+            np.stack([np.arccos(rng.uniform(-1, 1, n)), rng.uniform(0, 2 * np.pi, n),
+                      np.arccos(rng.uniform(-1, 1, n)), rng.uniform(0, 2 * np.pi, n)], axis=1))
 
 
 class TestBisection:
@@ -110,7 +109,8 @@ class TestBisection:
         # product mixture and I/4
         rng = np.random.default_rng(17)
         pairs = [(rho, direction) for rho in ginibre_states(15)
-                 for direction in (robustness(rho).rho_pp, random_mixture(rng).to_density(), MIXED)]
+                 for direction in (robustness(rho).rho_pp,
+                                   DensityMatrix(_product_mixtures(*random_mixture(rng))), MIXED)]
         entangled = sum(assert_post_conditions(rho, direction) > 0.0 for rho, direction in pairs)
         assert entangled >= 20
 
@@ -178,21 +178,12 @@ class TestBisection:
 class TestProductMixture:
     def test_assembled_state_is_separable(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            rho = random_mixture(rng).to_density()
+        weights, angles = zip(*(random_mixture(rng) for _ in range(20)))
+        for matrix in _product_mixtures(np.array(weights), np.array(angles)):
+            rho = DensityMatrix(matrix)
             flag, _ = is_separable_ppt(rho)
             assert flag
             assert concurrence(rho) <= 1e-9
-
-    def test_weight_normalization(self):
-        mixture = ProductMixture(np.array([2.0, 2.0]), np.zeros((2, 4)))
-        assert np.allclose(mixture.weights, 0.5, atol=0)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            ProductMixture(np.array([1.0, -0.5]), np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            ProductMixture(np.array([1.0]), np.zeros((2, 4)))
 
 
 class TestMinimize:

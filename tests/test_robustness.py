@@ -3,19 +3,17 @@ import pytest
 
 from conftest import ginibre_states
 from test_wootters import TIED_WEIGHTS
-from qrobust import concurrence, decompose
+from qrobust import concurrence, decompose, wootters
 from qrobust.coset import CosetParams, density_from_params, k_closed_form
 from qrobust.robustness import (
-    BadWeights,
+    _VERTEX_COLUMNS,
     RankDeficient,
-    pair_vertex,
-    plane_robustness_other,
-    plane_robustness_s1,
-    rho_prime_coords,
+    _pair_vertices,
+    _plane_robustness,
+    _prime_coords,
+    _vertex_rates,
     robustness,
     robustness_stack,
-    separability_gap,
-    sigma_vertex,
 )
 from qrobust.states import (
     BellWeights,
@@ -40,134 +38,114 @@ def entangled_corpus(n):
     return out
 
 
-def lambda_pp(decomp, a):
-    """Outer-state coordinates for vertex weights (a2, a3, a4)."""
-    k = decomp.k_norm
-    return np.array([
-        0.0,
-        a[1] / (k[1] + k[3]) + a[2] / (k[1] + k[2]),
-        a[0] / (k[2] + k[3]) + a[2] / (k[1] + k[2]),
-        a[0] / (k[2] + k[3]) + a[1] / (k[1] + k[3]),
-    ])
+def decompositions(states):
+    return wootters.decompose_stack(np.array([rho.matrix for rho in states]))
 
 
-class TestSeparabilityGap:
-    def test_maximally_mixed(self):
-        assert abs(separability_gap(decompose(MIXED)) + 0.5) <= 1e-12
+def vertices(dec):
+    """sigma_1, sigma_2, sigma_3, sigma_4 of one full-rank decomposition, as
+    one (4, 4, 4) stack."""
+    xp = np.broadcast_to(wootters._x_prime(dec.x, dec.lambdas), (4, 4, 4))
+    return _pair_vertices(xp, np.broadcast_to(dec.k_norm, (4, 4)), *_VERTEX_COLUMNS[1:].T)
 
-    def test_bell_diagonal(self):
-        assert abs(separability_gap(decompose(BELL_07)) - 0.4) <= 1e-12
 
-    def test_equals_lambda_gap(self):
-        for rho in ginibre_states(50):
-            dec = decompose(rho)
-            lam = dec.lambdas
-            assert abs(separability_gap(dec) - (lam[0] - lam[1] - lam[2] - lam[3])) <= 1e-10
+def prime_coords(dec, a):
+    """rho' coordinates of a decomposition stack for vertex weights (a2, a3, a4), (N, 3)."""
+    return _prime_coords(dec.lambdas, dec.concurrence, a * _vertex_rates(dec.k_norm))
 
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficient):
-            separability_gap(decompose(werner(1.0)))
+
+def lambda_pp(k, a):
+    """Outer-state coordinates for K values (N, 4) and vertex weights (a2, a3, a4), (N, 3)."""
+    return np.stack([
+        np.zeros(len(k)),
+        a[:, 1] / (k[:, 1] + k[:, 3]) + a[:, 2] / (k[:, 1] + k[:, 2]),
+        a[:, 0] / (k[:, 2] + k[:, 3]) + a[:, 2] / (k[:, 1] + k[:, 2]),
+        a[:, 0] / (k[:, 2] + k[:, 3]) + a[:, 1] / (k[:, 1] + k[:, 3]),
+    ], axis=-1)
 
 
 class TestSigmaVertex:
     def test_bell_diagonal_vertex_two(self):
         from qrobust.states import BELL_STATES
 
-        dec = decompose(BELL_07)
-        sigma2 = sigma_vertex(dec, 2)
+        sigma2 = vertices(decompose(BELL_07))[1]
         expected = 0.5 * (np.outer(BELL_STATES[:, 2], BELL_STATES[:, 2].conj())
                           + np.outer(BELL_STATES[:, 3], BELL_STATES[:, 3].conj()))
-        assert np.max(np.abs(sigma2.matrix - expected)) <= 1e-12
+        assert np.max(np.abs(sigma2 - expected)) <= 1e-12
 
     def test_vertices_are_separable_boundary_states(self):
         for rho, _ in entangled_corpus(30):
             dec = decompose(rho)
-            for k in (1, 2, 3, 4):
-                vertex = sigma_vertex(dec, k)
+            for (i, j), matrix in zip(_VERTEX_COLUMNS[1:], vertices(dec)):
+                vertex = DensityMatrix(matrix)
                 assert abs(np.trace(vertex.matrix).real - 1.0) <= 1e-10
                 assert concurrence(vertex) <= 1e-9
                 flag, _ = is_separable_ppt(vertex)
                 assert flag
                 lam = decompose(vertex).lambdas
-                i, j = {1: (0, 1), 2: (2, 3), 3: (1, 3), 4: (1, 2)}[k]
                 share = 1.0 / (dec.k_norm[i] + dec.k_norm[j])
                 assert np.max(np.abs(lam - [share, share, 0.0, 0.0])) <= 1e-9
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            sigma_vertex(decompose(MIXED), 5)
 
 
 class TestRhoPrimeCoords:
     def test_separable_collapses_to_lambda(self):
-        dec = decompose(MIXED)
-        for a in ([1.0, 0, 0], [0.2, 0.3, 0.5]):
-            assert np.max(np.abs(rho_prime_coords(dec, a) - dec.lambdas)) <= 1e-12
+        dec = decompositions([MIXED, MIXED])
+        coords = prime_coords(dec, np.array([[1.0, 0, 0], [0.2, 0.3, 0.5]]))
+        assert np.max(np.abs(coords - dec.lambdas)) <= 1e-12
 
     def test_bell_diagonal_concentrated_weights(self):
-        coords = rho_prime_coords(decompose(BELL_07), [1.0, 0.0, 0.0])
+        coords = prime_coords(decompositions([BELL_07]), np.array([[1.0, 0.0, 0.0]]))[0]
         assert np.max(np.abs(coords - [0.5, 1.0 / 14.0, 3.0 / 14.0, 3.0 / 14.0])) <= 1e-12
 
     def test_on_plane_and_nonnegative(self):
         rng = np.random.default_rng(0)
-        for rho, _ in entangled_corpus(30):
-            dec = decompose(rho)
-            a = rng.dirichlet(np.ones(3))
-            coords = rho_prime_coords(dec, a)
-            assert np.all(coords >= 0.0)
-            assert abs(coords[0] - coords[1] - coords[2] - coords[3]) <= 1e-9
+        dec = decompositions([rho for rho, _ in entangled_corpus(30)])
+        coords = prime_coords(dec, np.array([rng.dirichlet(np.ones(3)) for _ in dec.lambdas]))
+        assert np.all(coords >= 0.0)
+        assert np.max(np.abs(coords[:, 0] - coords[:, 1] - coords[:, 2] - coords[:, 3])) <= 1e-9
 
     def test_pseudomixture_identity_in_coordinates(self):
         rng = np.random.default_rng(1)
-        for rho, _ in entangled_corpus(20):
-            dec = decompose(rho)
-            a = rng.dirichlet(np.ones(3))
-            coords = rho_prime_coords(dec, a)
-            s = plane_robustness_s1(dec, a)
-            recovered = (1.0 + s) * coords - s * lambda_pp(dec, a)
-            assert np.max(np.abs(recovered - dec.lambdas)) <= 1e-12
-
-    def test_bad_weights(self):
-        dec = decompose(BELL_07)
-        with pytest.raises(BadWeights):
-            rho_prime_coords(dec, [0.5, 0.5, 0.5])
-        with pytest.raises(BadWeights):
-            rho_prime_coords(dec, [-0.1, 0.6, 0.5])
+        dec = decompositions([rho for rho, _ in entangled_corpus(20)])
+        a = np.array([rng.dirichlet(np.ones(3)) for _ in dec.lambdas])
+        s = _plane_robustness(dec.k_norm, dec.concurrence, 1, a)[:, None]
+        recovered = (1.0 + s) * prime_coords(dec, a) - s * lambda_pp(dec.k_norm, a)
+        assert np.max(np.abs(recovered - dec.lambdas)) <= 1e-12
 
 
 class TestPlaneRobustness:
+    @staticmethod
+    def value(rho, plane, weights):
+        dec = decompose(rho)
+        return _plane_robustness(dec.k_norm, dec.concurrence, plane, np.array(weights))
+
     def test_unit_k_concentrated(self):
-        dec = decompose(BELL_07)
-        assert abs(plane_robustness_s1(dec, [1.0, 0, 0]) - 0.4) <= 1e-12
+        assert abs(self.value(BELL_07, 1, [1.0, 0, 0]) - 0.4) <= 1e-12
 
     def test_unit_k_uniform_ties(self):
-        dec = decompose(BELL_07)
         third = 1.0 / 3.0
-        assert abs(plane_robustness_s1(dec, [third, third, third]) - 0.4) <= 1e-12
+        assert abs(self.value(BELL_07, 1, [third, third, third]) - 0.4) <= 1e-12
 
     def test_zero_concurrence(self):
-        dec = decompose(MIXED)
-        assert plane_robustness_s1(dec, [0.2, 0.3, 0.5]) == 0.0
-        assert plane_robustness_other(dec, 2, [0.2, 0.3, 0.5]) == 0.0
+        assert self.value(MIXED, 1, [0.2, 0.3, 0.5]) == 0.0
+        assert self.value(MIXED, 2, [0.2, 0.3, 0.5]) == 0.0
 
     def test_other_plane_unit_k(self):
-        dec = decompose(BELL_07)
-        assert abs(plane_robustness_other(dec, 2, [0.0, 1.0, 0.0]) - 0.4) <= 1e-12
+        assert abs(self.value(BELL_07, 2, [0.0, 1.0, 0.0]) - 0.4) <= 1e-12
 
     def test_weight_on_first_direction_never_washes_out(self):
-        dec = decompose(BELL_07)
-        assert plane_robustness_other(dec, 2, [1.0, 0.0, 0.0]) == np.inf
+        assert self.value(BELL_07, 2, [1.0, 0.0, 0.0]) == np.inf
 
     def test_monotone_toward_minimizing_pair(self):
-        for rho, cert in entangled_corpus(20):
-            dec = decompose(rho)
-            target = np.zeros(3)
-            target[cert.k_index - 2] = 1.0
-            start = np.full(3, 1.0 / 3.0)
-            values = [plane_robustness_s1(dec, (1 - t) * start + t * target)
-                      for t in np.linspace(0.0, 1.0, 11)]
-            assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-            assert abs(values[-1] - cert.s) <= 1e-12
+        corpus = entangled_corpus(20)
+        dec = decompositions([rho for rho, _ in corpus])
+        target = np.zeros((len(corpus), 1, 3))
+        target[np.arange(len(corpus)), 0, [cert.k_index - 2 for _, cert in corpus]] = 1.0
+        t = np.linspace(0.0, 1.0, 11)[:, None]
+        weights = (1 - t) * np.full(3, 1.0 / 3.0) + t * target                # (N, 11, 3)
+        values = _plane_robustness(dec.k_norm[:, None], dec.concurrence[:, None], 1, weights)
+        assert np.all(values[:, 1:] <= values[:, :-1] + 1e-12)
+        assert np.max(np.abs(values[:, -1] - [cert.s for _, cert in corpus])) <= 1e-12
 
 
 class TestRobustnessCertificate:
@@ -209,10 +187,6 @@ class TestRobustnessCertificate:
         payload = json.loads(json.dumps(cert.to_report()))
         assert payload["k_index"] == 4
         assert len(payload["lambda_prime"]) == 4
-
-    def test_pair_vertex_matches_named_vertices(self):
-        dec = decompose(BELL_07)
-        assert np.array_equal(pair_vertex(dec, 3, 4).matrix, sigma_vertex(dec, 2).matrix)
 
 
 def _rank2_state():

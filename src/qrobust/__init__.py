@@ -8,30 +8,26 @@ bisection oracle.  A six-angle orbit parameterization generates states with
 prescribed basis norms in closed form.
 """
 
-from .coset import CosetParams, build_X, build_Y, closed_form_x, density_from_params, k_closed_form
+from .coset import CosetParams, build_X, build_Y, density_from_params
 from .numerics import NonHermitianInput, NonSymmetricInput, NumericalFailure
 from .oracle import OracleResult, bisect_relative_robustness, minimize_absolute_robustness
 from .robustness import RankDeficient, RobustnessCertificate, robustness
 from .states import (
     BellWeights,
     DensityMatrix,
-    LocalUnitary,
     ParseError,
     UnknownEnsemble,
     ValidationError,
-    apply_local_unitary,
     bell_diagonal,
     is_separable_ppt,
-    partial_transpose,
     read_state,
     sample_state,
-    spin_flip,
     werner,
     write_state,
 )
 from .tolerances import DEFAULT, Tolerances
 from .verify import verify_certificate
-from .wootters import WoottersDecomposition, concurrence, decompose
+from .wootters import WoottersDecomposition, decompose
 
 __version__ = "0.1.0"
 
@@ -40,7 +36,6 @@ __all__ = [
     "CosetParams",
     "DEFAULT",
     "DensityMatrix",
-    "LocalUnitary",
     "NonHermitianInput",
     "NonSymmetricInput",
     "NumericalFailure",
@@ -52,23 +47,17 @@ __all__ = [
     "UnknownEnsemble",
     "ValidationError",
     "WoottersDecomposition",
-    "apply_local_unitary",
     "bell_diagonal",
     "bisect_relative_robustness",
     "build_X",
     "build_Y",
-    "closed_form_x",
-    "concurrence",
     "decompose",
     "density_from_params",
     "is_separable_ppt",
-    "k_closed_form",
     "minimize_absolute_robustness",
-    "partial_transpose",
     "read_state",
     "robustness",
     "sample_state",
-    "spin_flip",
     "verify_certificate",
     "werner",
     "write_state",

@@ -50,8 +50,8 @@ exit codes:
   4  I/O
 
 environment:
-  QROBUST_TOL   nonnegative factor rescaling every check bound in the
-                tolerance record (default 1.0; 0 makes every check exact).
+  QROBUST_TOL   finite nonnegative factor rescaling every check bound in
+                the tolerance record (default 1.0; 0 makes every check exact).
                 It changes verdicts, not values; s_bisection follows the
                 PPT bound, which defines the crossing, and the SDP columns
                 follow its gap bound.  It does not move the algorithm
@@ -60,9 +60,8 @@ environment:
                   wootters.RANK_CUT       1e-8  rank cut on lambda_i/lambda_1
                   wootters.TIE            1e-12 ties of lambdas, K_i, pair sums
                   oracle.CROSSING_WIDTH   1e-10 crossing bracket width
-                Library constructors that take no record (LocalUnitary,
-                BellWeights, werner, apply_local_unitary) check at the
-                default bounds.
+                Library constructors that take no record (BellWeights,
+                werner) check at the default bounds.
 """
 
 
@@ -81,13 +80,20 @@ def _jsonify(value):
     return value
 
 
-def _emit_json(payload: dict, path) -> None:
+def _emit_json(payload: dict, path) -> int:
+    """Print the report, or write it to ``path``; the exit code: ``EXIT_IO``,
+    after one error: line, when the file cannot be written."""
     text = json.dumps(_jsonify(payload), indent=1)
     if path is None:
         print(text)
-    else:
+        return EXIT_OK
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def _fmt(value) -> str:
@@ -133,8 +139,7 @@ def cmd_analyze(args, tol) -> int:
     if code != EXIT_OK:
         return code
     report = {"input": args.in_path, **report}
-    _emit_json(report, args.out)
-    return EXIT_OK
+    return _emit_json(report, args.out)
 
 
 def _sample_rows(args, tol):
@@ -230,8 +235,7 @@ def cmd_param(args, tol) -> int:
     if code != EXIT_OK:
         return code
     report = {"params": params.to_dict(), "state_file": args.out, **report}
-    _emit_json(report, args.out + ".analysis.json")
-    return EXIT_OK
+    return _emit_json(report, args.out + ".analysis.json")
 
 
 def cmd_verify(args, tol) -> int:

@@ -61,15 +61,6 @@ class CosetParams:
         d["lambda"] = [float(v) for v in self.lam]
         return d
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CosetParams":
-        return cls(
-            theta1=float(payload["theta1"]), theta2=float(payload["theta2"]),
-            xi1=float(payload["xi1"]), xi2=float(payload["xi2"]),
-            phi1=float(payload["phi1"]), phi2=float(payload["phi2"]),
-            lam=np.array(payload["lambda"], dtype=float),
-        )
-
 
 def params_failure(angles: np.ndarray, lam: np.ndarray):
     """The first invalid parameter set of (6,) angles and (4,) weights, or of
@@ -87,19 +78,10 @@ def params_failure(angles: np.ndarray, lam: np.ndarray):
     ])
 
 
-def matrix_O() -> np.ndarray:
-    """The fixed real orthogonal matrix with entries in {0, +-1/sqrt(2)}: the
-    Bell basis as rows, ``BELL_STATES.T``."""
-    return BELL_STATES.T.copy()
-
-
-def matrix_eta() -> np.ndarray:
-    """The fixed diagonal phase matrix diag(i, 1, i, 1)."""
-    return np.diag([1j, 1.0, 1j, 1.0])
-
-
-# O^T eta^{-1}: eta is diagonal and unitary, so its inverse is its conjugate
-_X_FROM_Y = BELL_STATES * matrix_eta().diagonal().conj()
+# O^T eta^{-1}, with O = BELL_STATES.T (the Bell basis as rows, entries 0 and
+# +-1/sqrt(2)) and eta = diag(i, 1, i, 1): eta is diagonal and unitary, so
+# its inverse is its conjugate
+_X_FROM_Y = BELL_STATES * np.conj([1j, 1.0, 1j, 1.0])
 _X_FROM_Y.setflags(write=False)
 
 # Y's three factors as (factor, row a, row b, angle column) of their 2x2
@@ -143,18 +125,14 @@ def build_X(params: CosetParams) -> np.ndarray:
     return _x_stack(np.array(params.angles))
 
 
-def closed_form_x(params: CosetParams):
-    """The four subnormalized vectors |x_i> = sqrt(lambda_i) |x'_i> in closed form.
-
-    Transcribed literally, including the fixed phases; they agree with
-    ``sqrt(lambda_i) * build_X(params)[:, i]`` entry by entry.
-    """
-    return list(_closed_form_x_stack(np.array(params.angles), params.lam).T)
-
-
 def _closed_form_x_stack(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The vectors of :func:`closed_form_x` as the columns of a (4, 4) matrix,
-    for (6,) angles and (4,) weights, or of (N, 4, 4) for (N, 6) and (N, 4) rows."""
+    """The four subnormalized vectors |x_i> = sqrt(lambda_i) |x'_i> in closed
+    form, as the columns of a (4, 4) matrix for (6,) angles and (4,) weights,
+    or of (N, 4, 4) for (N, 6) and (N, 4) rows.
+
+    Transcribed literally, including the fixed phases; column i agrees with
+    ``sqrt(lambda_i) * _x_stack(angles)[..., i]`` entry by entry.
+    """
     t1, t2, xi1, xi2, p1, p2 = np.moveaxis(angles, -1, 0)
     c1, s1 = np.cosh(xi1), np.sinh(xi1)
     c2, s2 = np.cosh(xi2), np.sinh(xi2)
@@ -191,7 +169,8 @@ def _closed_form_x_stack(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _k_stack(angles: np.ndarray) -> np.ndarray:
-    """Closed-form K_i of (6,) angles or of (N, 6) rows: (4,) or (N, 4).
+    """Closed-form K_i of (6,) angles or of (N, 6) rows: (4,) or (N, 4); all
+    angles zero gives 1.
 
     Squares are products, not powers: a single parameter set then gets the
     bits its row of a stack gets (numpy's scalar power rounds differently).
@@ -218,11 +197,6 @@ def _k_stack(angles: np.ndarray) -> np.ndarray:
           + ch_2t2 * (ch_xi1_sq * sh_p2_sq + ch_xi2_sq * ch_p2_sq)
           + sh_2p2 * cross2)
     return np.array([k1, k2, k3, k4]).T
-
-
-def k_closed_form(params: CosetParams) -> np.ndarray:
-    """Closed-form K_i as functions of the six angles; all angles zero gives 1."""
-    return _k_stack(np.array(params.angles))
 
 
 def density_stack(angles: np.ndarray, lam: np.ndarray):
@@ -265,8 +239,10 @@ def density_from_params(params: CosetParams, tol: Tolerances = DEFAULT) -> Densi
 def _draw_rows(rng: np.random.Generator, count: int, angle_scale: float, min_gap: float):
     """``count`` parameter draws from one generator: angles (count, 6) and
     descending weights (count, 4).  Weight rows whose smallest relative gap
-    is below ``min_gap`` are drawn again.  One row consumes the generator as
-    one :func:`sample_params` call does."""
+    is below ``min_gap`` are drawn again, which keeps the recovered basis
+    well conditioned.  Angles are uniform in the box [-angle_scale,
+    angle_scale], the xi angles in [0, angle_scale], and the weights are
+    Dirichlet."""
     turns = rng.uniform(-angle_scale, angle_scale, (count, 4))        # theta1, theta2, phi1, phi2
     xi = rng.uniform(0.0, angle_scale, (count, 2))
     lam = np.sort(rng.dirichlet(np.ones(4), count))[:, ::-1]
@@ -279,19 +255,10 @@ def _draw_rows(rng: np.random.Generator, count: int, angle_scale: float, min_gap
 
 
 def draw_params(rngs, shape: tuple):
-    """Unvalidated orbit parameters of :func:`sample_params` at its defaults,
-    one draw per generator: angles of shape + (6,), weights of shape + (4,)."""
+    """Unvalidated orbit parameters, one :func:`_draw_rows` row per generator
+    at angle scale 1 and no gap bound: angles of shape + (6,), weights of
+    shape + (4,)."""
     draws = [_draw_rows(rng, 1, 1.0, 0.0) for rng in rngs]
     return (np.array([a[0] for a, _ in draws]).reshape(shape + (6,)),
             np.array([lam[0] for _, lam in draws]).reshape(shape + (4,)))
 
-
-def sample_params(rng: np.random.Generator, angle_scale: float = 1.0,
-                  min_gap: float = 0.0) -> CosetParams:
-    """Random orbit parameters: angles uniform in the scaled box, Dirichlet weights.
-
-    ``min_gap`` rejects weight draws whose smallest relative gap is below the
-    bound, which keeps the recovered basis well conditioned.
-    """
-    angles, lam = _draw_rows(rng, 1, angle_scale, min_gap)
-    return CosetParams(*angles[0], lam=lam[0])

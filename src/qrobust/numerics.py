@@ -43,10 +43,10 @@ class NumericalFailure(RuntimeError):
     """A factorization did not reach its required residual."""
 
 
-def _as_matrix(matrix, size: int = 4) -> np.ndarray:
+def _as_matrix(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
-    if m.shape != (size, size):
-        raise ValueError(f"expected a {size}x{size} matrix, got shape {m.shape}")
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m

@@ -106,7 +106,7 @@ class OracleResult:
     duality_gap: float
     newton_steps: int
 
-    def minimality_flag(self, threshold: float = DEFAULT.oracle_flag) -> bool:
+    def minimality_flag(self, threshold: float) -> bool:
         """True when the SDP direction beat the closed form by more than ``threshold``."""
         return bool(self.gap_to_formula > threshold)
 

@@ -66,8 +66,10 @@ def _density_failure(m: np.ndarray, tol: Tolerances):
     """``_first_failure`` of a 4x4 matrix or an (N, 4, 4) stack under the
     density-matrix checks: Hermiticity, unit trace, then the smallest
     eigenvalue."""
-    asym = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    tr = m.trace(axis1=-2, axis2=-1).real
+    # entries near the float limit overflow to inf here, which fails the checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        tr = m.trace(axis1=-2, axis2=-1).real
     min_eig = np.linalg.eigvalsh(m).T[0]
     return _first_failure([
         (asym > tol.hermiticity,
@@ -131,31 +133,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class LocalUnitary:
-    """A product unitary U1 x U2 with both factors in SU(2)."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u1", "u2"):
-            u = np.array(getattr(self, name), dtype=complex)
-            if u.shape != (2, 2):
-                raise ValidationError(f"{name} must be 2x2")
-            dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-            if dev > DEFAULT.su2:
-                raise ValidationError(f"{name} not unitary: |u^dag u - I| = {dev:.3e}")
-            det_dev = abs(np.linalg.det(u) - 1.0)
-            if det_dev > DEFAULT.su2:
-                raise ValidationError(f"{name} not special: |det - 1| = {det_dev:.3e}")
-            u.setflags(write=False)
-            object.__setattr__(self, name, u)
-
-    def product(self) -> np.ndarray:
-        return np.kron(self.u1, self.u2)
-
-
-@dataclass(frozen=True)
 class BellWeights:
     """Four Bell-mixture probabilities, descending."""
 
@@ -181,19 +158,9 @@ def tilde_matrix(matrix: np.ndarray) -> np.ndarray:
     return SIGMA_YY @ np.conj(matrix) @ SIGMA_YY
 
 
-def spin_flip(rho: DensityMatrix) -> np.ndarray:
-    """Spin-flipped state; Hermitian, unit trace, and PSD like the input."""
-    return tilde_matrix(rho.matrix)
-
-
 def partial_transpose_matrix(matrix: np.ndarray) -> np.ndarray:
     """Transpose on the second-qubit indices of a raw 4x4 matrix or an (..., 4, 4) stack."""
     return matrix.reshape(*matrix.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(matrix.shape)
-
-
-def partial_transpose(rho: DensityMatrix) -> np.ndarray:
-    """Partial transpose of a state; Hermitian and trace preserving."""
-    return partial_transpose_matrix(rho.matrix)
 
 
 def ppt_min_eig(matrix: np.ndarray):
@@ -358,22 +325,12 @@ def sample_state(ensemble: str, seed: int, tol: Tolerances = DEFAULT) -> Density
 
 
 def _su2_pairs(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` Haar-random SU(2) x SU(2) pairs, (count, 2, 2, 2); each pair
-    consumes the generator as one :func:`random_local_unitary` call does."""
+    """``count`` Haar-random SU(2) x SU(2) pairs, (count, 2, 2, 2), drawn
+    from ``rng`` in pair order: a stack of pairs consumes the generator as
+    the same number of single-pair calls do."""
     z = rng.standard_normal((count, 2, 2, 2, 2))       # pair, factor, real/imaginary block
     u = _haar(z[:, :, 0] + 1j * z[:, :, 1])
     return u / np.sqrt(np.linalg.det(u))[..., None, None]
-
-
-def random_local_unitary(rng: np.random.Generator) -> LocalUnitary:
-    """Haar-random SU(2) x SU(2) pair."""
-    return LocalUnitary(*_su2_pairs(rng, 1)[0])
-
-
-def apply_local_unitary(rho: DensityMatrix, lu: LocalUnitary) -> DensityMatrix:
-    """(U1 x U2) rho (U1 x U2)^dag; the spectrum is preserved."""
-    u = lu.product()
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
 # ----------------------------------------------------------------------

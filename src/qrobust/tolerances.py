@@ -2,7 +2,7 @@
 
 Every check of an input, a residual or a certificate reads its bound from a
 single :class:`Tolerances` instance, so the whole pipeline can be tightened
-or loosened coherently.  The environment variable ``QROBUST_TOL`` (a
+or loosened coherently.  The environment variable ``QROBUST_TOL`` (a finite
 nonnegative scale factor, default 1.0) rescales every bound; setting it to
 0 turns every check into an exact-equality check, which is useful as a
 self-test of the verification harness.  A bound changes which verdict a
@@ -23,12 +23,13 @@ each one, and ``QROBUST_TOL`` does not move them:
   verifies each PPT crossing.
 
 The library constructors that take no record validate at ``DEFAULT``:
-``LocalUnitary``, ``BellWeights``, ``werner`` and ``apply_local_unitary``.
+``BellWeights`` and ``werner``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ class Tolerances:
     trace: float = 1e-9              # |tr(rho) - 1|
     psd: float = 1e-10               # admissible negative part of a state spectrum
     unit_weight: float = 1e-12       # probability vectors: |sum - 1|
-    su2: float = 1e-12               # local unitary factors: unitarity and det
+    su2: float = 1e-12               # local unitary factors: unitarity
 
     # eigensolver / Takagi kernel
     eig_residual: float = 1e-10         # |H v - mu v| <= eig_residual * (1 + |H|_max)
@@ -74,8 +75,8 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every bound multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("tolerance scale must be nonnegative")
+        if not (math.isfinite(factor) and factor >= 0):
+            raise ValueError(f"tolerance scale must be finite and nonnegative, got {factor!r}")
         values = {f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}
         return Tolerances(**values)
 
@@ -85,13 +86,13 @@ DEFAULT = Tolerances()
 ENV_VAR = "QROBUST_TOL"
 
 
-def from_env(default: Tolerances = DEFAULT) -> Tolerances:
+def from_env() -> Tolerances:
     """Tolerances honoring the ``QROBUST_TOL`` scale factor, if set."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return default
+        return DEFAULT
     try:
         factor = float(raw)
     except ValueError as exc:
         raise ValueError(f"{ENV_VAR} must be a number, got {raw!r}") from exc
-    return default.scaled(factor)
+    return DEFAULT.scaled(factor)

@@ -157,15 +157,9 @@ def _result(name: str, checks: list, entry, detail: str = "") -> PropertyResult:
     return PropertyResult(name, passed, float(checks[c][0][i]), checks[c][1], detail, entry(i))
 
 
-def _gaussian(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Complex Gaussian 4x4 matrices, each drawn as its real block then its imaginary block."""
-    z = rng.standard_normal((count, 2, 4, 4))
-    return z[:, 0] + 1j * z[:, 1]
-
-
 def _check_eig(corpus: Corpus) -> PropertyResult:
     tol, entry = corpus.tol, corpus.draws(0)
-    g = _gaussian(corpus.rng(0), corpus.size)
+    g = states._complex_normals([corpus.rng(0)], (), corpus.size)
     h = g + _adjoint(g)
     evals, vecs, errors = hermitian_eig_stack(h, tol)
     _raise_first(errors, entry)
@@ -181,7 +175,7 @@ def _check_eig(corpus: Corpus) -> PropertyResult:
 
 def _check_takagi(corpus: Corpus) -> PropertyResult:
     tol, entry = corpus.tol, corpus.draws(1)
-    g = _gaussian(corpus.rng(1), corpus.size)
+    g = states._complex_normals([corpus.rng(1)], (), corpus.size)
     s = g + g.swapaxes(-1, -2)
     w, d, errors = takagi_stack(s, tol)
     _raise_first(errors, entry)
@@ -257,7 +251,7 @@ def _check_local_unitary(corpus: Corpus) -> PropertyResult:
     rng = corpus.rng(2)
     pairs = states._su2_pairs(rng, n)
     u = np.einsum("nij,nkl->nikjl", pairs[:, 0], pairs[:, 1]).reshape(n, 4, 4)   # U1 x U2
-    g = _gaussian(rng, n)
+    g = states._complex_normals([rng], (), n)
     h = g + _adjoint(g)
     rho = corpus.ginibre[:n]
     other = states.sample_state("ginibre", corpus.seed + 90_000, tol).matrix

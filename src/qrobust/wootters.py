@@ -215,11 +215,6 @@ def decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> WoottersDecompos
     return decompose_stack(rho.matrix[None], tol).entry(0)
 
 
-def concurrence(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float:
-    """Entanglement monotone in [0, 1]; invariant under local unitaries."""
-    return decompose(rho, tol).concurrence
-
-
 def _tilde_norms(m: np.ndarray) -> np.ndarray:
     """sqrt |tr(M M~)| of a Hermitian 4x4 matrix M or of each matrix of an
     (..., 4, 4) stack.

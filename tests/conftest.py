@@ -2,13 +2,19 @@
 
 import numpy as np
 
-from qrobust import verify
+from qrobust import states, verify
 from qrobust.states import SIGMA_YY, DensityMatrix
 
 
 def ginibre_states(n):
     """The registry's Ginibre corpus of size n (seeds 0, ..., n - 1) as states."""
     return [DensityMatrix(m) for m in verify.Corpus(n).ginibre]
+
+
+def rotate_locally(rho, rng):
+    """(U1 x U2) rho (U1 x U2)^dag for one Haar-random SU(2) pair drawn from ``rng``."""
+    u = np.kron(*states._su2_pairs(rng, 1)[0])
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
 def random_hermitian(rng):

@@ -115,7 +115,7 @@ def test_criterion_9_minimality_probe():
         excess = result.s_best - cert.s
         worst_excess = max(worst_excess, excess)
         assert result.s_best <= cert.s + 1e-6, f"state {index}: upper bound violated"
-        if cert.s > 0.0 and result.minimality_flag():
+        if cert.s > 0.0 and result.minimality_flag(DEFAULT.oracle_flag):
             findings.append((index, cert.s, result.s_best))
     elapsed = time.perf_counter() - start
     ok = elapsed < 300.0

@@ -193,6 +193,47 @@ def test_analyze_out_file(tmp_path):
     assert json.loads(out.read_text())["certificate"]["s"] == 0.0
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("error:")
+
+
+def test_analyze_report_into_missing_directory_exits_4(tmp_path, capsys):
+    state = tmp_path / "mixed.json"
+    write_state(DensityMatrix(np.eye(4) / 4.0), state)
+    assert main(["analyze", "--in", str(state), "--out", str(tmp_path / "missing" / "report.json")]) == 4
+    assert _one_error_line(capsys)
+
+
+def test_param_report_onto_a_directory_exits_4(tmp_path, capsys):
+    (tmp_path / "x.json.analysis.json").mkdir()
+    assert main(["param", *BELL_ARGS, "--out", str(tmp_path / "x.json")]) == 4
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e400", "-1"])
+def test_tolerance_scale_that_is_not_finite_and_nonnegative_exits_2(monkeypatch, capsys, scale):
+    monkeypatch.setenv("QROBUST_TOL", scale)
+    assert main(["verify", "--corpus", "5"]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([("re", i, i, 1e308) for i in range(4)], "trace deviates"),                 # the trace overflows
+    ([("re", 0, 1, 1e308), ("re", 1, 0, -1e308)], "not Hermitian"),             # rho - rho^dag overflows
+])
+def test_analyze_entries_near_the_float_limit_exit_2(tmp_path, capsys, entries, message):
+    state = tmp_path / "huge.json"
+    write_state(DensityMatrix(np.eye(4) / 4.0), state)
+    payload = json.loads(state.read_text())
+    for block, i, j, value in entries:
+        payload[block][i][j] = value
+    state.write_text(json.dumps(payload))
+    assert main(["analyze", "--in", str(state)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
 def test_sample_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sample", "--ensemble", "ginibre", "--n", "10", "--seed", "7", "--out", str(a)]) == 0

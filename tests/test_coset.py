@@ -4,13 +4,12 @@ import pytest
 from qrobust.coset import (
     CosetParams,
     DegenerateInput,
+    _X_FROM_Y,
+    _closed_form_x_stack,
+    _k_stack,
     build_X,
     build_Y,
-    closed_form_x,
     density_from_params,
-    k_closed_form,
-    matrix_O,
-    matrix_eta,
 )
 from qrobust.states import BELL_STATES, SIGMA_YY, BellWeights, bell_diagonal
 
@@ -22,24 +21,24 @@ def params_with(lam=(0.7, 0.1, 0.1, 0.1), **angles):
 
 
 class TestFixedMatrices:
+    # _X_FROM_Y = O^T eta^{-1}, with O = BELL_STATES.T and eta = diag(i, 1, i, 1)
     def test_O_is_orthogonal(self):
-        o = matrix_O()
+        o = BELL_STATES.T
         assert np.max(np.abs(o.T @ o - np.eye(4))) <= 1e-15
 
     def test_O_entries(self):
         allowed = {0.0, 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)}
-        assert set(np.round(matrix_O().real.ravel(), 15)) <= {round(v, 15) for v in allowed}
-        assert np.max(np.abs(matrix_O().imag)) == 0.0
+        assert set(np.round(BELL_STATES.real.ravel(), 15)) <= {round(v, 15) for v in allowed}
+        assert np.max(np.abs(BELL_STATES.imag)) == 0.0
 
     def test_O_diagonalizes_the_flip(self):
-        o, eta = matrix_O(), matrix_eta()
-        assert np.max(np.abs(o.T @ eta @ eta @ o - SIGMA_YY)) <= 1e-15
+        # X_FROM_Y X_FROM_Y^T = O^T eta^{-2} O, and eta^{-2} = eta^2 = diag(-1, 1, -1, 1)
+        assert np.max(np.abs(_X_FROM_Y @ _X_FROM_Y.T - SIGMA_YY)) <= 1e-15
 
     def test_eta_properties(self):
-        eta = matrix_eta()
-        assert np.allclose(eta @ eta, np.diag([-1.0, 1.0, -1.0, 1.0]), atol=0)
-        assert np.allclose(eta.conj().T @ eta, np.eye(4), atol=0)
-        assert np.allclose(np.linalg.inv(eta), np.diag([-1j, 1.0, -1j, 1.0]), atol=0)
+        # eta^{-1} = diag(-i, 1, -i, 1) scales the Bell columns, which keeps them orthonormal
+        assert np.array_equal(_X_FROM_Y, BELL_STATES * np.array([-1j, 1.0, -1j, 1.0]))
+        assert np.allclose(_X_FROM_Y.conj().T @ _X_FROM_Y, np.eye(4), atol=1e-15)
 
 
 class TestBuildY:
@@ -68,21 +67,22 @@ class TestBuildX:
 
 class TestClosedForms:
     def test_zero_angles_vectors(self):
-        vectors = closed_form_x(params_with(lam=(0.7, 0.1, 0.1, 0.1)))
+        vectors = _closed_form_x_stack(np.zeros(6), np.array([0.7, 0.1, 0.1, 0.1])).T
         phases = (-1j, 1.0, -1j, 1.0)
         for i, (vec, phase) in enumerate(zip(vectors, phases)):
             expected = np.sqrt([0.7, 0.1, 0.1, 0.1][i]) * phase * BELL_STATES[:, i]
             assert np.max(np.abs(vec - expected)) <= 1e-15
 
     def test_zero_weight_gives_zero_vector(self):
-        vectors = closed_form_x(params_with(lam=(1.0, 0.0, 0.0, 0.0), theta1=0.7, xi2=0.4))
+        angles = np.array([0.7, 0.0, 0.0, 0.4, 0.0, 0.0])              # theta1 = 0.7, xi2 = 0.4
+        vectors = _closed_form_x_stack(angles, np.array([1.0, 0.0, 0.0, 0.0])).T
         assert np.array_equal(vectors[1], np.zeros(4))
 
     def test_k_zero_angles(self):
-        assert np.array_equal(k_closed_form(params_with()), np.ones(4))
+        assert np.array_equal(_k_stack(np.zeros(6)), np.ones(4))
 
     def test_k_single_phi(self):
-        k = k_closed_form(params_with(phi1=0.5))
+        k = _k_stack(np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0]))
         assert abs(k[0] - np.cosh(1.0)) <= 1e-15
         assert abs(k[1] - np.cosh(1.0)) <= 1e-15
         assert np.allclose(k[2:], 1.0, atol=0)
@@ -126,6 +126,7 @@ class TestParamValidation:
         params = params_with(theta1=0.3, xi2=0.2, lam=(0.5, 0.3, 0.15, 0.05))
         payload = params.to_dict()
         assert payload["lambda"] == [0.5, 0.3, 0.15, 0.05]
-        back = CosetParams.from_dict(payload)
+        angles = {name: payload[name] for name in ("theta1", "theta2", "xi1", "xi2", "phi1", "phi2")}
+        back = CosetParams(**angles, lam=payload["lambda"])
         assert back.angles == params.angles
         assert np.array_equal(back.lam, params.lam)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ginibre_states
-from qrobust import concurrence
+from conftest import ginibre_states, rotate_locally
+from qrobust import decompose
 from qrobust import oracle as oracle_module
 from qrobust.oracle import (
     CROSSING_WIDTH,
@@ -23,12 +23,10 @@ from qrobust.states import (
     BellWeights,
     DensityMatrix,
     _bell_mixture,
-    apply_local_unitary,
     bell_diagonal,
     is_separable_ppt,
     partial_transpose_matrix,
     ppt_min_eig,
-    random_local_unitary,
     sample_state,
     werner,
 )
@@ -183,7 +181,7 @@ class TestProductMixture:
             rho = DensityMatrix(matrix)
             flag, _ = is_separable_ppt(rho)
             assert flag
-            assert concurrence(rho) <= 1e-9
+            assert decompose(rho).concurrence <= 1e-9
 
 
 class TestMinimize:
@@ -205,7 +203,7 @@ class TestMinimize:
         assert math.isfinite(result.s_best)
         assert result.s_best <= 2.0 + 1e-6  # R(singlet) = 1
         assert math.isnan(result.gap_to_formula)
-        assert concurrence(result.best_direction) <= 1e-9
+        assert decompose(result.best_direction).concurrence <= 1e-9
 
     def test_deterministic(self):
         a = minimize_absolute_robustness(BELL_07, budget=2, seed=9)
@@ -231,18 +229,18 @@ class TestMinimize:
         result = minimize_absolute_robustness(rho, budget=6, seed=0)
         assert result.s_best <= cert.s + 1e-6
         assert result.gap_to_formula > 1e-3
-        assert result.minimality_flag()
+        assert result.minimality_flag(DEFAULT.oracle_flag)
 
 
 def negativity(rho):
     return 0.5 * (np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_matrix(rho.matrix)))) - 1.0)
 
 
-def pure_state(theta, lu=None):
+def pure_state(theta, rng=None):
     psi = np.zeros(4, dtype=complex)
     psi[0], psi[3] = math.cos(theta), math.sin(theta)
     rho = DensityMatrix(np.outer(psi, psi.conj()))
-    return rho if lu is None else apply_local_unitary(rho, lu)
+    return rho if rng is None else rotate_locally(rho, rng)
 
 
 class TestAbsoluteRobustness:
@@ -252,7 +250,7 @@ class TestAbsoluteRobustness:
         rng = np.random.default_rng(11)
         known = [(BELL_07, 0.4), (SINGLET, 1.0), (werner(0.5), 0.25), (werner(0.8), 0.7)]
         for theta in rng.uniform(0.05, math.pi / 4, 4):
-            known.append((pure_state(theta, random_local_unitary(rng)), abs(math.sin(2.0 * theta))))
+            known.append((pure_state(theta, rng), abs(math.sin(2.0 * theta))))
         for rho, value in known:
             bracket = absolute_robustness(rho)
             assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
@@ -327,7 +325,7 @@ class TestAbsoluteRobustness:
         for p in rng.uniform(1.0 / 3.0, 1.0, 4):
             known.append((werner(p), (3.0 * p - 1.0) / 2.0))
         for theta in rng.uniform(0.05, math.pi / 4, 4):
-            known.append((pure_state(theta, random_local_unitary(rng)), abs(math.sin(2.0 * theta))))
+            known.append((pure_state(theta, rng), abs(math.sin(2.0 * theta))))
         for rho, value in known:
             bracket = absolute_robustness(rho, tolerances=DEFAULT.scaled(0.0))
             assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)

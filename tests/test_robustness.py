@@ -3,8 +3,8 @@ import pytest
 
 from conftest import ginibre_states
 from test_wootters import TIED_WEIGHTS
-from qrobust import concurrence, decompose, wootters
-from qrobust.coset import CosetParams, density_from_params, k_closed_form
+from qrobust import decompose, wootters
+from qrobust.coset import CosetParams, _k_stack, density_from_params
 from qrobust.robustness import (
     _VERTEX_COLUMNS,
     RankDeficient,
@@ -79,7 +79,7 @@ class TestSigmaVertex:
             for (i, j), matrix in zip(_VERTEX_COLUMNS[1:], vertices(dec)):
                 vertex = DensityMatrix(matrix)
                 assert abs(np.trace(vertex.matrix).real - 1.0) <= 1e-10
-                assert concurrence(vertex) <= 1e-9
+                assert decompose(vertex).concurrence <= 1e-9
                 flag, _ = is_separable_ppt(vertex)
                 assert flag
                 lam = decompose(vertex).lambdas
@@ -159,7 +159,7 @@ class TestRobustnessCertificate:
         assert cert.s == 0.0
         assert cert.k_index == 2
         assert np.array_equal(cert.rho_p.matrix, MIXED.matrix)
-        assert concurrence(cert.rho_pp) <= 1e-12
+        assert decompose(cert.rho_pp).concurrence <= 1e-12
 
     def test_rank_deficient_routed_to_oracle(self):
         with pytest.raises(RankDeficient):
@@ -174,9 +174,9 @@ class TestRobustnessCertificate:
             params = CosetParams(**angles, lam=lam)
             cert = robustness(density_from_params(params))
             assert cert.s > 0.0
-            ratios.append(cert.s / concurrence(density_from_params(params)))
+            ratios.append(cert.s / decompose(density_from_params(params)).concurrence)
         assert abs(ratios[0] - ratios[1]) <= 1e-9
-        k = k_closed_form(CosetParams(**angles, lam=lams[0]))
+        k = _k_stack(np.array(list(angles.values())))
         expected = 0.5 * min(k[1] + k[2], k[1] + k[3], k[2] + k[3])
         assert abs(ratios[0] - expected) <= 1e-8
 

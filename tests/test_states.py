@@ -3,27 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ginibre_states
+from conftest import ginibre_states, rotate_locally
 from qrobust import coset, verify
 from qrobust.states import (
     BELL_STATES,
     SIGMA_YY,
     BellWeights,
     DensityMatrix,
-    LocalUnitary,
     ParseError,
     UnknownEnsemble,
     ValidationError,
-    apply_local_unitary,
     bell_diagonal,
     is_separable_ppt,
-    partial_transpose,
+    partial_transpose_matrix,
     ppt_min_eig,
-    random_local_unitary,
     read_state,
     sample_stack,
     sample_state,
-    spin_flip,
+    tilde_matrix,
     werner,
     write_state,
 )
@@ -54,28 +51,28 @@ def test_sigma_yy_is_signed_antidiagonal():
 
 class TestSpinFlip:
     def test_maximally_mixed_fixed_point(self):
-        assert np.allclose(spin_flip(MIXED), MIXED.matrix, atol=0)
+        assert np.allclose(tilde_matrix(MIXED.matrix), MIXED.matrix, atol=0)
 
     def test_singlet_fixed_point(self):
         expected = spin_flip_by_loops(SINGLET.matrix)
         assert np.allclose(expected, SINGLET.matrix, atol=1e-15)
-        assert np.allclose(spin_flip(SINGLET), expected, atol=1e-15)
+        assert np.allclose(tilde_matrix(SINGLET.matrix), expected, atol=1e-15)
 
     def test_up_up_maps_to_down_down(self):
         expected = np.diag([0, 0, 0, 1.0]).astype(complex)
-        assert np.allclose(spin_flip(UP_UP), expected, atol=0)
+        assert np.allclose(tilde_matrix(UP_UP.matrix), expected, atol=0)
         assert np.allclose(spin_flip_by_loops(UP_UP.matrix), expected, atol=0)
 
 
 class TestPartialTranspose:
     def test_diagonal_product_state_invariant(self):
-        assert np.array_equal(partial_transpose(UP_UP), UP_UP.matrix)
+        assert np.array_equal(partial_transpose_matrix(UP_UP.matrix), UP_UP.matrix)
 
     def test_maximally_mixed_invariant(self):
-        assert np.array_equal(partial_transpose(MIXED), MIXED.matrix)
+        assert np.array_equal(partial_transpose_matrix(MIXED.matrix), MIXED.matrix)
 
     def test_singlet_minimum_eigenvalue(self):
-        assert abs(np.linalg.eigvalsh(partial_transpose(SINGLET))[0] + 0.5) <= 1e-10
+        assert abs(np.linalg.eigvalsh(partial_transpose_matrix(SINGLET.matrix))[0] + 0.5) <= 1e-10
 
 
 class TestSeparabilityPPT:
@@ -114,7 +111,7 @@ class TestBellDiagonal:
 
     def test_tilde_invariance(self):
         rho = bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1])))
-        assert np.max(np.abs(spin_flip(rho) - rho.matrix)) <= 1e-12
+        assert np.max(np.abs(tilde_matrix(rho.matrix) - rho.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("bad", [
         [0.5, 0.5, 0.1, -0.1],
@@ -153,7 +150,8 @@ class TestEnsembles:
 
     def test_tolerances_reach_the_coset_and_bell_diagonal_constructions(self):
         exact = DEFAULT.scaled(0.0)
-        params = coset.sample_params(np.random.default_rng(0))
+        angles, lam = coset._draw_rows(np.random.default_rng(0), 1, 1.0, 0.0)
+        params = coset.CosetParams(*angles[0], lam=lam[0])
         with pytest.raises(ValidationError) as direct:
             coset.density_from_params(params, exact)
         with pytest.raises(ValidationError) as sampled:
@@ -170,28 +168,18 @@ class TestEnsembles:
 
 
 class TestLocalUnitary:
-    def test_identity_pair_is_noop(self):
-        lu = LocalUnitary(np.eye(2), np.eye(2))
-        rho = sample_state("ginibre", 1)
-        assert np.allclose(apply_local_unitary(rho, lu).matrix, rho.matrix, atol=0)
-
+    # rotations by the SU(2) x SU(2) pairs of states._su2_pairs
     def test_maximally_mixed_invariant(self):
-        lu = random_local_unitary(np.random.default_rng(0))
-        assert np.allclose(apply_local_unitary(MIXED, lu).matrix, MIXED.matrix, atol=1e-15)
+        rotated = rotate_locally(MIXED, np.random.default_rng(0))
+        assert np.allclose(rotated.matrix, MIXED.matrix, atol=1e-15)
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(1)
         for rho in ginibre_states(20):
-            rotated = apply_local_unitary(rho, random_local_unitary(rng))
+            rotated = rotate_locally(rho, rng)
             before = np.linalg.eigvalsh(rho.matrix)
             after = np.linalg.eigvalsh(rotated.matrix)
             assert np.max(np.abs(before - after)) <= 1e-10
-
-    def test_rejects_non_special_unitary(self):
-        with pytest.raises(ValidationError):
-            LocalUnitary(np.diag([1.0, 1j]), np.eye(2))  # det = i
-        with pytest.raises(ValidationError):
-            LocalUnitary(np.array([[1.0, 0.1], [0.0, 1.0]]), np.eye(2))
 
 
 class TestStateFiles:

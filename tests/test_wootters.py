@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import concurrence_by_spectrum, ginibre_states
-from qrobust import concurrence, coset, decompose, numerics, oracle, wootters
+from conftest import concurrence_by_spectrum, ginibre_states, rotate_locally
+from qrobust import coset, decompose, numerics, oracle, wootters
 from qrobust.coset import CosetParams, density_from_params
 from qrobust.robustness import robustness_stack
 from qrobust.states import (
@@ -10,11 +10,9 @@ from qrobust.states import (
     SIGMA_YY,
     BellWeights,
     DensityMatrix,
-    apply_local_unitary,
     bell_diagonal,
-    random_local_unitary,
     sample_state,
-    spin_flip,
+    tilde_matrix,
     werner,
 )
 from qrobust.tolerances import DEFAULT
@@ -39,7 +37,7 @@ class TestDecompose:
 
     def test_maximally_mixed(self):
         # rho rho~ = I/16, so all lambdas are 1/4
-        product = MIXED.matrix @ spin_flip(MIXED)
+        product = MIXED.matrix @ tilde_matrix(MIXED.matrix)
         assert np.allclose(product, np.eye(4) / 16.0, atol=0)
         dec = decompose(MIXED)
         assert np.max(np.abs(dec.lambdas - 0.25)) <= 1e-12
@@ -48,7 +46,7 @@ class TestDecompose:
 
     def test_product_state_is_nilpotent(self):
         rho = DensityMatrix(np.diag([1.0, 0, 0, 0]))
-        assert np.max(np.abs(rho.matrix @ spin_flip(rho))) == 0.0
+        assert np.max(np.abs(rho.matrix @ tilde_matrix(rho.matrix))) == 0.0
         dec = decompose(rho)
         assert np.array_equal(dec.lambdas, np.zeros(4))
         assert dec.concurrence == 0.0
@@ -81,20 +79,20 @@ class TestDecompose:
 
 class TestConcurrence:
     def test_singlet_is_maximal(self):
-        assert abs(concurrence(SINGLET) - 1.0) <= 1e-12
+        assert abs(decompose(SINGLET).concurrence - 1.0) <= 1e-12
         assert abs(concurrence_by_spectrum(SINGLET.matrix) - 1.0) <= 1e-12
 
     def test_maximally_mixed_is_zero(self):
-        assert concurrence(MIXED) == 0.0
+        assert decompose(MIXED).concurrence == 0.0
 
     def test_werner_closed_form(self):
         rho = werner(0.8)
-        assert abs(concurrence(rho) - 0.7) <= 1e-12
+        assert abs(decompose(rho).concurrence - 0.7) <= 1e-12
         assert abs(concurrence_by_spectrum(rho.matrix) - 0.7) <= 1e-12
 
     def test_matches_independent_spectrum_route(self):
         for rho in ginibre_states(200):
-            assert abs(concurrence(rho) - concurrence_by_spectrum(rho.matrix)) <= 1e-10
+            assert abs(decompose(rho).concurrence - concurrence_by_spectrum(rho.matrix)) <= 1e-10
 
 
 def tilde_distances(pairs):
@@ -119,10 +117,9 @@ class TestTildeNormAndDistance:
         assert other > 1e-3
 
     def test_distance_local_invariance(self):
-        rng = np.random.default_rng(1)
-        lu = random_local_unitary(rng)
-        d0, d1 = tilde_distances([(SINGLET, MIXED),
-                                  (apply_local_unitary(SINGLET, lu), apply_local_unitary(MIXED, lu))])
+        # generators with one seed draw one unitary for both states
+        d0, d1 = tilde_distances([(SINGLET, MIXED), (rotate_locally(SINGLET, np.random.default_rng(1)),
+                                                     rotate_locally(MIXED, np.random.default_rng(1)))])
         assert abs(d1 - d0) <= 1e-9
 
     def test_bell_diagonal_distance_closed_form(self):
@@ -173,7 +170,7 @@ class TestDegeneracyRule:
 
     def test_local_unitary_copy_keeps_tied_k(self):
         # a rotated Bell-diagonal state still has unit K_i and the same weights
-        rho = apply_local_unitary(BELL_07, random_local_unitary(np.random.default_rng(4)))
+        rho = rotate_locally(BELL_07, np.random.default_rng(4))
         dec = decompose(rho)
         assert np.max(np.abs(dec.lambdas - [0.7, 0.1, 0.1, 0.1])) <= 1e-12
         assert np.max(np.abs(dec.k_norm - 1.0)) <= 1e-12
@@ -259,7 +256,7 @@ class TestStackedTieRule:
         certs = robustness_stack(np.array(bell + ginibre))
         # rho'' vertices: tied lambdas, with tied K_i (Bell diagonal) or unequal K_i (Ginibre)
         vertices = list(certs.rho_pp[certs.s > 0.0])
-        rotated = apply_local_unitary(BELL_07, random_local_unitary(np.random.default_rng(4))).matrix
+        rotated = rotate_locally(BELL_07, np.random.default_rng(4)).matrix
         cosets = [density_from_params(CosetParams(**angles, lam=np.array(lam))).matrix for lam in coset_lams]
         return np.array(bell + ginibre + vertices + cosets + [rotated, MIXED.matrix, SINGLET.matrix])
 
@@ -308,8 +305,7 @@ class TestStress:
         rng = np.random.default_rng(0)
         phi = BELL_STATES[:, 0]
         near_pure = DensityMatrix((1.0 - eps) * np.outer(phi, phi.conj()) + eps * np.eye(4) / 4.0)
-        self._check_full_rank(np.array([apply_local_unitary(near_pure, random_local_unitary(rng)).matrix
-                                        for _ in range(10)]))
+        self._check_full_rank(np.array([rotate_locally(near_pure, rng).matrix for _ in range(10)]))
 
     def test_large_k_coset_states(self):
         # angles up to 6: K_i up to about 1e10; 1150 of the 2000 states are full rank

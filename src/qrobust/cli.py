@@ -57,7 +57,7 @@ environment:
                 follow its gap bound.  It does not move the algorithm
                 constants:
                   numerics.TAKAGI_CLUSTER 1e-6  Takagi cluster gap
-                  wootters.RANK_CUT       1e-8  rank cut on lambda_i/lambda_1
+                  wootters.RANK_CUT       1e-10 rank cut 5e-11, clipped to [1e-10, 1e-8] lambda_1
                   wootters.TIE            1e-12 ties of lambdas, K_i, pair sums
                   oracle.CROSSING_WIDTH   1e-10 crossing bracket width
                 Library constructors that take no record (BellWeights,
@@ -65,25 +65,10 @@ environment:
 """
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):   # before int: bool is an int subclass
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return None if math.isnan(v) else v
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def _emit_json(payload: dict, path) -> int:
     """Print the report, or write it to ``path``; the exit code: ``EXIT_IO``,
     after one error: line, when the file cannot be written."""
-    text = json.dumps(_jsonify(payload), indent=1)
+    text = json.dumps(payload, indent=1)
     if path is None:
         print(text)
         return EXIT_OK
@@ -247,7 +232,11 @@ def cmd_verify(args, tol) -> int:
     return EXIT_PROPERTY if failed else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged.  It
+    names each command and holds no function: ``main`` looks the command up
+    when it runs it."""
     parser = argparse.ArgumentParser(
         prog="qrobust",
         description="Entanglement measures of two-qubit states: decomposition, "
@@ -284,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", type=int, default=200, help="states per corpus group")
     p.add_argument("--seed", type=int, default=0)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parsing leaves it unchanged.  It
-    names each command and holds no function: ``main`` looks the command up
-    when it runs it."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

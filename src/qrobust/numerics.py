@@ -43,15 +43,6 @@ class NumericalFailure(RuntimeError):
     """A factorization did not reach its required residual."""
 
 
-def _as_matrix(matrix) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def _eigh_descending(h: np.ndarray):
     """LAPACK eigendecomposition of a Hermitian (or real symmetric) matrix or
     (..., n, n) stack, eigenvalues descending with a stable tie-break, each

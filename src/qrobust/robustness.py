@@ -44,9 +44,6 @@ _PLANE_VERTICES = np.array([k for k, pair in _VERTEX_PAIRS.items() if 1 not in p
 # the candidate pairs for the minimum, (2, 3), (2, 4), (3, 4): the lexicographic order settles ties
 _MIN_PAIR_VERTEX = _PLANE_VERTICES[::-1]
 _MIN_PAIR_COLUMNS = _VERTEX_COLUMNS[_MIN_PAIR_VERTEX]
-# for direction i = 2, 3, 4: the two plane vertices (as indices of a2, a3, a4) whose pairs hold it
-_MIXING_RATES = np.array([[v for v, k in enumerate(_PLANE_VERTICES) if i in _VERTEX_PAIRS[k]]
-                          for i in (2, 3, 4)]).T
 
 
 @dataclass(frozen=True)
@@ -87,31 +84,9 @@ def _pair_sums(k: np.ndarray) -> np.ndarray:
     return k[..., _MIN_PAIR_COLUMNS[:, 0]] + k[..., _MIN_PAIR_COLUMNS[:, 1]]
 
 
-def _vertex_rates(k: np.ndarray) -> np.ndarray:
-    """1/(K_3+K_4), 1/(K_2+K_4), 1/(K_2+K_3): per-vertex mixing rates for a_2, a_3, a_4."""
-    return 1.0 / _pair_sums(k)[..., ::-1]
-
-
-def _prime_coords(lam: np.ndarray, c: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Coordinates lambda'_i of the boundary state rho' for lambdas (N, 4),
-    concurrences (N,) and the vertex rates a_k/(K_i+K_j) (N, 3) weighted by
-    vertex weights (a2, a3, a4).
-
-    rho' is where the ray from rho through sum_k a_k sigma_k leaves the
-    entangled region; its coordinates satisfy
-    lambda'_1 - lambda'_2 - lambda'_3 - lambda'_4 = 0.
-    """
-    total = rates.sum(axis=-1)
-    half_c = 0.5 * c
-    coords = total[:, None] * lam
-    # lambda'_i, i = 2, 3, 4, gains C/2 times the rates of the two vertices that mix direction i
-    coords[:, 1:] += half_c[:, None] * (rates[:, _MIXING_RATES[0]] + rates[:, _MIXING_RATES[1]])
-    return coords / (total + half_c)[:, None]
-
-
 # per plane, the 0-based K columns (a, b) of each vertex's rate 1/(K_a + K_b):
-# plane 1 is the s1 plane of sigma_2, sigma_3, sigma_4, whose rates are
-# ``_vertex_rates``; planes 2, 3 and 4 hold the pair-mixtures with that index,
+# plane 1 is the s1 plane of sigma_2, sigma_3, sigma_4, the vertices of the pairs (3, 4),
+# (2, 4) and (2, 3); planes 2, 3 and 4 hold the pair-mixtures with that index,
 # partners ascending, and a partner 1 (column 0) adds no rate
 _PLANE_PAIRS = {1: _VERTEX_COLUMNS[_PLANE_VERTICES],
                 **{p: np.array([(p - 1, m) for m in range(4) if m != p - 1]) for p in (2, 3, 4)}}
@@ -179,8 +154,12 @@ def _certificates(rho, lam, k, c, x) -> dict:
     s = np.where(entangled, 0.5 * sums[rows, m] * c, 0.0)
     k_index = _MIN_PAIR_VERTEX[m]
     rho_pp = _pair_vertices(xp, k, _MIN_PAIR_COLUMNS[m, 0], _MIN_PAIR_COLUMNS[m, 1])
-    one_hot = k_index[:, None] == _PLANE_VERTICES          # vertex weights (a2, a3, a4)
-    lam_p = np.where(entangled[:, None], _prime_coords(lam, c, one_hot * _vertex_rates(k)), lam)
+    # rho' = (rho + s rho'')/(1+s): lambda' = (lambda + (C/2)(e_a + e_b))/(1+s) for the
+    # minimizing pair (a, b), on the boundary plane lambda'_1 = lambda'_2 + lambda'_3 + lambda'_4;
+    # separable entries (C = s = 0) keep lambda' = lambda
+    lam_p = lam.copy()
+    lam_p[rows[:, None], _MIN_PAIR_COLUMNS[m]] += 0.5 * c[:, None]
+    lam_p /= (1.0 + s)[:, None]
     rho_p = np.where(entangled[:, None, None], (xp * lam_p[:, None, :]) @ xp.conj().swapaxes(-1, -2), rho)
     return {"s": s, "k_index": k_index, "rho_pp": rho_pp, "rho_p": rho_p, "rho_p_coords": lam_p}
 

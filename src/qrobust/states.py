@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import numerics
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -101,9 +100,13 @@ class DensityMatrix:
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT):
         try:
-            m = numerics._as_matrix(matrix)
+            m = np.array(matrix, dtype=complex)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
+        if m.shape != (4, 4):
+            raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix entries must be finite")
         failure = _density_failure(m, tol)
         if failure is not None:
             raise ValidationError(failure[1])

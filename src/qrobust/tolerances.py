@@ -16,7 +16,7 @@ each one, and ``QROBUST_TOL`` does not move them:
 
 * ``numerics.TAKAGI_CLUSTER`` (1e-6): relative gap that groups singular
   values into a cluster, each of which is re-factored;
-* ``wootters.RANK_CUT`` (1e-8): relative cut on the lambdas for the rank;
+* ``wootters.RANK_CUT`` (1e-10): rank cut, 5e-11 clipped to [1e-10, 1e-8] lambda_1;
 * ``wootters.TIE`` (1e-12): relative difference at which lambdas, K_i or
   pair sums tie;
 * ``oracle.CROSSING_WIDTH`` (1e-10): relative width of the bracket that

@@ -29,10 +29,14 @@ from .numerics import NumericalFailure
 from .states import DensityMatrix
 from .tolerances import DEFAULT, Tolerances
 
-# Algorithm parameters, relative to lambda_1 (and to K_max for tied K_i):
-# lambdas at or below RANK_CUT fall outside the rank, and lambdas, K_i or
-# pair sums (``robustness``) within TIE of each other are tied.
-RANK_CUT = 1e-8
+# Algorithm parameters: lambdas at or below RANK_CUT clip(1/2, lambda_1,
+# 100 lambda_1), i.e. 5e-11 held between 1e-10 and 1e-8 of lambda_1, fall
+# outside the rank; lambdas, K_i and pair sums (``robustness``) tie within
+# TIE times lambda_1, K_max and the smallest sum.  Zero lambdas carry absolute
+# noise (3e-16/C for a pure state), so the cut stays at 1e-8 lambda_1 below
+# lambda_1 = 5e-3, and 12 full-rank Bures draws of seeds 0-19999 (lambda_1 >
+# 0.4, lambda_4 from 1.1e-10 to 4.0e-9) count as rank 4.
+RANK_CUT = 1e-10
 TIE = 1e-12
 
 
@@ -50,7 +54,7 @@ class WoottersDecomposition:
         the rank cuts off.
     p_coord : tetrahedron coordinates P_i = <x_i|x_i> = lambda_i K_i.
     concurrence : max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
-    rank : number of lambdas above ``RANK_CUT * lambda_1``.
+    rank : number of lambdas above ``RANK_CUT * clip(1/2, lambda_1, 100 lambda_1)``.
     """
 
     lambdas: np.ndarray
@@ -182,7 +186,7 @@ def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Decompos
         f"factorization residual {r:.3e} exceeds {tol.decompose_failure:.3e}"))
 
     x = sub @ u.conj().swapaxes(-1, -2)
-    eps_rank = RANK_CUT * np.maximum(lambdas[:, 0], 1e-30)
+    eps_rank = RANK_CUT * np.clip(0.5, lambdas[:, 0], 100.0 * lambdas[:, 0])
     rank = (lambdas > eps_rank[:, None]).sum(axis=1)
     inside = _COLUMNS < rank[:, None]
     x = np.where(inside[:, None, :], x, 0.0)

@@ -154,7 +154,7 @@ def test_analyze_fallback_decomposes_once(tmp_path, monkeypatch, capsys):
     expected = {"input": str(state), "decomposition": exc.value.decomposition.to_report(),
                 "method": "oracle_estimate",
                 "oracle": {**oracle.minimize_absolute_robustness(rho).to_report(), "note": str(exc.value)}}
-    assert capsys.readouterr().out == json.dumps(cli._jsonify(expected), indent=1) + "\n"
+    assert capsys.readouterr().out == json.dumps(expected, indent=1) + "\n"
 
 
 def test_analyze_oracle_runs_the_certificate_checks_once(tmp_path, monkeypatch, capsys):
@@ -167,8 +167,32 @@ def test_analyze_oracle_runs_the_certificate_checks_once(tmp_path, monkeypatch, 
     assert len(calls) == 1
     monkeypatch.undo()
     rho = read_state(state)
-    expected = cli._jsonify(verify.verify_certificate(rho, robustness(rho), oracle=True))
+    expected = verify.verify_certificate(rho, robustness(rho), oracle=True)
     assert json.loads(capsys.readouterr().out)["verification"] == expected
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+def test_reports_are_strict_json(tmp_path, capsys):
+    # reports are dumped as built, so no value may be NaN or infinite; a
+    # numpy integer or bool would end the dump in a TypeError
+    bell, singlet = tmp_path / "bell.json", tmp_path / "singlet.json"
+    write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), bell)
+    write_state(werner(1.0), singlet)
+    texts = []
+    for extra in ([], ["--oracle"]):
+        for state in (bell, singlet):
+            assert main(["analyze", "--in", str(state), *extra]) == 0
+            texts.append(capsys.readouterr().out)
+        for lam in ("0.7,0.1,0.1,0.1", "1,0,0,0"):   # the Bell-diagonal state and a Bell state
+            out = tmp_path / "param.json"
+            assert main(["param", *BELL_ARGS[:-1], lam, "--out", str(out), *extra]) == 0
+            capsys.readouterr()
+            texts.append((tmp_path / "param.json.analysis.json").read_text())
+    reports = [json.loads(text, parse_constant=_reject_constant) for text in texts]
+    assert [report["method"] for report in reports] == ["closed_form", "oracle_estimate"] * 4
 
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -267,9 +291,10 @@ def test_sample_coset_agreement_column(tmp_path):
 
 
 def test_sample_rank_deficient_row_is_nan_in_closed_form_columns(tmp_path):
-    # Bures seed 61 has rank 3: K4 is undefined, so no pair sum involving it exists
+    # Bures seed 9626 has rank 3 (lambda_4/lambda_1 = 8.6e-12, under the rank
+    # cut): K4 is undefined, so no pair sum involving it exists
     out = tmp_path / "rank3.csv"
-    assert main(["sample", "--ensemble", "bures", "--n", "1", "--seed", "61", "--out", str(out)]) == 0
+    assert main(["sample", "--ensemble", "bures", "--n", "1", "--seed", "9626", "--out", str(out)]) == 0
     header, row = (line.split(",") for line in out.read_text().splitlines())
     values = dict(zip(header, row))
     assert all(values[column] == "nan" for column in ("K4", "min_pair_sum", "s_formula", "s_bisection"))
@@ -311,10 +336,10 @@ def test_sample_oracle_decomposes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("ensemble, seed, n", [("ginibre", 0, 4), ("bures", 59, 4)])
+@pytest.mark.parametrize("ensemble, seed, n", [("ginibre", 0, 4), ("bures", 9624, 4)])
 def test_sample_oracle_columns_are_the_public_search(tmp_path, ensemble, seed, n):
     # each row's s_best and gap are those of the search on its state alone;
-    # Bures seed 61 is rank deficient: the I/4 reference and a nan gap
+    # Bures seed 9626 is rank deficient: the I/4 reference and a nan gap
     out = tmp_path / "oracle.csv"
     assert main(["sample", "--ensemble", ensemble, "--n", str(n), "--seed", str(seed),
                  "--oracle", "--out", str(out)]) == 0
@@ -323,7 +348,7 @@ def test_sample_oracle_columns_are_the_public_search(tmp_path, ensemble, seed, n
         result = oracle.minimize_absolute_robustness(sample_state(ensemble, seed + i))
         assert row[-2:] == [repr(result.s_best), repr(result.gap_to_formula)]
     if ensemble == "bures":
-        assert rows[61 - seed][-1] == "nan" and rows[61 - seed][7] == "nan"
+        assert rows[9626 - seed][-1] == "nan" and rows[9626 - seed][7] == "nan"
 
 
 @pytest.mark.parametrize("argv", [
@@ -526,12 +551,12 @@ def _csv_rows(path):
 
 
 def test_sample_chunks_equal_separate_runs(tmp_path):
-    # --n 300 crosses the boundary of the 256-row chunks; Bures seed 61 is a
+    # --n 300 crosses the boundary of the 256-row chunks; Bures seed 9626 is a
     # rank-deficient nan row inside the first chunk
     whole = tmp_path / "whole.csv"
-    assert main(["sample", "--ensemble", "bures", "--n", "300", "--seed", "0", "--out", str(whole)]) == 0
+    assert main(["sample", "--ensemble", "bures", "--n", "300", "--seed", "9500", "--out", str(whole)]) == 0
     parts = []
-    for start in (0, 100, 200):
+    for start in (9500, 9600, 9700):
         part = tmp_path / f"part{start}.csv"
         assert main(["sample", "--ensemble", "bures", "--n", "100", "--seed", str(start),
                      "--out", str(part)]) == 0
@@ -540,7 +565,7 @@ def test_sample_chunks_equal_separate_runs(tmp_path):
     assert rows[0] == _csv_rows(part)[0]
     assert [row[1:] for row in rows[1:]] == [row[1:] for row in parts]
     assert [row[0] for row in rows[1:]] == [str(i) for i in range(300)]
-    assert rows[62][7] == "nan"
+    assert rows[1 + 126][7] == "nan"
 
 
 @pytest.mark.parametrize("failing_index", [0, 5, 260])

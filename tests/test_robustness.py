@@ -10,8 +10,6 @@ from qrobust.robustness import (
     RankDeficient,
     _pair_vertices,
     _plane_robustness,
-    _prime_coords,
-    _vertex_rates,
     robustness,
     robustness_stack,
 )
@@ -49,21 +47,6 @@ def vertices(dec):
     return _pair_vertices(xp, np.broadcast_to(dec.k_norm, (4, 4)), *_VERTEX_COLUMNS[1:].T)
 
 
-def prime_coords(dec, a):
-    """rho' coordinates of a decomposition stack for vertex weights (a2, a3, a4), (N, 3)."""
-    return _prime_coords(dec.lambdas, dec.concurrence, a * _vertex_rates(dec.k_norm))
-
-
-def lambda_pp(k, a):
-    """Outer-state coordinates for K values (N, 4) and vertex weights (a2, a3, a4), (N, 3)."""
-    return np.stack([
-        np.zeros(len(k)),
-        a[:, 1] / (k[:, 1] + k[:, 3]) + a[:, 2] / (k[:, 1] + k[:, 2]),
-        a[:, 0] / (k[:, 2] + k[:, 3]) + a[:, 2] / (k[:, 1] + k[:, 2]),
-        a[:, 0] / (k[:, 2] + k[:, 3]) + a[:, 1] / (k[:, 1] + k[:, 3]),
-    ], axis=-1)
-
-
 class TestSigmaVertex:
     def test_bell_diagonal_vertex_two(self):
         from qrobust.states import BELL_STATES
@@ -89,28 +72,28 @@ class TestSigmaVertex:
 
 class TestRhoPrimeCoords:
     def test_separable_collapses_to_lambda(self):
-        dec = decompositions([MIXED, MIXED])
-        coords = prime_coords(dec, np.array([[1.0, 0, 0], [0.2, 0.3, 0.5]]))
-        assert np.max(np.abs(coords - dec.lambdas)) <= 1e-12
+        assert np.array_equal(robustness(MIXED).rho_p_coords, decompose(MIXED).lambdas)
 
     def test_bell_diagonal_concentrated_weights(self):
-        coords = prime_coords(decompositions([BELL_07]), np.array([[1.0, 0.0, 0.0]]))[0]
-        assert np.max(np.abs(coords - [0.5, 1.0 / 14.0, 3.0 / 14.0, 3.0 / 14.0])) <= 1e-12
+        cert = robustness(BELL_07)
+        assert cert.pair == (2, 3)
+        assert np.max(np.abs(cert.rho_p_coords - [0.5, 3.0 / 14.0, 3.0 / 14.0, 1.0 / 14.0])) <= 1e-12
 
     def test_on_plane_and_nonnegative(self):
-        rng = np.random.default_rng(0)
-        dec = decompositions([rho for rho, _ in entangled_corpus(30)])
-        coords = prime_coords(dec, np.array([rng.dirichlet(np.ones(3)) for _ in dec.lambdas]))
+        coords = np.array([cert.rho_p_coords for _, cert in entangled_corpus(30)])
         assert np.all(coords >= 0.0)
         assert np.max(np.abs(coords[:, 0] - coords[:, 1] - coords[:, 2] - coords[:, 3])) <= 1e-9
 
     def test_pseudomixture_identity_in_coordinates(self):
-        rng = np.random.default_rng(1)
-        dec = decompositions([rho for rho, _ in entangled_corpus(20)])
-        a = np.array([rng.dirichlet(np.ones(3)) for _ in dec.lambdas])
-        s = _plane_robustness(dec.k_norm, dec.concurrence, 1, a)[:, None]
-        recovered = (1.0 + s) * prime_coords(dec, a) - s * lambda_pp(dec.k_norm, a)
-        assert np.max(np.abs(recovered - dec.lambdas)) <= 1e-12
+        # rho'' = (|x'_a><x'_a| + |x'_b><x'_b|)/(K_a + K_b) for the certificate's pair (a, b)
+        certs = robustness_stack(np.array([rho.matrix for rho, _ in entangled_corpus(20)]))
+        k, rows = certs.decomposition.k_norm, np.arange(len(certs.s))
+        a, b = _VERTEX_COLUMNS[certs.k_index].T
+        lam_pp = np.zeros_like(k)
+        lam_pp[rows, a] = lam_pp[rows, b] = 1.0 / (k[rows, a] + k[rows, b])
+        s = certs.s[:, None]
+        recovered = (1.0 + s) * certs.rho_p_coords - s * lam_pp
+        assert np.max(np.abs(recovered - certs.decomposition.lambdas)) <= 1e-12
 
 
 class TestPlaneRobustness:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import concurrence_by_spectrum, ginibre_states, rotate_locally
-from qrobust import coset, decompose, numerics, oracle, wootters
+from qrobust import coset, decompose, numerics, oracle, states, wootters
 from qrobust.coset import CosetParams, density_from_params
 from qrobust.robustness import robustness_stack
 from qrobust.states import (
@@ -314,3 +314,44 @@ class TestStress:
         full = robustness_stack(matrices).decomposition.rank == 4
         assert full.sum() == 1150
         self._check_full_rank(matrices[full])
+
+
+def test_rank_cut_keeps_rank_deficient_states_and_certifies_full_rank_bures():
+    # zero lambdas carry absolute noise that grows as lambda_1 falls: pure
+    # states down to C = 2e-4 and nearly product rank-2 and rank-3 mixtures
+    # (lambda_1 down to about 3e-4) keep their rank under the clipped cut, and
+    # full-rank Bures draws with lambda_4 of 1.3e-9 to 3.1e-9 stay above it,
+    # with a certificate the bisection confirms
+    rng = np.random.default_rng(0)
+    n = 1000
+
+    def haar(k):
+        kets = rng.standard_normal((k, n, 4)) + 1j * rng.standard_normal((k, n, 4))
+        return kets / np.linalg.norm(kets, axis=-1, keepdims=True)
+
+    def mix(kets, weights):
+        # sum_k w_k |k><k|, each entry turned by its own local unitary
+        rho = np.einsum("kn,kni,knj->nij", weights, kets, kets.conj())
+        u = np.array([np.kron(*pair) for pair in states._su2_pairs(rng, n)])
+        return u @ rho @ u.conj().swapaxes(-1, -2)
+
+    t = np.exp(rng.uniform(np.log(1e-4), np.log(np.pi / 4.0), n))
+    schmidt = np.zeros((1, n, 4))
+    schmidt[0, :, 0], schmidt[0, :, 3] = np.cos(t), np.sin(t)
+    near = np.zeros((3, n, 4), complex)
+    near[..., :2] = haar(3)[..., :2]  # |0>|b_k>, then a 1e-3 admixture
+    near += 1e-3 * haar(3)
+    near /= np.linalg.norm(near, axis=-1, keepdims=True)
+    p = rng.uniform(0.55, 0.95, n)
+    pairs = np.array([p, 1.0 - p])
+    rank1 = np.concatenate((mix(haar(1), np.ones((1, n))), mix(schmidt, np.ones((1, n)))))
+    rank2 = np.concatenate((mix(haar(2), pairs), mix(near[:2], pairs)))
+    rank3 = mix(near, rng.dirichlet(np.ones(3), n).T)
+    for stack, rank in ((rank1, 1), (rank2, 2), (rank3, 3)):
+        assert np.all(decompose_stack(stack).rank == rank)
+    matrices = np.array([sample_state("bures", seed).matrix for seed in (61, 697, 5342)])
+    certs = robustness_stack(matrices)
+    assert certs.decomposition.rank.tolist() == [4, 4, 4]
+    s_bisection, errors = oracle.relative_robustness_stack(matrices, certs.rho_pp)
+    assert errors == [None] * 3
+    assert np.max(np.abs(s_bisection - certs.s)) <= 1e-6

@@ -95,7 +95,7 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
-        result = oracle._minimize(rho, certs, 0, tol)
+        result = oracle._minimize(rho, float(certs.s[0]), tol)
         report["method"] = "oracle_estimate"
         report["oracle"] = {**result.to_report(), "note": str(exc)}
         return report, EXIT_OK
@@ -142,8 +142,8 @@ def _sample_rows(args, tol):
 def _sample_chunk(args, tol, indices):
     """Rows for ``indices``: the states drawn as one stack, each from its own
     seed, then one stacked certificate and one stacked crossing for the whole
-    chunk; ``--oracle`` rows reuse the chunk's certificates.  Rows before an entry that fails are still yielded; the failure is
-    raised then."""
+    chunk; ``--oracle`` rows reuse the chunk's certificates.  Rows before an
+    entry that fails are still yielded; the failure is raised then."""
     drawn = states.sample_stack(args.ensemble, [args.seed + i for i in indices], tol)
     matrices = drawn.matrices
     if len(matrices):
@@ -168,7 +168,7 @@ def _sample_chunk(args, tol, indices):
                 row.append(_fmt(drawn.k_agreement[j]))
             if args.oracle:
                 rho = states.DensityMatrix._by_construction(matrices[j])
-                result = oracle._minimize(rho, certs, j, tol)
+                result = oracle._minimize(rho, float(certs.s[j]), tol)
                 row += [_fmt(result.s_best), _fmt(result.gap_to_formula)]
             yield row
     if drawn.error is not None:

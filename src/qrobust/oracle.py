@@ -6,9 +6,10 @@ can be bracketed by PPT tests, and the absolute robustness is a small
 semidefinite program, solved here by a primal-dual interior-point method
 (about ten predictor-corrector iterations) with a certified lower and upper
 bound.
-Nothing here reuses the closed form except as a reference direction, which
-keeps the two routes independent.  The audit of one certificate against
-these routes is ``verify.verify_certificate``.
+Nothing here reuses the closed form: its value enters only the reported
+difference ``gap_to_formula``, which keeps the two routes independent.
+The audit of one certificate against these routes is
+``verify.verify_certificate``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .robustness import CertificateStack, RankDeficient, robustness_stack
+from .robustness import RankDeficient, robustness_stack
 from .states import DensityMatrix, is_separable_ppt, partial_transpose_matrix, ppt_min_eig
 from .tolerances import DEFAULT, Tolerances
 
@@ -88,15 +89,13 @@ class SDPBracket:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of ``minimize_absolute_robustness``: ``s_direction`` is the
-    crossing along the certificate vertex (I/4 without a closed form),
-    ``s_best`` the crossing along the SDP direction ``best_direction``, an
-    upper bound on the absolute robustness, and ``s_lower`` the SDP's lower
-    bound; ``evaluations`` counts the crossings, ``newton_steps`` the SDP's
-    predictor-corrector iterations, and ``gap_to_formula`` is
+    """Outcome of ``minimize_absolute_robustness``: ``s_best`` is the
+    crossing along the SDP direction ``best_direction``, an upper bound on
+    the absolute robustness, and ``s_lower`` the SDP's lower bound;
+    ``evaluations`` counts the crossings (always 1), ``newton_steps`` the
+    SDP's predictor-corrector iterations, and ``gap_to_formula`` is
     s_formula - s_best (NaN without a closed form)."""
 
-    s_direction: float
     s_best: float
     best_direction: DensityMatrix
     evaluations: int
@@ -113,8 +112,7 @@ class OracleResult:
     def to_report(self) -> dict:
         return {"route": "sdp", "s_best": self.s_best, "s_lower": self.s_lower,
                 "duality_gap": self.duality_gap, "newton_steps": self.newton_steps,
-                "converged": self.converged, "s_direction": self.s_direction,
-                "evaluations": self.evaluations}
+                "converged": self.converged}
 
 
 def _newton_crossing(rho_pt: np.ndarray, sigma_pt: np.ndarray, ppt: float) -> np.ndarray:
@@ -325,40 +323,31 @@ def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int 
                                  tolerances: Tolerances = DEFAULT) -> OracleResult:
     """Absolute robustness of ``rho``: ``s_best`` is the PPT-verified
     crossing along the direction X/tr X of ``absolute_robustness``, whose
-    certified lower bound is ``s_lower``, and ``s_direction`` the crossing
-    along the reference; both come from one ``relative_robustness_stack`` call
-    with the postcondition of ``bisect_relative_robustness``, whose errors it
-    raises, the reference's first.
+    certified lower bound is ``s_lower``.  ``relative_robustness_stack``
+    locates it with the postcondition of ``bisect_relative_robustness``, whose
+    errors it raises.  ``gap_to_formula`` is s_formula - s_best for the closed
+    form of ``robustness``, NaN where the state is rank deficient; any other
+    decomposition error is raised.
     ``budget`` and ``seed`` are accepted for older callers and do nothing.
     """
-    return _minimize(rho, robustness_stack(rho.matrix[None], tolerances), 0, tolerances)
+    certs = robustness_stack(rho.matrix[None], tolerances)
+    if certs.errors[0] is not None and not isinstance(certs.errors[0], RankDeficient):
+        raise certs.errors[0]
+    return _minimize(rho, float(certs.s[0]), tolerances)
 
 
-def _minimize(rho: DensityMatrix, certs: CertificateStack, i: int, tolerances: Tolerances) -> OracleResult:
-    """``minimize_absolute_robustness`` of ``rho``, entry ``i`` of the
-    caller's ``robustness_stack`` ``certs``.  The reference is the entry's
-    rho'', or I/4 where the entry's error is ``RankDeficient``; any other
-    error of the entry is raised."""
+def _minimize(rho: DensityMatrix, s_formula: float, tolerances: Tolerances) -> OracleResult:
+    """``minimize_absolute_robustness`` of ``rho``, whose closed-form value
+    ``s_formula`` (NaN without one) enters only ``gap_to_formula``."""
     if is_separable_ppt(rho, tolerances)[0]:
-        return OracleResult(s_direction=0.0, s_best=0.0, best_direction=rho, evaluations=1,
-                            converged=True, gap_to_formula=0.0, s_lower=0.0, duality_gap=0.0,
-                            newton_steps=0)
-    failure = certs.errors[i]
-    if isinstance(failure, RankDeficient):
-        s_formula, reference = math.nan, _EYE / 4.0
-    elif failure is not None:
-        raise failure
-    else:
-        s_formula, reference = float(certs.s[i]), certs.rho_pp[i]
+        return OracleResult(s_best=0.0, best_direction=rho, evaluations=1, converged=True,
+                            gap_to_formula=s_formula, s_lower=0.0, duality_gap=0.0, newton_steps=0)
     bracket = absolute_robustness(rho, tolerances=tolerances)
-    (s_direction, s_best), errors = relative_robustness_stack(
-        np.stack(2 * [rho.matrix]), np.stack([reference, bracket.direction]), tolerances=tolerances)
-    for error in errors:                                  # the reference direction's error first
-        if error is not None:
-            raise error
-    direction = DensityMatrix(bracket.direction)
-    gap = s_formula - s_best if math.isfinite(s_formula) else math.nan
-    return OracleResult(s_direction=float(s_direction), s_best=float(s_best), best_direction=direction,
-                        evaluations=2, converged=bracket.converged, gap_to_formula=float(gap),
+    (s_best,), (error,) = relative_robustness_stack(rho.matrix[None], bracket.direction[None],
+                                                    tolerances=tolerances)
+    if error is not None:
+        raise error
+    return OracleResult(s_best=float(s_best), best_direction=DensityMatrix(bracket.direction), evaluations=1,
+                        converged=bracket.converged, gap_to_formula=s_formula - float(s_best),
                         s_lower=bracket.s_lower, duality_gap=bracket.duality_gap,
                         newton_steps=bracket.newton_steps)

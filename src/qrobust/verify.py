@@ -359,7 +359,7 @@ def _audit(rho: states.DensityMatrix, certs: CertificateStack, run, tolerances: 
            with_oracle: bool) -> dict:
     """``verify_certificate`` of ``rho`` from its N = 1 certificate stack
     ``certs`` and the ``certificate_checks`` ``run`` of it; the oracle block
-    reuses ``certs``."""
+    takes its ``s_formula`` from ``certs``."""
     checks, s_bisection, errors = run
     if errors[0] is not None:
         raise errors[0]
@@ -368,7 +368,7 @@ def _audit(rho: states.DensityMatrix, certs: CertificateStack, run, tolerances: 
     report = {"s_formula": float(certs.s[0]), "s_bisection": float(s_bisection[0]), "checks": verdicts,
               "passed": all(verdict["passed"] for verdict in verdicts.values())}
     if with_oracle:
-        result = oracle._minimize(rho, certs, 0, tolerances)
+        result = oracle._minimize(rho, float(certs.s[0]), tolerances)
         report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
                             "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
     return report

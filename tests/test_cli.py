@@ -74,6 +74,19 @@ def test_public_names_resolve_and_star_import_works():
     assert set(qrobust.__all__) <= namespace.keys()
 
 
+def test_readme_quick_tour_runs_as_written():
+    # the one python block of README.md, and the claims in its comments
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    cert, s, report, result = (namespace[name] for name in ("cert", "s", "report", "result"))
+    assert abs(cert.s - 0.4) <= 1e-12 and abs(s - cert.s) <= 1e-10
+    assert report["passed"]
+    assert result.s_lower <= 0.4 <= result.s_best
+
+
 def test_analyze_bell_diagonal(tmp_path, capsys):
     state = tmp_path / "bell.json"
     write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
@@ -169,6 +182,20 @@ def test_analyze_oracle_runs_the_certificate_checks_once(tmp_path, monkeypatch, 
     rho = read_state(state)
     expected = verify.verify_certificate(rho, robustness(rho), oracle=True)
     assert json.loads(capsys.readouterr().out)["verification"] == expected
+
+
+def test_each_crossing_is_located_once(tmp_path, monkeypatch):
+    # analyze --oracle: the crossing along rho'' and the one along the SDP
+    # direction; sample --oracle: the chunk's crossings and one per NPT row
+    state = tmp_path / "bell.json"
+    write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
+    calls = _counting(monkeypatch, oracle, "relative_robustness_stack")
+    assert main(["analyze", "--in", str(state), "--oracle", "--out", str(tmp_path / "r.json")]) == 0
+    assert sum(len(args[0]) for args in calls) == 2
+    calls.clear()
+    assert main(["sample", "--ensemble", "ginibre", "--n", "6", "--seed", "0", "--oracle",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    assert sum(len(args[0]) for args in calls) == 12
 
 
 def _reject_constant(name):
@@ -339,7 +366,7 @@ def test_sample_oracle_decomposes_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("ensemble, seed, n", [("ginibre", 0, 4), ("bures", 9624, 4)])
 def test_sample_oracle_columns_are_the_public_search(tmp_path, ensemble, seed, n):
     # each row's s_best and gap are those of the search on its state alone;
-    # Bures seed 9626 is rank deficient: the I/4 reference and a nan gap
+    # Bures seed 9626 is rank deficient: no closed form, so a nan gap
     out = tmp_path / "oracle.csv"
     assert main(["sample", "--ensemble", ensemble, "--n", str(n), "--seed", str(seed),
                  "--oracle", "--out", str(out)]) == 0

@@ -187,9 +187,18 @@ class TestProductMixture:
 class TestMinimize:
     def test_separable_input_short_circuits(self):
         result = minimize_absolute_robustness(MIXED, budget=5, seed=0)
-        assert result.s_best == 0.0 and result.s_direction == 0.0
+        assert result.s_best == 0.0
         assert result.gap_to_formula == 0.0
         assert result.converged
+
+    def test_separable_input_without_closed_form_has_nan_gap(self):
+        # rank-deficient separable states short-circuit too, but have no
+        # closed form to compare with; I/4 has one, s = 0
+        for rho in (UP_UP, DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]))):
+            result = minimize_absolute_robustness(rho)
+            assert result.s_best == 0.0 and math.isnan(result.gap_to_formula)
+            assert not result.minimality_flag(DEFAULT.oracle_flag)
+        assert minimize_absolute_robustness(MIXED).gap_to_formula == 0.0
 
     def test_bell_diagonal_upper_bound(self):
         result = minimize_absolute_robustness(BELL_07, budget=20, seed=0)
@@ -217,7 +226,6 @@ class TestMinimize:
         cert = robustness(rho)
         result = minimize_absolute_robustness(rho, budget=4, seed=1)
         assert result.s_best <= bisect_relative_robustness(rho, cert.rho_pp) + 1e-9
-        assert result.s_best <= result.s_direction + 1e-9
 
     def test_probe_can_beat_the_closed_form(self):
         # the closed form is minimal over the fixed-basis tetrahedron family,

@@ -12,15 +12,7 @@ locates (the point where the PPT test at ``-ppt`` passes), and ``sdp_gap``
 is the bracket width at which the SDP solve stops.
 
 The parameters of the algorithms are constants of the module that runs
-each one, and ``QROBUST_TOL`` does not move them:
-
-* ``numerics.TAKAGI_CLUSTER`` (1e-6): relative gap that groups singular
-  values into a cluster, each of which is re-factored;
-* ``wootters.RANK_CUT`` (1e-10): rank cut, 5e-11 clipped to [1e-10, 1e-8] lambda_1;
-* ``wootters.TIE`` (1e-12): relative difference at which lambdas, K_i or
-  pair sums tie;
-* ``oracle.CROSSING_WIDTH`` (1e-10): relative width of the bracket that
-  verifies each PPT crossing.
+each one, and ``QROBUST_TOL`` does not move them; README's table lists them.
 
 The library constructors that take no record validate at ``DEFAULT``:
 ``BellWeights`` and ``werner``.

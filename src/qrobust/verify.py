@@ -76,7 +76,7 @@ class Corpus:
     def seeds(self, ensemble: str, idx=None):
         """Names entry i of the corpus, or of its entries ``idx`` (taken
         cyclically, for stacks that repeat them)."""
-        return lambda i: f"{ensemble} seed {self.seed + (i if idx is None else idx[i % len(idx)])}"
+        return lambda i: f"{ensemble} seed {self.seed + int(i if idx is None else idx[i % len(idx)])}"
 
     def draws(self, offset: int):
         return lambda i: f"draw {i} of default_rng({self.seed + offset})"
@@ -418,26 +418,17 @@ def _check_coset_roundtrip(corpus: Corpus) -> PropertyResult:
 def _check_thresholds(corpus: Corpus) -> PropertyResult:
     """Singlet PT eigenvalue -1/2, bisect(singlet, I/4) = 2, Werner boundary 1/3.
 
-    The Werner bisection of [0, 1] to width 1e-10 runs in stacked rounds: one
-    PPT test of the 15 dyadic points of the next 4 halvings (fewer at the end),
-    whose count of PPT points, monotone in w, gives the bracket they reach.
-    Reported as the worst deviation relative to each value's own tolerance,
-    so the bound is 1.
+    The verified crossing s_mix from the singlet toward I/4 also fixes the
+    Werner boundary: the mixture (singlet + s I/4)/(1 + s) is werner(1/(1 + s)),
+    so the boundary is read as 1/(1 + s_mix).  Reported as the worst deviation
+    relative to each value's own tolerance, so the bound is 1.
     """
     tol = corpus.tol
     singlet = states.werner(1.0)
     ratios = [abs(states.is_separable_ppt(singlet, tol)[1] + 0.5) / max(tol.singular_agreement, 1e-300)]
     s_mix = oracle.bisect_relative_robustness(singlet, states.DensityMatrix(_EYE / 4.0), tolerances=tol)
     ratios.append(abs(s_mix - 2.0) / max(tol.bisect_formula, 1e-300))
-    lo, width = 0.0, 1.0                                               # the bracket [lo, lo + width]
-    while width > 1e-10:
-        depth = min(4, math.ceil(math.log2(width / 1e-10)))           # halvings left, at most 4
-        width /= 2 ** depth
-        w = lo + width * np.arange(1, 2 ** depth)[:, None, None]      # dyadic, so exact
-        werner = w * singlet.matrix + (1.0 - w) * _EYE / 4.0           # as ``states.werner`` builds
-        _require_states(werner, lambda i: f"werner({w.flat[i]})", DEFAULT)   # and checks them
-        lo += np.count_nonzero(states.ppt_min_eig(werner) >= -tol.ppt) * width
-    ratios.append(abs(lo + 0.5 * width - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300))
+    ratios.append(abs(1.0 / (1.0 + s_mix) - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300))
     names = ("singlet PT minimum eigenvalue", "bisection from the singlet toward I/4", "Werner boundary")
     return _result("known thresholds (singlet PT, Werner boundary, bisection)",
                    [(np.array(ratios), 1.0)], lambda i: names[i])

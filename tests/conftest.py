@@ -3,12 +3,27 @@
 import numpy as np
 
 from qrobust import states, verify
-from qrobust.states import SIGMA_YY, DensityMatrix
+from qrobust.states import SIGMA_YY, DensityMatrix, is_separable_ppt, werner
+from qrobust.tolerances import DEFAULT
 
 
 def ginibre_states(n):
     """The registry's Ginibre corpus of size n (seeds 0, ..., n - 1) as states."""
     return [DensityMatrix(m) for m in verify.Corpus(n).ginibre]
+
+
+def werner_boundary(tol=DEFAULT):
+    """The singlet weight where Werner states stop passing the PPT test at
+    ``tol``, by one-point-at-a-time bisection of [0, 1] to width 1e-12: the
+    reference for every located Werner boundary."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if is_separable_ppt(werner(mid), tol)[0]:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def rotate_locally(rho, rng):

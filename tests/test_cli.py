@@ -428,6 +428,32 @@ def run_cli(*argv, env=None):
                           capture_output=True, text=True, timeout=300)
 
 
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 0.4 MB of peak RSS; every command,
+    # closed-form and oracle routes alike, runs without it
+    script = f"""
+import sys
+import numpy as np
+from qrobust.cli import main
+from qrobust.states import BellWeights, bell_diagonal, werner, write_state
+write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), "bell.json")
+write_state(werner(1.0), "singlet.json")
+for ensemble in ("ginibre", "bell_diagonal", "coset"):
+    assert main(["sample", "--ensemble", ensemble, "--n", "20", "--out", ensemble + ".csv"]) == 0
+assert main(["sample", "--ensemble", "bures", "--n", "4", "--seed", "9624", "--oracle", "--out", "bures.csv"]) == 0
+assert main(["analyze", "--in", "bell.json", "--oracle"]) == 0
+assert main(["analyze", "--in", "singlet.json"]) == 0
+assert main(["param", *{BELL_ARGS!r}, "--oracle", "--out", "param.json"]) == 0
+assert main(["verify", "--corpus", "5"]) == 0
+assert "numpy.ma" not in sys.modules
+"""
+    src = str(Path(qrobust.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_analyze_nan_entry_is_a_validation_error(tmp_path):
     state = tmp_path / "nan.json"
     write_state(DensityMatrix(np.eye(4) / 4.0), state)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ginibre_states, rotate_locally
+from conftest import ginibre_states, rotate_locally, werner_boundary
 from qrobust import decompose
 from qrobust import oracle as oracle_module
 from qrobust.oracle import (
@@ -80,14 +80,7 @@ class TestBisection:
         s = bisect_relative_robustness(SINGLET, MIXED)
         assert abs(s - 2.0) <= 1e-6
         # cross-check through the boundary weight: separable iff weight <= 1/3
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if is_separable_ppt(werner(mid))[0]:
-                lo = mid
-            else:
-                hi = mid
-        assert abs(s - (1.0 / lo - 1.0)) <= 1e-6
+        assert abs(s - (1.0 / werner_boundary() - 1.0)) <= 1e-6
 
     def test_separable_state_needs_nothing(self):
         assert bisect_relative_robustness(MIXED, MIXED) == 0.0

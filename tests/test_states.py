@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ginibre_states, rotate_locally
+from conftest import ginibre_states, rotate_locally, werner_boundary
 from qrobust import coset, verify
 from qrobust.states import (
     BELL_STATES,
@@ -88,14 +88,7 @@ class TestSeparabilityPPT:
 
     def test_werner_boundary(self):
         # locate the boundary with this same test, then pin the known weight
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if is_separable_ppt(werner(mid))[0]:
-                lo = mid
-            else:
-                hi = mid
-        assert abs(0.5 * (lo + hi) - 1.0 / 3.0) <= 1e-10
+        assert abs(werner_boundary() - 1.0 / 3.0) <= 1e-10
         assert abs(is_separable_ppt(werner(1.0 / 3.0))[1]) <= 1e-10
 
 

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import werner_boundary
 from qrobust import oracle, states, verify
 from qrobust.states import ValidationError, ppt_min_eig, sample_state
 from qrobust.tolerances import DEFAULT
@@ -147,17 +148,34 @@ def test_failed_draw_names_its_seed():
 
 @pytest.mark.parametrize("scale", [1.0, 1000.0, 0.0])
 def test_thresholds_match_the_scalar_bisection(scale):
-    # the stacked Werner rounds against the one-point-at-a-time bisection they replace
+    # the Werner boundary read off the crossing against the one-point-at-a-time bisection
     tol = DEFAULT.scaled(scale)
-    singlet, lo, hi = states.werner(1.0), 0.0, 1.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if states.is_separable_ppt(states.werner(mid), tol)[0] else (lo, mid)
+    singlet = states.werner(1.0)
     s_mix = oracle.bisect_relative_robustness(singlet, states.DensityMatrix(np.eye(4) / 4.0), tolerances=tol)
+    assert abs(1.0 / (1.0 + s_mix) - werner_boundary(tol)) <= 1e-10
     ratios = np.array([abs(states.is_separable_ppt(singlet, tol)[1] + 0.5) / max(tol.singular_agreement, 1e-300),
                        abs(s_mix - 2.0) / max(tol.bisect_formula, 1e-300),
-                       abs(0.5 * (lo + hi) - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300)])
+                       abs(1.0 / (1.0 + s_mix) - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300)])
     result = verify._check_thresholds(verify.Corpus(5, 0, tol))
     names = ("singlet PT minimum eigenvalue", "bisection from the singlet toward I/4", "Werner boundary")
     expected = verify._result(result.name, [(ratios, 1.0)], names.__getitem__)
     assert result == expected and result.line() == expected.line()
+
+
+def test_thresholds_fail_on_a_crossing_off_by_1e_7(monkeypatch):
+    # within bisect_formula of 2, but the Werner boundary it fixes is off by 2.2 werner_boundary
+    located = oracle.bisect_relative_robustness
+    monkeypatch.setattr(oracle, "bisect_relative_robustness", lambda *args, **kw: located(*args, **kw) * (1 + 1e-7))
+    result = verify._check_thresholds(verify.Corpus(5))
+    assert not result.passed and result.worst_entry == "Werner boundary"
+
+
+def test_seeds_beyond_int64_name_their_entries():
+    seed = 2 ** 64
+    assert all(result.passed for result in verify.run_all(corpus=5, seed=seed))
+    tol = dataclasses.replace(DEFAULT, defining_relation=0.0)
+    corpus = verify.Corpus(5, seed, tol)
+    result = verify._check_defining_relation(corpus)
+    assert not result.passed
+    n = int(re.fullmatch(r"ginibre seed (\d+)", result.worst_entry).group(1))
+    assert np.array_equal(sample_state("ginibre", n).matrix, corpus.ginibre[n - seed])

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import coset, oracle, states, tolerances, verify
 from .numerics import NonHermitianInput, NonSymmetricInput, NumericalFailure
-from .robustness import RankDeficient, _pair_sums, robustness_stack
+from .robustness import RankDeficient, _min_pair, robustness_stack
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -35,8 +35,9 @@ sample CSV columns:
   seed_index, concurrence, K1, K2, K3, K4, min_pair_sum, s_formula, s_bisection
   [+ k_agreement for --ensemble coset: max |closed-form K - direct Gram K|]
   [+ s_best, gap for --oracle: crossing along the SDP direction and s_formula - s_best]
-  Rows hold repr'd doubles (17 significant digits); rank-deficient states
-  produce nan in the closed-form columns.
+  min_pair_sum is K_i + K_j of the pair the tie rule picks, within 1e-12 relative of
+  the smallest.  Rows hold repr'd doubles (17 significant digits); rank-deficient
+  states produce nan in min_pair_sum and the closed-form columns.
 
 exit codes:
   0  success
@@ -157,7 +158,7 @@ def _sample_chunk(args, tol, indices):
             matrices[has_cert], certs.rho_pp[has_cert], tolerances=tol)
         for j, error in zip(np.flatnonzero(has_cert), crossing_errors):
             errors[j] = error
-        min_pair = _pair_sums(decomp.k_norm).min(axis=-1)   # nan where a pair holds an undefined K_i
+        min_pair = _min_pair(decomp.k_norm)[1]   # nan where a pair holds an undefined K_i
         for j, i in enumerate(indices[:len(matrices)]):
             if errors[j] is not None:
                 raise errors[j]

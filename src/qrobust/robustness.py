@@ -78,10 +78,15 @@ def _pair_vertices(xp: np.ndarray, k: np.ndarray, a: np.ndarray, b: np.ndarray) 
             / (k[rows, a] + k[rows, b])[:, None, None])
 
 
-def _pair_sums(k: np.ndarray) -> np.ndarray:
-    """K_2+K_3, K_2+K_4, K_3+K_4 (the ``_MIN_PAIR_COLUMNS`` order) along the last axis
-    of K values (4,) or (N, 4)."""
-    return k[..., _MIN_PAIR_COLUMNS[:, 0]] + k[..., _MIN_PAIR_COLUMNS[:, 1]]
+def _min_pair(k: np.ndarray) -> tuple:
+    """The pair the tie rule picks for each entry of K values (N, 4): the first of
+    (2, 3), (2, 4), (3, 4) whose K_i + K_j lies within a relative ``wootters.TIE``
+    of the smallest sum.  Returns its index into ``_MIN_PAIR_COLUMNS`` and its
+    sum, both (N,); the sum is nan where a pair holds an undefined K_i."""
+    sums = k[:, _MIN_PAIR_COLUMNS[:, 0]] + k[:, _MIN_PAIR_COLUMNS[:, 1]]
+    least = sums.min(axis=-1)
+    m = (sums <= least[:, None] * (1.0 + wootters.TIE)).argmax(axis=-1)
+    return m, np.where(np.isnan(least), np.nan, sums[np.arange(len(m)), m])
 
 
 # per plane, the 0-based K columns (a, b) of each vertex's rate 1/(K_a + K_b):
@@ -145,13 +150,11 @@ def _certificates(rho, lam, k, c, x) -> dict:
     states with their lambdas, K values, concurrences and basis vectors."""
     rows = np.arange(len(c))
     xp = wootters._x_prime(x, lam)
-    # the first pair, lexicographically, whose sum ties with the minimum
-    sums = _pair_sums(k)
-    first_min = (sums <= sums.min(axis=-1, keepdims=True) * (1.0 + wootters.TIE)).argmax(axis=-1)
+    first_min, pair_sum = _min_pair(k)
     entangled = c != 0.0
     # separable entries get the degenerate certificate on sigma_2, the vertex of pair (3, 4)
     m = np.where(entangled, first_min, 2)
-    s = np.where(entangled, 0.5 * sums[rows, m] * c, 0.0)
+    s = np.where(entangled, 0.5 * pair_sum * c, 0.0)
     k_index = _MIN_PAIR_VERTEX[m]
     rho_pp = _pair_vertices(xp, k, _MIN_PAIR_COLUMNS[m, 0], _MIN_PAIR_COLUMNS[m, 1])
     # rho' = (rho + s rho'')/(1+s): lambda' = (lambda + (C/2)(e_a + e_b))/(1+s) for the

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import coset, oracle, states, wootters
 from .numerics import hermitian_eig_stack, takagi_stack
-from .robustness import (_VERTEX_COLUMNS, CertificateStack, RobustnessCertificate, _pair_sums, _plane_robustness,
+from .robustness import (_VERTEX_COLUMNS, CertificateStack, RobustnessCertificate, _min_pair, _plane_robustness,
                          robustness_stack)
 from .tolerances import DEFAULT, Tolerances
 
@@ -305,14 +305,14 @@ def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances
         errors[i] = errors[i] or error
     conc, rank = mixed.concurrence.reshape(4, -1), mixed.rank.reshape(4, -1)
     min_eig = states.ppt_min_eig(np.concatenate((rho_p, rho_pp, before)))
-    sums = _pair_sums(k)
+    picked = _min_pair(k)[1]
     pair_sum = np.take_along_axis(k[ent], _VERTEX_COLUMNS[certs.k_index[ent]], axis=-1).sum(axis=-1)
     plane = lam_p[ent, 0] - lam_p[ent, 1] - lam_p[ent, 2] - lam_p[ent, 3]
     sp = s[:, None, None]
     return {
         "pseudomixture": (_max_abs(rho - (1.0 + sp) * rho_p + sp * rho_pp), tol.pseudomixture),
-        "closed_form": (np.abs(s - 0.5 * sums.min(axis=-1) * c), 0.0),      # s = C min(K_i + K_j) / 2
-        "minimal_pair": (entangled(pair_sum - sums[ent].min(axis=-1)), 0.0),  # at the vertex of the pair
+        "closed_form": (np.abs(s - 0.5 * picked * c), 0.0),         # s = C (K_i + K_j) / 2, the tie rule's pair
+        "minimal_pair": (entangled(np.abs(pair_sum - picked[ent])), 0.0),   # at the vertex of that pair
         "plane": (entangled(np.abs(plane)), tol.plane),
         "rho_p_trace": (np.abs(np.sum(lam_p * k, axis=-1) - 1.0), tol.pseudomixture),
         "rho_p_separable": (-min_eig[:n], tol.ppt),

@@ -125,9 +125,15 @@ def test_analyze_no_fallback_exit_code(tmp_path, capsys):
     assert main(["analyze", "--in", str(state), "--no-fallback"]) == 3
 
 
-def test_analyze_oracle_verification_block(tmp_path, capsys):
-    state = tmp_path / "bell.json"
-    write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
+@pytest.mark.parametrize("make, r", [
+    (lambda: bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), 0.4),
+    (lambda: bell_diagonal(BellWeights(np.array([0.6, 0.2, 0.1, 0.1]))), 0.2),   # pair sums tie to rounding
+    (lambda: werner(0.8), 0.7),
+], ids=["bell_0.7", "bell_0.6", "werner_0.8"])
+def test_analyze_oracle_verification_block(tmp_path, capsys, make, r):
+    # R = C on the Bell-decomposable family
+    state = tmp_path / "state.json"
+    write_state(make(), state)
     assert main(["analyze", "--in", str(state)]) == 0
     plain = json.loads(capsys.readouterr().out)
     assert main(["analyze", "--in", str(state), "--oracle"]) == 0
@@ -136,8 +142,8 @@ def test_analyze_oracle_verification_block(tmp_path, capsys):
     assert report["verification"]["checks"]["crossing"]["passed"]
     assert report["certificate"]["residuals"] == plain["certificate"]["residuals"]
     block = report["verification"]["oracle"]
-    assert block["s_best"] <= 0.4 + 1e-6
-    assert block["route"] == "sdp" and block["s_lower"] <= 0.4
+    assert block["s_best"] <= r + 1e-6
+    assert block["route"] == "sdp" and block["s_lower"] <= r
     assert {"duality_gap", "newton_steps", "converged"} <= block.keys()
 
 
@@ -304,6 +310,7 @@ def test_sample_bell_diagonal_unit_k(tmp_path):
         for col in ("K1", "K2", "K3", "K4"):
             assert abs(float(row[col]) - 1.0) <= 1e-9
         assert abs(float(row["s_formula"]) - float(row["concurrence"])) <= 1e-9
+        assert float(row["s_formula"]) == 0.5 * float(row["concurrence"]) * float(row["min_pair_sum"])
 
 
 def test_sample_coset_agreement_column(tmp_path):

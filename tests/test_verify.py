@@ -11,8 +11,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import werner_boundary
+from conftest import rotate_locally, werner_boundary
 from qrobust import oracle, states, verify
+from qrobust.robustness import _MIN_PAIR_COLUMNS, _MIN_PAIR_VERTEX, robustness_stack
 from qrobust.states import ValidationError, ppt_min_eig, sample_state
 from qrobust.tolerances import DEFAULT
 
@@ -67,8 +68,9 @@ def _certificates(**change):
 
 
 # name: (group, fault, bound of the one check it breaks), for each check that a
-# deleted per-state test made and its group now makes, and for a scaled rho',
-# which the certificate group and ``verify_certificate`` must both catch
+# deleted per-state test made and its group now makes, for a scaled rho',
+# which the certificate group and ``verify_certificate`` must both catch, and
+# for the exact checks minimal_pair and closed_form
 FAULTS = {
     "ascending_eig": (verify._check_eig, _patched(
         verify, "hermitian_eig_stack", lambda r: (r[0][:, ::-1], r[1][:, :, ::-1], r[2])), 0.0),
@@ -86,6 +88,10 @@ FAULTS = {
         p_coord=lambda d: d.p_coord * (1.0 + 1e-6)), DEFAULT.reconstruction),
     "scaled_rho_p": (verify._check_certificates, _certificates(
         rho_p=lambda c: c.rho_p * (1.0 + 1e-6)), DEFAULT.pseudomixture),
+    "moved_k_index": (verify._check_certificates, _certificates(   # vertex 2 -> 3 -> 4 -> 2
+        k_index=lambda c: np.where(c.s != 0.0, (c.k_index - 1) % 3 + 2, c.k_index)), 0.0),
+    "inexact_s": (verify._check_certificates, _certificates(
+        s=lambda c: c.s * (1.0 + 2.0 ** -52)), 0.0),
 }
 
 
@@ -110,6 +116,34 @@ def test_verify_certificate_fails_the_check_its_group_fails(monkeypatch):
     failed = {name: check for name, check in report["checks"].items() if not check["passed"]}
     assert failed == {"pseudomixture": {"residual": result.worst, "bound": bound, "passed": False}}
     assert not report["passed"]
+
+
+def _failed_audit(matrices, certs):
+    """Entry errors and names of failed checks of one ``certificate_checks`` run on a stack."""
+    checks, _, errors = verify.certificate_checks(matrices, certs, DEFAULT)
+    return [e for e in errors if e is not None] + [n for n, (r, b) in checks.items() if not np.all(r <= b)]
+
+
+def test_audit_passes_on_the_bell_decomposable_family():
+    # R = C = s here, and the pair sums tie to rounding: every check holds the
+    # certificate to the pair the tie rule picks, not to the exact minimum
+    bell = states.sample_stack("bell_diagonal", range(300)).matrices
+    rng = np.random.default_rng(0)
+    rotated = np.array([rotate_locally(states.DensityMatrix(m), rng).matrix for m in bell])
+    werners = np.array([states.werner(p).matrix for p in np.arange(35, 100) / 100])
+    for matrices in (bell, rotated, werners):
+        assert _failed_audit(matrices, robustness_stack(matrices)) == []
+    # a Werner certificate moved to a vertex whose pair sum differs from the
+    # picked one (the exact minimum, vertex 3, where the sums read
+    # 2.0, 1.9999999999999991, 2.0000000000000004 and the rule picks vertex 4)
+    rho = states.werner(0.8).matrix[None]
+    certs = robustness_stack(rho)
+    k = certs.decomposition.k_norm[0]
+    sums = k[_MIN_PAIR_COLUMNS[:, 0]] + k[_MIN_PAIR_COLUMNS[:, 1]]
+    own = sums[_MIN_PAIR_VERTEX == certs.k_index[0]]
+    for vertex in _MIN_PAIR_VERTEX[sums != own]:
+        moved = dataclasses.replace(certs, k_index=np.array([vertex]))
+        assert _failed_audit(rho, moved) == ["minimal_pair"]
 
 
 @pytest.mark.parametrize("field, group", [

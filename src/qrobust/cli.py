@@ -53,14 +53,15 @@ exit codes:
 environment:
   QROBUST_TOL   finite nonnegative factor rescaling every check bound in
                 the tolerance record (default 1.0; 0 makes every check exact).
-                It changes verdicts, not values; s_bisection follows the
-                PPT bound, which defines the crossing, and the SDP columns
-                follow its gap bound.  It does not move the algorithm
-                constants:
+                It changes verdicts, not values: every sample column is the
+                same at any factor at which the run passes.  It does not
+                move the algorithm constants:
                   numerics.TAKAGI_CLUSTER 1e-6  Takagi cluster gap
                   wootters.RANK_CUT       1e-10 rank cut 5e-11, clipped to [1e-10, 1e-8] lambda_1
                   wootters.TIE            1e-12 ties of lambdas, K_i, pair sums
                   oracle.CROSSING_WIDTH   1e-10 crossing bracket width
+                  oracle.PPT_CUT          1e-11 PPT cut of each located crossing
+                  oracle.SDP_GAP          1e-9  SDP stop width, relative to 1 + s_upper
                 Library constructors that take no record (BellWeights,
                 werner) check at the default bounds.
 """
@@ -96,7 +97,7 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
-        result = oracle._minimize(rho, float(certs.s[0]), tol)
+        result = oracle._minimize(rho, float(certs.s[0]))
         report["method"] = "oracle_estimate"
         report["oracle"] = {**result.to_report(), "note": str(exc)}
         return report, EXIT_OK
@@ -155,7 +156,7 @@ def _sample_chunk(args, tol, indices):
         has_cert = np.array([e is None for e in certs.errors], dtype=bool)
         s_bisection = np.full(len(matrices), math.nan)
         s_bisection[has_cert], crossing_errors = oracle.relative_robustness_stack(
-            matrices[has_cert], certs.rho_pp[has_cert], tolerances=tol)
+            matrices[has_cert], certs.rho_pp[has_cert])
         for j, error in zip(np.flatnonzero(has_cert), crossing_errors):
             errors[j] = error
         min_pair = _min_pair(decomp.k_norm)[1]   # nan where a pair holds an undefined K_i
@@ -169,7 +170,7 @@ def _sample_chunk(args, tol, indices):
                 row.append(_fmt(drawn.k_agreement[j]))
             if args.oracle:
                 rho = states.DensityMatrix._by_construction(matrices[j])
-                result = oracle._minimize(rho, float(certs.s[j]), tol)
+                result = oracle._minimize(rho, float(certs.s[j]))
                 row += [_fmt(result.s_best), _fmt(result.gap_to_formula)]
             yield row
     if drawn.error is not None:

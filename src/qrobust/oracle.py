@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .robustness import RankDeficient, robustness_stack
-from .states import DensityMatrix, is_separable_ppt, partial_transpose_matrix, ppt_min_eig
+from .states import DensityMatrix, partial_transpose_matrix, ppt_min_eig
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -36,6 +36,10 @@ class ImproperDirection(RuntimeError):
 _BRACKET_CAP = 2.0 ** 16
 # relative width of the bracket that verifies a crossing: PPT at s, not PPT at s - width*(1+s)
 CROSSING_WIDTH = 1e-10
+# a mixture is PPT here when its PT has no eigenvalue below -PPT_CUT: this defines the located crossing
+PPT_CUT = 1e-11
+# the SDP stops once s_upper - s_lower <= SDP_GAP * (1 + s_upper)
+SDP_GAP = 1e-9
 
 # F_k = sigma_a x sigma_b / 2 (k = 4a + b), an orthonormal basis of the Hermitian 4x4 matrices, built
 # with kron (an einsum at import adds 0.16 MB of RSS); F_k^Gamma = +-F_k, - where the second factor
@@ -115,41 +119,41 @@ class OracleResult:
                 "converged": self.converged}
 
 
-def _newton_crossing(rho_pt: np.ndarray, sigma_pt: np.ndarray, ppt: float) -> np.ndarray:
-    """Root of g(s) = lambda_min(rho_pt + s sigma_pt) + ppt (1 + s) for each
+def _newton_crossing(rho_pt: np.ndarray, sigma_pt: np.ndarray) -> np.ndarray:
+    """Root of g(s) = lambda_min(rho_pt + s sigma_pt) + PPT_CUT (1 + s) for each
     entry of two (N, 4, 4) stacks whose directions passed the PPT test: the
     regularized pencil's estimate polished by one Newton step; NaN where the
     slope is not positive.
 
     The pencil gives the smallest s >= 0 with rho_pt + s (sigma_pt + eps I)
-    >= 0 from the Cholesky factor of sigma_pt + eps I, eps = max(1e-10
-    max(1, |tr sigma_pt|), 2 ppt).  A direction that passed the test has
-    lambda_min(sigma_pt) >= -ppt, so the shifted matrix always factors, and
+    >= 0 from the Cholesky factor of sigma_pt + eps I, eps = 1e-10
+    max(1, |tr sigma_pt|).  A direction that passed the test has
+    lambda_min(sigma_pt) >= -PPT_CUT > -eps, so the shifted matrix factors, and
     the shift mixes sigma with a little of I/4, which is still separable.
     g is concave and increasing for a PPT direction, so the step lands at or
     just below the root; g(s) >= 0 is the PPT test of (rho + s sigma)/(1+s).
     """
-    eps = np.maximum(1e-10 * np.maximum(1.0, np.abs(np.trace(sigma_pt, axis1=1, axis2=2).real)), 2.0 * ppt)
+    eps = 1e-10 * np.maximum(1.0, np.abs(np.trace(sigma_pt, axis1=1, axis2=2).real))
     inv = np.linalg.inv(np.linalg.cholesky(sigma_pt + eps[:, None, None] * _EYE))
     lowest = np.linalg.eigvalsh(inv @ rho_pt @ inv.conj().swapaxes(1, 2))[:, 0]
     start = np.where(lowest < 0.0, -lowest, 0.0)
     evals, vecs = np.linalg.eigh(rho_pt + start[:, None, None] * sigma_pt)
     v = vecs[:, :, :1]
-    slope = (v.conj().swapaxes(1, 2) @ sigma_pt @ v)[:, 0, 0].real + ppt
-    value = evals[:, 0] + ppt * (1.0 + start)
+    slope = (v.conj().swapaxes(1, 2) @ sigma_pt @ v)[:, 0, 0].real + PPT_CUT
+    value = evals[:, 0] + PPT_CUT * (1.0 + start)
     step = np.full(len(start), np.nan)
     np.divide(value, slope, out=step, where=slope > 0.0)
     return np.maximum(start - step, 0.0)
 
 
-def _ppt_along(rho: np.ndarray, sigma: np.ndarray, s: np.ndarray, cut: float) -> np.ndarray:
+def _ppt_along(rho: np.ndarray, sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
     """PPT test of the mixtures (rho_i + s_ij sigma_i)/(1 + s_ij): one stacked
     ``ppt_min_eig`` call over rho, sigma (N, 4, 4) and s (N, k)."""
     s = s[:, :, None, None]
-    return ppt_min_eig((rho[:, None] + s * sigma[:, None]) / (1.0 + s)) >= cut
+    return ppt_min_eig((rho[:, None] + s * sigma[:, None]) / (1.0 + s)) >= -PPT_CUT
 
 
-def _bisect(rho: np.ndarray, sigma: np.ndarray, cut: float) -> np.ndarray:
+def _bisect(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Double the bracket from s = 1 until the mixture is PPT, then bisect,
     for each entry of a stack whose mixture at s = 0 is not PPT; the entries
     advance in lockstep, each taking the steps it would take alone.  An
@@ -157,7 +161,7 @@ def _bisect(rho: np.ndarray, sigma: np.ndarray, cut: float) -> np.ndarray:
     lo, hi = np.zeros(len(rho)), np.ones(len(rho))
     widen = np.ones(len(rho), dtype=bool)
     while widen.any():
-        widen[widen] = ~_ppt_along(rho[widen], sigma[widen], hi[widen, None], cut)[:, 0]
+        widen[widen] = ~_ppt_along(rho[widen], sigma[widen], hi[widen, None])[:, 0]
         lo[widen], hi[widen] = hi[widen], 2.0 * hi[widen]
         widen &= hi <= _BRACKET_CAP
     improper = hi > _BRACKET_CAP
@@ -165,14 +169,13 @@ def _bisect(rho: np.ndarray, sigma: np.ndarray, cut: float) -> np.ndarray:
     active = np.flatnonzero(hi - lo > CROSSING_WIDTH * (1.0 + hi))
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
-        ppt = _ppt_along(rho[active], sigma[active], mid[:, None], cut)[:, 0]
+        ppt = _ppt_along(rho[active], sigma[active], mid[:, None])[:, 0]
         hi[active[ppt]], lo[active[~ppt]] = mid[ppt], mid[~ppt]
         active = np.flatnonzero(hi - lo > CROSSING_WIDTH * (1.0 + hi))
     return np.where(improper, np.nan, hi)
 
 
-def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray, *,
-                              tolerances: Tolerances = DEFAULT):
+def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray):
     """``bisect_relative_robustness`` over (N, 4, 4) stacks of states and
     directions, with the same postcondition for every entry.
 
@@ -185,21 +188,20 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray, *,
     0, lo and hi, where hi - lo <= CROSSING_WIDTH*(1+hi) brackets the Newton
     point.  An entry whose bracket fails the test doubles and bisects, as alone.
     """
-    cut = -tolerances.ppt
     direction_eig = ppt_min_eig(sigma)
-    errors = [None if e >= cut else NotSeparableDirection(f"direction has PT eigenvalue {e:.3e}")
+    errors = [None if e >= -PPT_CUT else NotSeparableDirection(f"direction has PT eigenvalue {e:.3e}")
               for e in direction_eig.tolist()]
     proper = np.array([error is None for error in errors], dtype=bool)
     rho, sigma = rho[proper], sigma[proper]
-    s = _newton_crossing(partial_transpose_matrix(rho), partial_transpose_matrix(sigma), tolerances.ppt)
+    s = _newton_crossing(partial_transpose_matrix(rho), partial_transpose_matrix(sigma))
     half = 0.4 * CROSSING_WIDTH * (1.0 + s)   # hi - lo stays below the width after rounding
     lo, hi = np.maximum(s - half, 0.0), s + half
     usable = (hi <= _BRACKET_CAP) & (hi - lo <= CROSSING_WIDTH * (1.0 + hi))   # False where s is NaN
     points = np.where(usable[:, None], np.stack([np.zeros(len(s)), lo, hi], axis=1), 0.0)
-    at_zero, at_lo, at_hi = _ppt_along(rho, sigma, points, cut).T
+    at_zero, at_lo, at_hi = _ppt_along(rho, sigma, points).T
     result = np.where(at_zero, 0.0, hi)
     redo = np.flatnonzero(~at_zero & ~(usable & ~at_lo & at_hi))
-    result[redo] = _bisect(rho[redo], sigma[redo], cut)
+    result[redo] = _bisect(rho[redo], sigma[redo])
     values = np.full(len(proper), np.nan)
     values[proper] = result
     for i in np.flatnonzero(proper)[np.isnan(result)]:
@@ -207,8 +209,7 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray, *,
     return values, errors
 
 
-def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix, *,
-                               tolerances: Tolerances = DEFAULT) -> float:
+def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix) -> float:
     """Minimal s >= 0 such that (rho + s rho_s)/(1+s) is separable.
 
     The separable set is convex, so the PPT status along the ray is monotone
@@ -222,7 +223,7 @@ def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix, *,
     ImproperDirection
         If no finite bracket exists (impossible for full-rank directions).
     """
-    s, errors = relative_robustness_stack(rho.matrix[None], rho_s.matrix[None], tolerances=tolerances)
+    s, errors = relative_robustness_stack(rho.matrix[None], rho_s.matrix[None])
     if errors[0] is not None:
         raise errors[0]
     return float(s[0])
@@ -257,7 +258,7 @@ def _nt_direction(rhs: np.ndarray, lam: np.ndarray, stack: np.ndarray, q_inv: np
     return dx, d, _SDP_STEP / np.maximum(-edge, _SDP_STEP)
 
 
-def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT) -> SDPBracket:
+def absolute_robustness(rho: DensityMatrix) -> SDPBracket:
     """Certified bracket on the absolute robustness R = min tr X over X >= 0,
     X^Gamma >= 0, (rho + X)^Gamma >= 0 (PPT is separability for two qubits).
 
@@ -279,7 +280,7 @@ def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT)
     of each is kept.
     ``newton_steps`` counts predictor-corrector iterations, and a
     ``LinAlgError`` ends the solve.  ``converged``: the width met
-    ``tolerances.sdp_gap * (1 + s_upper)`` before a stop.
+    ``SDP_GAP * (1 + s_upper)`` before a stop.
     """
     rho_pt = partial_transpose_matrix(rho.matrix)
     offset, scale = np.stack([np.zeros((4, 4)), np.zeros((4, 4)), rho_pt]), np.abs(rho_pt).max()
@@ -293,7 +294,7 @@ def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT)
             if trace < upper:
                 upper, best = trace, x
             lower = max(lower, _dual_bound(z, rho_pt))   # the Z_a passed the same test
-            if upper - lower <= tolerances.sdp_gap * (1.0 + upper):
+            if upper - lower <= SDP_GAP * (1.0 + upper):
                 break
             _, lam, vh = np.linalg.svd(factors[3:].conj().swapaxes(1, 2) @ factors[:3])
             r_inv = np.sqrt(lam)[:, :, None] * vh @ np.linalg.inv(factors[:3])   # Lam^1/2 V^H L_S^-1
@@ -316,7 +317,7 @@ def absolute_robustness(rho: DensityMatrix, *, tolerances: Tolerances = DEFAULT)
     X = (best @ _PAULI_BASIS.reshape(16, 16)).reshape(4, 4)
     return SDPBracket(s_lower=float(lower), s_upper=float(upper), direction=X / np.trace(X).real,
                       duality_gap=float(upper - lower), newton_steps=steps,
-                      converged=bool(upper - lower <= tolerances.sdp_gap * (1.0 + upper)))
+                      converged=bool(upper - lower <= SDP_GAP * (1.0 + upper)))
 
 
 def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int = 0, *,
@@ -333,18 +334,17 @@ def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int 
     certs = robustness_stack(rho.matrix[None], tolerances)
     if certs.errors[0] is not None and not isinstance(certs.errors[0], RankDeficient):
         raise certs.errors[0]
-    return _minimize(rho, float(certs.s[0]), tolerances)
+    return _minimize(rho, float(certs.s[0]))
 
 
-def _minimize(rho: DensityMatrix, s_formula: float, tolerances: Tolerances) -> OracleResult:
+def _minimize(rho: DensityMatrix, s_formula: float) -> OracleResult:
     """``minimize_absolute_robustness`` of ``rho``, whose closed-form value
     ``s_formula`` (NaN without one) enters only ``gap_to_formula``."""
-    if is_separable_ppt(rho, tolerances)[0]:
+    if ppt_min_eig(rho.matrix) >= -PPT_CUT:
         return OracleResult(s_best=0.0, best_direction=rho, evaluations=1, converged=True,
                             gap_to_formula=s_formula, s_lower=0.0, duality_gap=0.0, newton_steps=0)
-    bracket = absolute_robustness(rho, tolerances=tolerances)
-    (s_best,), (error,) = relative_robustness_stack(rho.matrix[None], bracket.direction[None],
-                                                    tolerances=tolerances)
+    bracket = absolute_robustness(rho)
+    (s_best,), (error,) = relative_robustness_stack(rho.matrix[None], bracket.direction[None])
     if error is not None:
         raise error
     return OracleResult(s_best=float(s_best), best_direction=DensityMatrix(bracket.direction), evaluations=1,

@@ -6,13 +6,12 @@ or loosened coherently.  The environment variable ``QROBUST_TOL`` (a finite
 nonnegative scale factor, default 1.0) rescales every bound; setting it to
 0 turns every check into an exact-equality check, which is useful as a
 self-test of the verification harness.  A bound changes which verdict a
-check gives, not a computed value, with two exceptions that are part of
-what the value means: ``ppt`` defines the crossing that the bisection
-locates (the point where the PPT test at ``-ppt`` passes), and ``sdp_gap``
-is the bracket width at which the SDP solve stops.
+check gives, never a computed value.
 
-The parameters of the algorithms are constants of the module that runs
-each one, and ``QROBUST_TOL`` does not move them; README's table lists them.
+The parameters of the algorithms, among them the PPT cut that defines a
+located crossing and the SDP's stop width (``oracle.PPT_CUT`` and
+``oracle.SDP_GAP``), are constants of the module that runs each one, and
+``QROBUST_TOL`` does not move them; README's table lists them.
 
 The library constructors that take no record validate at ``DEFAULT``:
 ``BellWeights`` and ``werner``.
@@ -51,13 +50,12 @@ class Tolerances:
     lu_invariance: float = 1e-9
 
     # separability and certificates
-    ppt: float = 1e-11                  # PT minimum eigenvalue cutoff; defines the located crossing
+    ppt: float = 1e-11                  # PT minimum eigenvalue cutoff of the PPT checks and verdicts
     pseudomixture: float = 1e-9
     plane: float = 1e-9                 # |lambda'_1 - lambda'_2 - lambda'_3 - lambda'_4|
     bisect_formula: float = 1e-6        # |bisection - closed form| along the witness
     werner_boundary: float = 1e-8       # located singlet-weight boundary vs 1/3
     oracle_flag: float = 1e-3           # minimality-probe flag threshold
-    sdp_gap: float = 1e-9               # SDP stops once s_upper - s_lower <= sdp_gap * (1 + s_upper)
 
     # coset parameterization identities
     coset_orthogonality: float = 1e-10  # |Y^T Y - I| and |X^T (sy x sy) X - I|

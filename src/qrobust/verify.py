@@ -293,7 +293,7 @@ def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances
         out[ent] = residual
         return out
 
-    s_bisection, errors = oracle.relative_robustness_stack(rho, rho_pp, tolerances=tol)
+    s_bisection, errors = oracle.relative_robustness_stack(rho, rho_pp)
     ts = np.stack((s[ent], 0.999 * s[ent]))[:, :, None, None]
     at, before = (rho[ent] + ts * rho_pp[ent]) / (1.0 + ts)            # at s, and just before it
     failure = states._density_failure(np.concatenate((at, before)), tol)
@@ -368,7 +368,7 @@ def _audit(rho: states.DensityMatrix, certs: CertificateStack, run, tolerances: 
     report = {"s_formula": float(certs.s[0]), "s_bisection": float(s_bisection[0]), "checks": verdicts,
               "passed": all(verdict["passed"] for verdict in verdicts.values())}
     if with_oracle:
-        result = oracle._minimize(rho, float(certs.s[0]), tolerances)
+        result = oracle._minimize(rho, float(certs.s[0]))
         report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
                             "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
     return report
@@ -426,7 +426,7 @@ def _check_thresholds(corpus: Corpus) -> PropertyResult:
     tol = corpus.tol
     singlet = states.werner(1.0)
     ratios = [abs(states.is_separable_ppt(singlet, tol)[1] + 0.5) / max(tol.singular_agreement, 1e-300)]
-    s_mix = oracle.bisect_relative_robustness(singlet, states.DensityMatrix(_EYE / 4.0), tolerances=tol)
+    s_mix = oracle.bisect_relative_robustness(singlet, states.DensityMatrix(_EYE / 4.0))
     ratios.append(abs(s_mix - 2.0) / max(tol.bisect_formula, 1e-300))
     ratios.append(abs(1.0 / (1.0 + s_mix) - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300))
     names = ("singlet PT minimum eigenvalue", "bisection from the singlet toward I/4", "Werner boundary")

@@ -3,8 +3,8 @@
 import numpy as np
 
 from qrobust import states, verify
-from qrobust.states import SIGMA_YY, DensityMatrix, is_separable_ppt, werner
-from qrobust.tolerances import DEFAULT
+from qrobust.oracle import PPT_CUT
+from qrobust.states import SIGMA_YY, DensityMatrix, ppt_min_eig, werner
 
 
 def ginibre_states(n):
@@ -12,14 +12,14 @@ def ginibre_states(n):
     return [DensityMatrix(m) for m in verify.Corpus(n).ginibre]
 
 
-def werner_boundary(tol=DEFAULT):
-    """The singlet weight where Werner states stop passing the PPT test at
-    ``tol``, by one-point-at-a-time bisection of [0, 1] to width 1e-12: the
-    reference for every located Werner boundary."""
+def werner_boundary():
+    """The singlet weight where Werner states stop passing the oracle's PPT
+    test at ``-PPT_CUT``, by one-point-at-a-time bisection of [0, 1] to width
+    1e-12: the reference for every located Werner boundary."""
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if is_separable_ppt(werner(mid), tol)[0]:
+        if ppt_min_eig(werner(mid).matrix) >= -PPT_CUT:
             lo = mid
         else:
             hi = mid

@@ -337,19 +337,39 @@ def test_sample_rank_deficient_row_is_nan_in_closed_form_columns(tmp_path):
 
 def test_tolerance_scale_changes_no_computed_column(tmp_path, monkeypatch):
     # QROBUST_TOL rescales check bounds only; Bures seed 181 has
-    # lambda_4/lambda_1 = 2.0e-8, which a scaled rank cut would drop.
-    # s_bisection follows the PPT bound, which defines the crossing.
+    # lambda_4/lambda_1 = 2.0e-8, which a scaled rank cut would drop
     argv = ["sample", "--ensemble", "bures", "--n", "200", "--seed", "0", "--out"]
     default, scaled = tmp_path / "default.csv", tmp_path / "scaled.csv"
     assert main([*argv, str(default)]) == 0
     monkeypatch.setenv("QROBUST_TOL", "10")
     assert main([*argv, str(scaled)]) == 0
+    assert default.read_text().splitlines()[0].endswith(",s_formula,s_bisection")
+    assert scaled.read_bytes() == default.read_bytes()
 
-    def columns(path):
-        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
-    assert columns(default)[0].endswith(",s_formula")
-    assert columns(scaled) == columns(default)
+def test_tolerance_scale_changes_no_oracle_value(tmp_path, monkeypatch, capsys):
+    # the crossing's PPT cut and the SDP's stop width are oracle constants:
+    # s_bisection, s_best and gap are the same at every QROBUST_TOL
+    argv = ["sample", "--ensemble", "ginibre", "--n", "20", "--seed", "0", "--oracle", "--out"]
+    written = []
+    for scale in ("0.01", "1", "100"):
+        monkeypatch.setenv("QROBUST_TOL", scale)
+        out = tmp_path / f"sample-{scale}.csv"
+        assert main([*argv, str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
+    # the audit of Bell 0.7: the same crossing and SDP numbers; only verdicts may move
+    state = tmp_path / "bell.json"
+    write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
+    audits = []
+    for scale in ("1", "100"):
+        monkeypatch.setenv("QROBUST_TOL", scale)
+        out = tmp_path / f"bell-{scale}.json"
+        assert main(["analyze", "--in", str(state), "--oracle", "--out", str(out)]) == 0
+        verification = json.loads(out.read_text())["verification"]
+        oracle_numbers = {k: v for k, v in verification["oracle"].items() if k != "minimality_flag"}
+        audits.append((verification["s_bisection"], oracle_numbers))
+    assert audits[0] == audits[1]
 
 
 def test_sample_oracle_columns(tmp_path):
@@ -656,8 +676,8 @@ def _inject_crossing_failure(monkeypatch, target, error):
     """Make ``relative_robustness_stack`` report ``error`` at every entry whose state is ``target``."""
     real = oracle.relative_robustness_stack
 
-    def injected(rho, sigma, *, tolerances=DEFAULT):
-        s, errors = real(rho, sigma, tolerances=tolerances)
+    def injected(rho, sigma):
+        s, errors = real(rho, sigma)
         for j, matrix in enumerate(rho):
             if np.array_equal(matrix, target):
                 s[j], errors[j] = np.nan, error

@@ -8,6 +8,8 @@ from qrobust import decompose
 from qrobust import oracle as oracle_module
 from qrobust.oracle import (
     CROSSING_WIDTH,
+    PPT_CUT,
+    SDP_GAP,
     ImproperDirection,
     NotSeparableDirection,
     absolute_robustness,
@@ -39,20 +41,20 @@ UP_UP = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
 BELL_07 = bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1])))
 
 
-def assert_post_conditions(rho, direction, tolerances=DEFAULT):
+def assert_post_conditions(rho, direction):
     """The mixture at the returned s is PPT, and at s - CROSSING_WIDTH*(1+s)
     it is not (or s = 0 and rho is PPT); returns s."""
-    s = bisect_relative_robustness(rho, direction, tolerances=tolerances)
+    s = bisect_relative_robustness(rho, direction)
 
     def mixture(t):
         return (rho.matrix + t * direction.matrix) / (1.0 + t)
 
-    assert ppt_min_eig(mixture(s)) >= -tolerances.ppt
+    assert ppt_min_eig(mixture(s)) >= -PPT_CUT
     if s > 0.0:
         below = max(0.0, s - CROSSING_WIDTH * (1.0 + s))
-        assert ppt_min_eig(mixture(below)) < -tolerances.ppt
+        assert ppt_min_eig(mixture(below)) < -PPT_CUT
     else:
-        assert is_separable_ppt(rho, tolerances)[0]
+        assert ppt_min_eig(rho.matrix) >= -PPT_CUT
     return s
 
 
@@ -60,9 +62,9 @@ def record_fallbacks(monkeypatch):
     """The number of entries each ``_bisect`` call receives, in call order."""
     fallbacks = []
 
-    def recording(rho, sigma, cut):
+    def recording(rho, sigma):
         fallbacks.append(len(rho))
-        return bisect_stack(rho, sigma, cut)
+        return bisect_stack(rho, sigma)
 
     monkeypatch.setattr(oracle_module, "_bisect", recording)
     return fallbacks
@@ -154,15 +156,14 @@ class TestBisection:
             bisect_relative_robustness(MIXED, SINGLET)
 
     def test_direction_that_passed_the_ppt_test_factors(self, monkeypatch):
-        # a Bell-diagonal direction with PT eigenvalue -5e-10 passes the PPT
-        # test at ppt 1e-9; the pencil's shift of at least 2 ppt makes it
-        # positive definite, so no entry along it falls back to bisection
+        # a Bell-diagonal direction with PT eigenvalue -8e-12 passes the PPT
+        # test at -PPT_CUT; the pencil's shift of 1e-10 makes it positive
+        # definite, so no entry along it falls back to bisection
         fallbacks = record_fallbacks(monkeypatch)
-        tol = DEFAULT.scaled(100)
-        direction = DensityMatrix(_bell_mixture(np.array([0.5 + 5e-10, 0.2, 0.2, 0.1 - 5e-10])))
-        assert -tol.ppt < ppt_min_eig(direction.matrix) < -4e-10
+        direction = DensityMatrix(_bell_mixture(np.array([0.5 + 8e-12, 0.2, 0.2, 0.1 - 8e-12])))
+        assert -PPT_CUT < ppt_min_eig(direction.matrix) < -5e-12
         for weights in ([0.1, 0.7, 0.1, 0.1], [0.1, 0.1, 0.7, 0.1], [0.2 / 3, 0.8, 0.2 / 3, 0.2 / 3]):
-            assert assert_post_conditions(DensityMatrix(_bell_mixture(np.array(weights))), direction, tol) > 0.0
+            assert assert_post_conditions(DensityMatrix(_bell_mixture(np.array(weights))), direction) > 0.0
         assert fallbacks and not any(fallbacks)
 
 
@@ -256,7 +257,7 @@ class TestAbsoluteRobustness:
             bracket = absolute_robustness(rho)
             assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
             # degenerate optima: the QR-factored Newton solve still reaches the target
-            assert bracket.converged and bracket.duality_gap <= DEFAULT.sdp_gap * (1.0 + bracket.s_upper)
+            assert bracket.converged and bracket.duality_gap <= SDP_GAP * (1.0 + bracket.s_upper)
 
     def test_ginibre_corpus_bounds(self):
         entangled = 0
@@ -292,7 +293,7 @@ class TestAbsoluteRobustness:
         assert len(calls) == 5 and bracket.newton_steps == 4
         assert 0.0 < bracket.s_lower <= math.sin(1.0) <= bracket.s_upper < math.inf
         assert not bracket.converged
-        assert bracket.duality_gap > DEFAULT.sdp_gap * (1.0 + bracket.s_upper)
+        assert bracket.duality_gap > SDP_GAP * (1.0 + bracket.s_upper)
 
     def test_predictor_corrector_converges_in_few_iterations(self):
         # degenerate optima and near-separable states included; R = C on
@@ -310,13 +311,14 @@ class TestAbsoluteRobustness:
             assert value is None or bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
             assert bracket.newton_steps <= 25, bracket
 
-    def test_unreachable_gap_target_is_not_converged(self):
-        bracket = absolute_robustness(BELL_07, tolerances=DEFAULT.scaled(0.0))
+    def test_unreachable_gap_target_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "SDP_GAP", 0.0)
+        bracket = absolute_robustness(BELL_07)
         assert not bracket.converged
         assert bracket.s_lower <= 0.4 <= bracket.s_upper
 
-    def test_zero_gap_brackets_contain_known_values(self):
-        # at sdp_gap = 0 the solve runs until a factorization fails; only the
+    def test_zero_gap_brackets_contain_known_values(self, monkeypatch):
+        # at SDP_GAP = 0 the solve runs until a factorization fails; only the
         # rounding-level margin keeps both bounds on their side of R there
         # (tr X alone falls below R on the Bell-diagonal state at 0.7)
         rng = np.random.default_rng(5)
@@ -327,8 +329,9 @@ class TestAbsoluteRobustness:
             known.append((werner(p), (3.0 * p - 1.0) / 2.0))
         for theta in rng.uniform(0.05, math.pi / 4, 4):
             known.append((pure_state(theta, rng), abs(math.sin(2.0 * theta))))
+        monkeypatch.setattr(oracle_module, "SDP_GAP", 0.0)
         for rho, value in known:
-            bracket = absolute_robustness(rho, tolerances=DEFAULT.scaled(0.0))
+            bracket = absolute_robustness(rho)
             assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
 
     def test_dual_bound_is_a_proof_for_any_psd_triple(self):

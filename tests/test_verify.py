@@ -182,11 +182,12 @@ def test_failed_draw_names_its_seed():
 
 @pytest.mark.parametrize("scale", [1.0, 1000.0, 0.0])
 def test_thresholds_match_the_scalar_bisection(scale):
-    # the Werner boundary read off the crossing against the one-point-at-a-time bisection
+    # the Werner boundary read off the crossing against the one-point-at-a-time
+    # bisection; the crossing is the same at every scale, which moves only the bounds
     tol = DEFAULT.scaled(scale)
     singlet = states.werner(1.0)
-    s_mix = oracle.bisect_relative_robustness(singlet, states.DensityMatrix(np.eye(4) / 4.0), tolerances=tol)
-    assert abs(1.0 / (1.0 + s_mix) - werner_boundary(tol)) <= 1e-10
+    s_mix = oracle.bisect_relative_robustness(singlet, states.DensityMatrix(np.eye(4) / 4.0))
+    assert abs(1.0 / (1.0 + s_mix) - werner_boundary()) <= 1e-10
     ratios = np.array([abs(states.is_separable_ppt(singlet, tol)[1] + 0.5) / max(tol.singular_agreement, 1e-300),
                        abs(s_mix - 2.0) / max(tol.bisect_formula, 1e-300),
                        abs(1.0 / (1.0 + s_mix) - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300)])

@@ -1,16 +1,10 @@
 """Fixed-size complex matrix kernel: Hermitian eigensolver and Takagi factorization.
 
-Both routines run on LAPACK's Hermitian eigensolver (``np.linalg.eigh``) and
-fix the conventions LAPACK leaves open, so identical input bits give
-identical output bits on a given numpy/LAPACK build:
-
-* eigenvalues and singular values are sorted in descending order with a
-  stable tie-break;
-* each eigenvector is rotated by a global phase so its largest-magnitude
-  component is real and positive.
-
-Inside a degenerate eigenspace LAPACK returns an arbitrary basis.  Callers
-that report vectors from such a space fix the basis by their own written
+Both routines run on LAPACK's Hermitian eigensolver (``np.linalg.eigh``),
+so identical input bits give identical output bits on a given numpy/LAPACK
+build, and return eigenvalues and singular values in descending order.
+Each eigenvector keeps LAPACK's phase, and inside a degenerate eigenspace
+LAPACK's basis: callers that report vectors fix them by their own written
 rule (see ``wootters.decompose``).
 
 Both run on (N, 4, 4) stacks (``hermitian_eig_stack``, ``takagi_stack``), a
@@ -45,24 +39,9 @@ class NumericalFailure(RuntimeError):
 
 def _eigh_descending(h: np.ndarray):
     """LAPACK eigendecomposition of a Hermitian (or real symmetric) matrix or
-    (..., n, n) stack, eigenvalues descending with a stable tie-break, each
-    eigenvector phased so that its largest-magnitude component is real and
-    positive."""
-    evals, v = np.linalg.eigh(h)                      # ascending
-    order = np.argsort(-evals, axis=-1, kind="stable")  # exact ties keep LAPACK's order
-    evals = np.take_along_axis(evals, order, axis=-1)
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    pivots = _column_pivots(v)
-    return evals, v * (pivots.conj() / np.abs(pivots))
-
-
-def _column_pivots(v: np.ndarray) -> np.ndarray:
-    """The largest-magnitude entry of each column (the first of equals) of a
-    matrix or (..., n, n) stack, shaped (..., 1, n)."""
-    n = v.shape[-1]
-    v3 = v.reshape(-1, n, n)
-    pivots = v3[np.arange(len(v3))[:, None], np.abs(v3).argmax(axis=1), np.arange(n)]
-    return pivots.reshape(v.shape[:-2] + (1, n))
+    (..., n, n) stack, eigenvalues descending; the eigenvectors are LAPACK's."""
+    evals, v = np.linalg.eigh(h)
+    return evals[..., ::-1], v[..., ::-1]
 
 
 def _entry_errors(deviation: np.ndarray, bound: float, make) -> list:
@@ -80,8 +59,7 @@ def hermitian_eig_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT):
     of finite matrices.
 
     Returns ``(eigenvalues, eigenvectors, errors)``: eigenvalues (N, 4)
-    descending, eigenvectors (N, 4, 4) as orthonormal columns, each phased
-    so that its largest-magnitude component is real and positive, and
+    descending, eigenvectors (N, 4, 4) as orthonormal columns, and
     ``errors[i]``, the ``NonHermitianInput`` of entry i (``max |M - M^dag|``
     above the hermiticity tolerance), or None.  Every entry is decomposed, a
     failing one included.

@@ -154,18 +154,15 @@ def _ppt_along(rho: np.ndarray, sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _bisect(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Double the bracket from s = 1 until the mixture is PPT, then bisect,
-    for each entry of a stack whose mixture at s = 0 is not PPT; the entries
-    advance in lockstep, each taking the steps it would take alone.  An
-    entry with no PPT mixture up to ``_BRACKET_CAP`` gets NaN."""
-    lo, hi = np.zeros(len(rho)), np.ones(len(rho))
-    widen = np.ones(len(rho), dtype=bool)
-    while widen.any():
-        widen[widen] = ~_ppt_along(rho[widen], sigma[widen], hi[widen, None])[:, 0]
-        lo[widen], hi[widen] = hi[widen], 2.0 * hi[widen]
-        widen &= hi <= _BRACKET_CAP
-    improper = hi > _BRACKET_CAP
-    lo[improper] = hi[improper]                           # closed: not bisected
+    """Halve [0, ``_BRACKET_CAP``] until it is CROSSING_WIDTH wide, for each
+    entry of a stack whose mixture at s = 0 is not PPT; the entries advance
+    in lockstep, each taking the steps it would take alone.  An entry whose
+    mixture is not PPT at the cap gets NaN."""
+    hi = np.full(len(rho), _BRACKET_CAP)
+    if not len(rho):                                      # no PPT call for no entry
+        return hi
+    improper = ~_ppt_along(rho, sigma, hi[:, None])[:, 0]
+    lo = np.where(improper, hi, 0.0)                      # closed: not bisected
     active = np.flatnonzero(hi - lo > CROSSING_WIDTH * (1.0 + hi))
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
@@ -186,7 +183,7 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray):
     Each crossing is estimated through the regularized pencil, polished by
     one Newton step, and verified by one stacked PPT test of the mixtures at
     0, lo and hi, where hi - lo <= CROSSING_WIDTH*(1+hi) brackets the Newton
-    point.  An entry whose bracket fails the test doubles and bisects, as alone.
+    point.  An entry whose bracket fails the test bisects down from the cap, as alone.
     """
     direction_eig = ppt_min_eig(sigma)
     errors = [None if e >= -PPT_CUT else NotSeparableDirection(f"direction has PT eigenvalue {e:.3e}")

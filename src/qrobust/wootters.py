@@ -118,10 +118,12 @@ _MAGIC_ADJOINT = _MAGIC.conj().T
 
 
 def _column_signs(x: np.ndarray) -> np.ndarray:
-    """Rule 3 below: the sign per column, of one matrix or an (N, 4, 4) stack,
-    that makes its largest real magic-basis coefficient positive (ties go to
-    the lower Bell index)."""
-    return np.where(numerics._column_pivots((_MAGIC_ADJOINT @ x).real) < 0.0, -1.0, 1.0)
+    """Rule 3 below: the sign per column of an (N, 4, 4) stack, shaped
+    (N, 1, 4), that makes its largest real magic-basis coefficient positive
+    (ties go to the lower Bell index)."""
+    coeffs = (_MAGIC_ADJOINT @ x).real
+    pivots = np.take_along_axis(coeffs, np.abs(coeffs).argmax(axis=1)[:, None, :], axis=1)
+    return np.where(pivots < 0.0, -1.0, 1.0)
 
 
 def _tie_patterns(tied: np.ndarray):

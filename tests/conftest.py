@@ -26,6 +26,14 @@ def werner_boundary():
     return 0.5 * (lo + hi)
 
 
+def rank_two_state(p):
+    """p|Phi+><Phi+| + (1 - p)|01><01|, whose absolute robustness is
+    p^2/(4(1 - p)) for 0 < p <= 2/3: the product noise |10><10| reaches it,
+    and the witness a|01> - |10>, a = p/(2(1 - p)), proves it least."""
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    return DensityMatrix(p * np.outer(phi, phi) + (1.0 - p) * np.diag([0.0, 1.0, 0.0, 0.0]))
+
+
 def rotate_locally(rho, rng):
     """(U1 x U2) rho (U1 x U2)^dag for one Haar-random SU(2) pair drawn from ``rng``."""
     u = np.kron(*states._su2_pairs(rng, 1)[0])

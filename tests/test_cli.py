@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qrobust
+from conftest import rank_two_state
 from qrobust import cli, oracle, states, verify, wootters
 from qrobust.cli import main
 from qrobust.numerics import NumericalFailure
@@ -117,6 +118,16 @@ def test_analyze_pure_state_falls_back_to_oracle(tmp_path, capsys):
     assert block["s_lower"] <= 1.0 <= block["s_best"] <= 2.0 + 1e-6   # R(singlet) = 1
     assert block["duality_gap"] <= 1e-6 and block["newton_steps"] > 0
     assert isinstance(block["converged"], bool)
+
+
+def test_analyze_oracle_brackets_the_rank_two_family(tmp_path, capsys):
+    # rank deficient, so analyze takes the oracle; R = p^2/(4(1 - p)) is known
+    state = tmp_path / "rank2.json"
+    write_state(rank_two_state(0.1), state)
+    assert main(["analyze", "--in", str(state), "--oracle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["method"] == "oracle_estimate"
+    assert report["oracle"]["s_lower"] <= 0.1 ** 2 / (4.0 * 0.9) <= report["oracle"]["s_best"]
 
 
 def test_analyze_no_fallback_exit_code(tmp_path, capsys):

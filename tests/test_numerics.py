@@ -31,13 +31,6 @@ class TestHermitianEig:
         _, _, errors = hermitian_eig_stack(stack(np.eye(4), m))
         assert errors[0] is None and isinstance(errors[1], NonHermitianInput)
 
-    def test_orientation_largest_component_real_positive(self):
-        rng = np.random.default_rng(3)
-        _, vecs, _ = hermitian_eig_stack(stack(*(random_hermitian(rng) for _ in range(50))))
-        pivots = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
-        assert np.all(pivots.real > 0)
-        assert np.max(np.abs(pivots.imag)) <= 1e-12
-
     def test_determinism(self):
         h = stack(random_hermitian(np.random.default_rng(11)))
         first = hermitian_eig_stack(h)

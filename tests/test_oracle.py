@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ginibre_states, rotate_locally, werner_boundary
+from conftest import ginibre_states, rank_two_state, rotate_locally, werner_boundary
 from qrobust import decompose
 from qrobust import oracle as oracle_module
 from qrobust.oracle import (
@@ -110,11 +110,21 @@ class TestBisection:
     def test_widens_and_bisects_when_the_newton_bracket_fails(self, monkeypatch):
         # along the rank-1 product state |uu><uu| the regularized pencil
         # misjudges a crossing near s = 1e3, so the Newton bracket fails its
-        # PPT test and the entry doubles its bracket and bisects
+        # PPT test and the entry bisects down from the cap
         fallbacks = record_fallbacks(monkeypatch)
         s = assert_post_conditions(werner(1.0 - 1e-3), UP_UP)
         assert 900.0 < s < 1000.0
         assert fallbacks == [1]
+
+    def test_fallback_reaches_the_cap(self, monkeypatch):
+        # the crossing along |uu><uu| grows as the singlet weight nears 1: at
+        # 1 - 2e-5 it lies between 2^15 and the cap 2^16, at 1 - 1.2e-5 past it
+        fallbacks = record_fallbacks(monkeypatch)
+        s = assert_post_conditions(werner(1.0 - 2e-5), UP_UP)
+        assert 2.0 ** 15 < s < 2.0 ** 16 and abs(s - 45802.0) < 1.0
+        assert fallbacks == [1]
+        with pytest.raises(ImproperDirection):
+            bisect_relative_robustness(werner(1.0 - 1.2e-5), UP_UP)
 
     def test_bracket_past_the_crossing_is_rejected(self, monkeypatch):
         # a Newton point past the crossing puts both ends of its bracket on
@@ -258,6 +268,15 @@ class TestAbsoluteRobustness:
             assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
             # degenerate optima: the QR-factored Newton solve still reaches the target
             assert bracket.converged and bracket.duality_gap <= SDP_GAP * (1.0 + bracket.s_upper)
+
+    @pytest.mark.parametrize("p", [0.003, 0.01, 0.1, 0.5, 2.0 / 3.0])
+    def test_rank_two_family(self, p):
+        # R = p^2/(4(1 - p)), reached along the product noise |10><10|
+        rho, value = rank_two_state(p), p * p / (4.0 * (1.0 - p))
+        bracket = absolute_robustness(rho)
+        assert bracket.converged and bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
+        (s,), errors = relative_robustness_stack(rho.matrix[None], np.diag([0.0, 0.0, 1.0, 0.0])[None])
+        assert errors == [None] and abs(s - value) <= CROSSING_WIDTH * (1.0 + value)
 
     def test_ginibre_corpus_bounds(self):
         entangled = 0

@@ -212,6 +212,41 @@ class TestDegeneracyRule:
             kc = np.sum(np.abs(xc) ** 2, axis=0) / dec.lambdas[1:]
             assert min(kc[0] + kc[1], kc[0] + kc[2], kc[1] + kc[2]) >= best - 1e-12
 
+    def test_written_rule_alone_fixes_the_decomposition(self, monkeypatch):
+        # the eigensolver's column phases (signs, for real input) are free:
+        # randomizing them moves x, lambda and K only by rounding
+        pure = np.array([0.8, 0.3j, -0.2, 0.1 + 0.4j])
+        pure /= np.linalg.norm(pure)
+        matrices = np.concatenate([
+            states.sample_stack("ginibre", range(200)).matrices,
+            states.sample_stack("bures", range(200)).matrices,
+            [bell_diagonal(BellWeights(np.array(w))).matrix for w in TIED_WEIGHTS],
+            [werner(0.8).matrix, SINGLET.matrix, np.outer(pure, pure.conj())],
+        ])
+        assert len(matrices) == 409
+        reference = decompose_stack(matrices)
+        rng = np.random.default_rng(5)
+        eigh = numerics._eigh_descending
+
+        def rephased(h):
+            evals, v = eigh(h)
+            if np.iscomplexobj(v):
+                phases = np.exp(2j * np.pi * rng.uniform(size=evals.shape))
+            else:
+                phases = rng.choice([-1.0, 1.0], size=evals.shape)
+            return evals, v * phases[..., None, :]
+
+        monkeypatch.setattr(numerics, "_eigh_descending", rephased)
+        moved = decompose_stack(matrices)
+        assert moved.errors == reference.errors == [None] * len(matrices)
+        assert np.array_equal(moved.rank, reference.rank)
+        assert np.max(np.abs(moved.x - reference.x)) <= 1e-12
+        assert np.max(np.abs(moved.lambdas - reference.lambdas)) <= 1e-12
+        k_moved, k_ref = moved.k_norm, reference.k_norm
+        assert np.array_equal(np.isnan(k_moved), np.isnan(k_ref))
+        inside = ~np.isnan(k_ref)
+        assert np.max(np.abs(k_moved[inside] - k_ref[inside]) / k_ref[inside]) <= 1e-10
+
 
 def _runs(tied):
     """Index lists of the runs of two or more neighbours that the flags ``tied`` join."""

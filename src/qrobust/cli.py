@@ -97,7 +97,9 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
-        result = oracle._minimize(rho, float(certs.s[0]))
+        (result,), (error,) = oracle.absolute_robustness(rho.matrix[None], certs.s)
+        if error is not None:
+            raise error
         report["method"] = "oracle_estimate"
         report["oracle"] = {**result.to_report(), "note": str(exc)}
         return report, EXIT_OK
@@ -143,9 +145,10 @@ def _sample_rows(args, tol):
 
 def _sample_chunk(args, tol, indices):
     """Rows for ``indices``: the states drawn as one stack, each from its own
-    seed, then one stacked certificate and one stacked crossing for the whole
-    chunk; ``--oracle`` rows reuse the chunk's certificates.  Rows before an
-    entry that fails are still yielded; the failure is raised then."""
+    seed, then one stacked certificate, one stacked crossing and with
+    ``--oracle`` one ``oracle.absolute_robustness`` pass for the whole chunk.
+    Rows before an entry that fails are still yielded; its closed-form or
+    crossing error is raised then, before its oracle error."""
     drawn = states.sample_stack(args.ensemble, [args.seed + i for i in indices], tol)
     matrices = drawn.matrices
     if len(matrices):
@@ -159,6 +162,9 @@ def _sample_chunk(args, tol, indices):
             matrices[has_cert], certs.rho_pp[has_cert])
         for j, error in zip(np.flatnonzero(has_cert), crossing_errors):
             errors[j] = error
+        if args.oracle:
+            found, oracle_errors = oracle.absolute_robustness(matrices, certs.s)
+            errors = [error or oracle_error for error, oracle_error in zip(errors, oracle_errors)]
         min_pair = _min_pair(decomp.k_norm)[1]   # nan where a pair holds an undefined K_i
         for j, i in enumerate(indices[:len(matrices)]):
             if errors[j] is not None:
@@ -169,9 +175,7 @@ def _sample_chunk(args, tol, indices):
             if drawn.k_agreement is not None:
                 row.append(_fmt(drawn.k_agreement[j]))
             if args.oracle:
-                rho = states.DensityMatrix._by_construction(matrices[j])
-                result = oracle._minimize(rho, float(certs.s[j]))
-                row += [_fmt(result.s_best), _fmt(result.gap_to_formula)]
+                row += [_fmt(found[j].s_best), _fmt(found[j].gap_to_formula)]
             yield row
     if drawn.error is not None:
         raise states.ValidationError(f"seed {args.seed + indices[len(matrices)]}: "

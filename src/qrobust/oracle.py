@@ -5,11 +5,11 @@ partial transpose, so the relative robustness along any separable direction
 can be bracketed by PPT tests, and the absolute robustness is a small
 semidefinite program, solved here by a primal-dual interior-point method
 (about ten predictor-corrector iterations) with a certified lower and upper
-bound.
-Nothing here reuses the closed form: its value enters only the reported
-difference ``gap_to_formula``, which keeps the two routes independent.
-The audit of one certificate against these routes is
-``verify.verify_certificate``.
+bound.  ``absolute_robustness``, the one oracle entry, makes one pass over a
+stack and gives one ``OracleResult`` per entry.  Nothing here reuses the
+closed form: its value enters only the reported difference
+``gap_to_formula``, which keeps the two routes independent.  The audit of
+one certificate against these routes is ``verify.verify_certificate``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .robustness import RankDeficient, robustness_stack
-from .states import DensityMatrix, partial_transpose_matrix, ppt_min_eig
+from .states import DensityMatrix, ValidationError, partial_transpose_matrix, ppt_min_eig
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -78,27 +78,13 @@ def _product_mixtures(weights: np.ndarray, bloch_angles: np.ndarray) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class SDPBracket:
-    """s_lower <= R(rho) <= s_upper; ``direction`` is X/tr X (a full-rank PPT
-    state) at the point that gave s_upper; duality_gap = s_upper - s_lower;
-    ``newton_steps`` counts the solver's predictor-corrector iterations."""
-
-    s_lower: float
-    s_upper: float
-    direction: np.ndarray
-    duality_gap: float
-    newton_steps: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class OracleResult:
-    """Outcome of ``minimize_absolute_robustness``: ``s_best`` is the
-    crossing along the SDP direction ``best_direction``, an upper bound on
-    the absolute robustness, and ``s_lower`` the SDP's lower bound;
-    ``evaluations`` counts the crossings (always 1), ``newton_steps`` the
-    SDP's predictor-corrector iterations, and ``gap_to_formula`` is
-    s_formula - s_best (NaN without a closed form)."""
+    """One entry of ``absolute_robustness``, the oracle's only result type:
+    the SDP's certified bracket s_lower <= R <= s_upper of width
+    ``duality_gap``, and ``s_best``, the crossing along its direction
+    ``best_direction`` (a PPT entry's own state); ``evaluations`` counts the
+    crossings (always 1), ``newton_steps`` the SDP's iterations, and
+    ``gap_to_formula`` is s_formula - s_best (NaN without a closed form)."""
 
     s_best: float
     best_direction: DensityMatrix
@@ -106,6 +92,7 @@ class OracleResult:
     converged: bool
     gap_to_formula: float
     s_lower: float
+    s_upper: float
     duality_gap: float
     newton_steps: int
 
@@ -156,35 +143,34 @@ def _ppt_along(rho: np.ndarray, sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _bisect(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Halve [0, ``_BRACKET_CAP``] until it is CROSSING_WIDTH wide, for each
     entry of a stack whose mixture at s = 0 is not PPT; the entries advance
-    in lockstep, each taking the steps it would take alone.  An entry whose
-    mixture is not PPT at the cap gets NaN."""
+    in lockstep, each taking the steps it would take alone.  One stacked PPT
+    test at the cap and at s = 1 opens the search: an entry PPT at 1 starts
+    from [0, 1], the bracket its first 16 halvings would reach, and an entry
+    not PPT at the cap gets NaN."""
     hi = np.full(len(rho), _BRACKET_CAP)
     if not len(rho):                                      # no PPT call for no entry
         return hi
-    improper = ~_ppt_along(rho, sigma, hi[:, None])[:, 0]
-    lo = np.where(improper, hi, 0.0)                      # closed: not bisected
+    at_cap, at_one = _ppt_along(rho, sigma, np.tile([_BRACKET_CAP, 1.0], (len(rho), 1))).T
+    hi[at_one] = 1.0
+    lo = np.where(at_cap, 0.0, hi)                        # closed: not bisected
     active = np.flatnonzero(hi - lo > CROSSING_WIDTH * (1.0 + hi))
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         ppt = _ppt_along(rho[active], sigma[active], mid[:, None])[:, 0]
         hi[active[ppt]], lo[active[~ppt]] = mid[ppt], mid[~ppt]
         active = np.flatnonzero(hi - lo > CROSSING_WIDTH * (1.0 + hi))
-    return np.where(improper, np.nan, hi)
+    return np.where(at_cap, hi, np.nan)
 
 
 def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray):
     """``bisect_relative_robustness`` over (N, 4, 4) stacks of states and
-    directions, with the same postcondition for every entry.
-
-    Returns ``(s, errors)``; ``errors[i]`` is the ``NotSeparableDirection``
-    or ``ImproperDirection`` of entry i (its s is NaN), or None.  A failing
-    entry does not stop the others.
-
-    Each crossing is estimated through the regularized pencil, polished by
-    one Newton step, and verified by one stacked PPT test of the mixtures at
-    0, lo and hi, where hi - lo <= CROSSING_WIDTH*(1+hi) brackets the Newton
-    point.  An entry whose bracket fails the test bisects down from the cap, as alone.
-    """
+    directions, with the same postcondition for every entry: ``(s, errors)``,
+    where ``errors[i]`` is the ``NotSeparableDirection`` or
+    ``ImproperDirection`` of entry i (its s is NaN), or None; a failing entry
+    does not stop the others.  Each crossing is the regularized pencil's
+    estimate polished by one Newton step, verified by one stacked PPT test of
+    the mixtures at 0, lo and hi (hi - lo <= CROSSING_WIDTH*(1+hi) brackets
+    the Newton point); an entry whose bracket fails it goes to ``_bisect``."""
     direction_eig = ppt_min_eig(sigma)
     errors = [None if e >= -PPT_CUT else NotSeparableDirection(f"direction has PT eigenvalue {e:.3e}")
               for e in direction_eig.tolist()]
@@ -211,14 +197,10 @@ def bisect_relative_robustness(rho: DensityMatrix, rho_s: DensityMatrix) -> floa
 
     The separable set is convex, so the PPT status along the ray is monotone
     and a verified bracket is exact.  The returned s gives a PPT mixture
-    while s - CROSSING_WIDTH*(1+s) gives a non-PPT one (or s = 0).
-
-    Raises
-    ------
-    NotSeparableDirection
-        If ``rho_s`` itself fails the PPT test.
-    ImproperDirection
-        If no finite bracket exists (impossible for full-rank directions).
+    while s - CROSSING_WIDTH*(1+s) gives a non-PPT one (or s = 0).  Raises
+    ``NotSeparableDirection`` if ``rho_s`` itself fails the PPT test, and
+    ``ImproperDirection`` if no finite bracket exists (impossible for
+    full-rank directions).
     """
     s, errors = relative_robustness_stack(rho.matrix[None], rho_s.matrix[None])
     if errors[0] is not None:
@@ -255,10 +237,10 @@ def _nt_direction(rhs: np.ndarray, lam: np.ndarray, stack: np.ndarray, q_inv: np
     return dx, d, _SDP_STEP / np.maximum(-edge, _SDP_STEP)
 
 
-def absolute_robustness(rho: DensityMatrix) -> SDPBracket:
-    """Certified bracket on the absolute robustness R = min tr X over X >= 0,
-    X^Gamma >= 0, (rho + X)^Gamma >= 0 (PPT is separability for two qubits).
-
+def _sdp(rho_pt: np.ndarray):
+    """(s_lower, s_upper, X/tr X at s_upper, newton_steps): a certified bracket
+    on R = min tr X over X >= 0, X^Gamma >= 0, (rho + X)^Gamma >= 0 (PPT is
+    separability for two qubits) for the state whose PT is ``rho_pt``.
     Primal-dual path following (Vandenberghe & Boyd, SIAM Rev. 38, 49, sec. 6):
     x holds the coordinates of X, each slack block S_a(x) gets a dual block
     Z_a, and the dual residual is c - A*(Z) with c the coordinates of I.  Each
@@ -274,12 +256,9 @@ def absolute_robustness(rho: DensityMatrix) -> SDPBracket:
     delta (see ``_ROUNDING``), so tr X + 4 delta bounds R from above at an x
     whose blocks passed it (X + delta I is feasible), and ``_dual_bound`` of
     the Z_a, which passed it in the same factorization, from below; the best
-    of each is kept.
-    ``newton_steps`` counts predictor-corrector iterations, and a
-    ``LinAlgError`` ends the solve.  ``converged``: the width met
-    ``SDP_GAP * (1 + s_upper)`` before a stop.
+    of each is kept.  The solve stops at width ``SDP_GAP * (1 + s_upper)``,
+    or at a ``LinAlgError``.
     """
-    rho_pt = partial_transpose_matrix(rho.matrix)
     offset, scale = np.stack([np.zeros((4, 4)), np.zeros((4, 4)), rho_pt]), np.abs(rho_pt).max()
     x, z = _SDP_C, _SDP_Z0                                # X = I, Z_a = I/2
     upper, lower, best, steps = 2.0 * x[0], 0.0, x, 0     # X = I is feasible exactly; R >= 0 always
@@ -312,39 +291,52 @@ def absolute_robustness(rho: DensityMatrix) -> SDPBracket:
             # kept Hermitian: unsymmetrized, the rounding of G stalls 11 of the 40 Bures states of seeds 0-39
             z, steps = 0.5 * (z + z.conj().swapaxes(1, 2)), steps + 1
     X = (best @ _PAULI_BASIS.reshape(16, 16)).reshape(4, 4)
-    return SDPBracket(s_lower=float(lower), s_upper=float(upper), direction=X / np.trace(X).real,
-                      duality_gap=float(upper - lower), newton_steps=steps,
-                      converged=bool(upper - lower <= SDP_GAP * (1.0 + upper)))
+    return lower, upper, X / np.trace(X).real, steps
+
+
+def absolute_robustness(rho: np.ndarray, s_formula: np.ndarray):
+    """``(results, errors)`` for an (N, 4, 4) stack of states with closed-form
+    values ``s_formula`` (NaN where none): one stacked PPT test, ``_sdp`` on
+    each entry that fails it, and one ``relative_robustness_stack`` along the
+    SDP directions, each also validated as a ``DensityMatrix``.  ``results[i]``
+    is an ``OracleResult``, or None where ``errors[i]`` holds the entry's
+    crossing or validation error; a failing entry does not stop the others.
+    ``converged``: the SDP met ``SDP_GAP * (1 + s_upper)`` before a stop."""
+    ppt = ppt_min_eig(rho) >= -PPT_CUT
+    npt = np.flatnonzero(~ppt)
+    solved = [_sdp(m) for m in partial_transpose_matrix(rho[npt])]   # one solve per entry
+    directions = np.array([direction for _, _, direction, _ in solved]).reshape(-1, 4, 4)
+    s_best, crossing_errors = relative_robustness_stack(rho[npt], directions)
+    results, errors = [None] * len(rho), [None] * len(rho)
+    for i in np.flatnonzero(ppt):
+        results[i] = OracleResult(s_best=0.0, best_direction=DensityMatrix._by_construction(rho[i]),
+                                  evaluations=1, converged=True, gap_to_formula=float(s_formula[i]),
+                                  s_lower=0.0, s_upper=0.0, duality_gap=0.0, newton_steps=0)
+    for i, (lower, upper, direction, steps), s, error in zip(npt, solved, s_best.tolist(), crossing_errors):
+        if error is None:
+            try:
+                best = DensityMatrix(direction)
+            except ValidationError as exc:
+                error = exc
+        errors[i] = error
+        if error is None:
+            results[i] = OracleResult(s_best=s, best_direction=best, evaluations=1,
+                                      converged=bool(upper - lower <= SDP_GAP * (1.0 + upper)),
+                                      gap_to_formula=float(s_formula[i]) - s, s_lower=float(lower),
+                                      s_upper=float(upper), duality_gap=float(upper - lower), newton_steps=steps)
+    return results, errors
 
 
 def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int = 0, *,
                                  tolerances: Tolerances = DEFAULT) -> OracleResult:
-    """Absolute robustness of ``rho``: ``s_best`` is the PPT-verified
-    crossing along the direction X/tr X of ``absolute_robustness``, whose
-    certified lower bound is ``s_lower``.  ``relative_robustness_stack``
-    locates it with the postcondition of ``bisect_relative_robustness``, whose
-    errors it raises.  ``gap_to_formula`` is s_formula - s_best for the closed
-    form of ``robustness``, NaN where the state is rank deficient; any other
-    decomposition error is raised.
-    ``budget`` and ``seed`` are accepted for older callers and do nothing.
-    """
+    """The N = 1 run of ``absolute_robustness`` on ``rho``, with the closed
+    form of ``robustness`` as its s_formula (NaN where the state is rank
+    deficient); the entry's error, or any other decomposition error, is
+    raised.  ``budget`` and ``seed`` are accepted for older callers only."""
     certs = robustness_stack(rho.matrix[None], tolerances)
     if certs.errors[0] is not None and not isinstance(certs.errors[0], RankDeficient):
         raise certs.errors[0]
-    return _minimize(rho, float(certs.s[0]))
-
-
-def _minimize(rho: DensityMatrix, s_formula: float) -> OracleResult:
-    """``minimize_absolute_robustness`` of ``rho``, whose closed-form value
-    ``s_formula`` (NaN without one) enters only ``gap_to_formula``."""
-    if ppt_min_eig(rho.matrix) >= -PPT_CUT:
-        return OracleResult(s_best=0.0, best_direction=rho, evaluations=1, converged=True,
-                            gap_to_formula=s_formula, s_lower=0.0, duality_gap=0.0, newton_steps=0)
-    bracket = absolute_robustness(rho)
-    (s_best,), (error,) = relative_robustness_stack(rho.matrix[None], bracket.direction[None])
+    (result,), (error,) = absolute_robustness(rho.matrix[None], certs.s)
     if error is not None:
         raise error
-    return OracleResult(s_best=float(s_best), best_direction=DensityMatrix(bracket.direction), evaluations=1,
-                        converged=bracket.converged, gap_to_formula=s_formula - float(s_best),
-                        s_lower=bracket.s_lower, duality_gap=bracket.duality_gap,
-                        newton_steps=bracket.newton_steps)
+    return result

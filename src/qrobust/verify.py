@@ -321,7 +321,7 @@ def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances
         "rho_pp_concurrence": (entangled(conc[1]), tol.pseudomixture),
         "rho_pp_rank": (entangled(rank[1] - 2), 0),
         "separable_at_s": (entangled(conc[2]), tol.pseudomixture),     # entanglement dies at s
-        "npt_before_s": (entangled(_flag(min_eig[2 * n:] >= -tol.ppt)), 0.0),   # and not before
+        "npt_before_s": (entangled(_flag(min_eig[2 * n:] >= -oracle.PPT_CUT)), 0.0),   # and not before
         "entangled_before_s": (entangled(_flag(conc[3] <= 0.0)), 0.0),
         "crossing": (np.abs(s_bisection - s), tol.bisect_formula),          # along rho''
         "k_at_least_1": (entangled(1.0 - k[ent].min(axis=-1)), tol.defining_relation),   # so s >= C
@@ -368,7 +368,9 @@ def _audit(rho: states.DensityMatrix, certs: CertificateStack, run, tolerances: 
     report = {"s_formula": float(certs.s[0]), "s_bisection": float(s_bisection[0]), "checks": verdicts,
               "passed": all(verdict["passed"] for verdict in verdicts.values())}
     if with_oracle:
-        result = oracle._minimize(rho, float(certs.s[0]))
+        (result,), (error,) = oracle.absolute_robustness(rho.matrix[None], certs.s)
+        if error is not None:
+            raise error
         report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
                             "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
     return report

@@ -3,7 +3,7 @@
 import numpy as np
 
 from qrobust import states, verify
-from qrobust.oracle import PPT_CUT
+from qrobust.oracle import _BRACKET_CAP, CROSSING_WIDTH, PPT_CUT
 from qrobust.states import SIGMA_YY, DensityMatrix, ppt_min_eig, werner
 
 
@@ -24,6 +24,24 @@ def werner_boundary():
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bisect_from_cap(rho, sigma):
+    """The crossing of the oracle's fallback for one raw state and direction,
+    by one-point-at-a-time halving of [0, 2^16] until the bracket is
+    CROSSING_WIDTH*(1 + hi) wide: its PPT end hi, or NaN when the mixture at
+    the cap fails the PPT test.  The reference every fallback crossing must
+    equal bit for bit."""
+    def ppt(s):
+        return ppt_min_eig((rho + s * sigma) / (1.0 + s)) >= -PPT_CUT
+
+    if not ppt(_BRACKET_CAP):
+        return float("nan")
+    lo, hi = 0.0, _BRACKET_CAP
+    while hi - lo > CROSSING_WIDTH * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if ppt(mid) else (mid, hi)
+    return hi
 
 
 def rank_two_state(p):

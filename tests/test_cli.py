@@ -203,16 +203,19 @@ def test_analyze_oracle_runs_the_certificate_checks_once(tmp_path, monkeypatch, 
 
 def test_each_crossing_is_located_once(tmp_path, monkeypatch):
     # analyze --oracle: the crossing along rho'' and the one along the SDP
-    # direction; sample --oracle: the chunk's crossings and one per NPT row
+    # direction; sample --oracle: per chunk, one stacked call along the rho''
+    # and one along the SDP directions of its NPT rows
     state = tmp_path / "bell.json"
     write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
     calls = _counting(monkeypatch, oracle, "relative_robustness_stack")
     assert main(["analyze", "--in", str(state), "--oracle", "--out", str(tmp_path / "r.json")]) == 0
-    assert sum(len(args[0]) for args in calls) == 2
-    calls.clear()
-    assert main(["sample", "--ensemble", "ginibre", "--n", "6", "--seed", "0", "--oracle",
-                 "--out", str(tmp_path / "o.csv")]) == 0
-    assert sum(len(args[0]) for args in calls) == 12
+    assert sum(len(args[0]) for args in calls) == 2 and len(calls) == 2
+    argv = ["sample", "--ensemble", "ginibre", "--n", "6", "--seed", "0", "--oracle", "--out", str(tmp_path / "o.csv")]
+    for chunk, stacked in ((cli._SAMPLE_CHUNK, 2), (3, 4)):
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
+        calls.clear()
+        assert main(argv) == 0
+        assert sum(len(args[0]) for args in calls) == 12 and len(calls) == stacked
 
 
 def _reject_constant(name):
@@ -416,6 +419,19 @@ def test_sample_oracle_columns_are_the_public_search(tmp_path, ensemble, seed, n
         assert rows[9626 - seed][-1] == "nan" and rows[9626 - seed][7] == "nan"
 
 
+@pytest.mark.parametrize("ensemble, seed", [("ginibre", 0), ("bures", 9624)])
+def test_sample_oracle_chunks_are_the_public_search(tmp_path, monkeypatch, ensemble, seed):
+    # one oracle pass per chunk of 3: each row is the N = 1 run on its state
+    monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 3)
+    out = tmp_path / "oracle.csv"
+    assert main(["sample", "--ensemble", ensemble, "--n", "7", "--seed", str(seed), "--oracle", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 7
+    for i, row in enumerate(rows):
+        result = oracle.minimize_absolute_robustness(sample_state(ensemble, seed + i))
+        assert row[-2:] == [repr(result.s_best), repr(result.gap_to_formula)]
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--ensemble", "ginibre", "--n", "0"],
     ["sample", "--ensemble", "ginibre", "--n", "2", "--seed", "-1"],
@@ -443,6 +459,15 @@ def test_verify_zero_tolerance_fails(monkeypatch, capsys):
     monkeypatch.setenv("QROBUST_TOL", "0")
     assert main(["verify", "--corpus", "5", "--seed", "0"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_verify_passes_at_large_tolerance_scales(monkeypatch, capsys):
+    # a larger factor never turns a pass into a failure: the not-PPT-before-s
+    # check reads the oracle's fixed PPT cut, not the scaled ppt bound
+    for scale in ("1e9", "1e12"):
+        monkeypatch.setenv("QROBUST_TOL", scale)
+        assert main(["verify", "--corpus", "5", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.endswith("14/14 property groups passed\n")
 
 
 def test_state_written_by_param_round_trips(tmp_path):
@@ -710,6 +735,29 @@ def test_sample_crossing_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, c
     assert main([*argv, "--out", str(failed)]) == 1
     assert failed.read_text().splitlines() == clean.read_text().splitlines()[:failing_index + 1]
     assert capsys.readouterr().err == "error: injected\n"
+
+
+def test_sample_oracle_crossing_failure_keeps_the_earlier_rows(tmp_path, monkeypatch, capsys):
+    # an entangled SDP direction at one row of the second chunk: its crossing
+    # fails, the rows before it are written, then one error line and exit 1
+    monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 3)
+    argv = ["sample", "--ensemble", "ginibre", "--n", "7", "--seed", "4", "--oracle"]
+    clean = tmp_path / "clean.csv"
+    assert main([*argv, "--out", str(clean)]) == 0
+    target = states.partial_transpose_matrix(sample_state("ginibre", 8).matrix)
+    real = oracle._sdp
+
+    def injected(rho_pt):
+        lower, upper, direction, steps = real(rho_pt)
+        if np.array_equal(rho_pt, target):                  # the state itself, which is NPT
+            direction = states.partial_transpose_matrix(rho_pt)
+        return lower, upper, direction, steps
+
+    monkeypatch.setattr(oracle, "_sdp", injected)
+    failed = tmp_path / "failed.csv"
+    assert main([*argv, "--out", str(failed)]) == 1
+    assert failed.read_text().splitlines() == clean.read_text().splitlines()[:5]
+    assert re.fullmatch(r"error: direction has PT eigenvalue -\d\.\d{3}e-\d\d\n", capsys.readouterr().err)
 
 
 def test_analyze_oracle_crossing_failure_exits_1(tmp_path, monkeypatch, capsys):

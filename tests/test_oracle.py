@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ginibre_states, rank_two_state, rotate_locally, werner_boundary
+from conftest import bisect_from_cap, ginibre_states, rank_two_state, rotate_locally, werner_boundary
 from qrobust import decompose
 from qrobust import oracle as oracle_module
 from qrobust.oracle import (
@@ -125,6 +125,33 @@ class TestBisection:
         assert fallbacks == [1]
         with pytest.raises(ImproperDirection):
             bisect_relative_robustness(werner(1.0 - 1.2e-5), UP_UP)
+
+    def test_fallback_opens_at_the_cap_and_at_one(self, monkeypatch):
+        # one stacked PPT test at 2^16 and at 1 opens the search, so Werner 0.5
+        # toward I/4 (crossing 0.5) starts from [0, 1]: 34 PPT calls where the
+        # 16 halvings down to [0, 1] made 50
+        calls = []
+        ppt_along = oracle_module._ppt_along
+        monkeypatch.setattr(oracle_module, "_ppt_along", lambda *args: calls.append(args) or ppt_along(*args))
+        (s,) = bisect_stack(werner(0.5).matrix[None], MIXED.matrix[None])
+        assert len(calls) == 34 and abs(s - 0.5) <= CROSSING_WIDTH * 1.5
+
+    def test_fallback_crossings_equal_the_reference_halving(self):
+        # crossings below 1, between 1 and the cap, past it (NaN), along I/4,
+        # rho'', |uu><uu| and random product mixtures: each entry, alone and
+        # stacked, is the one-point-at-a-time halving from the cap, bit for bit
+        rng = np.random.default_rng(3)
+        pairs = [(werner(0.5), MIXED), (SINGLET, MIXED), (BELL_07, robustness(BELL_07).rho_pp),
+                 (werner(1.0 - 1e-3), UP_UP), (werner(1.0 - 2e-5), UP_UP), (SINGLET, UP_UP)]
+        for rho in ginibre_states(12):
+            if not is_separable_ppt(rho)[0]:
+                pairs += [(rho, MIXED), (rho, DensityMatrix(_product_mixtures(*random_mixture(rng))))]
+        rho, sigma = (np.array([pair[k].matrix for pair in pairs]) for k in (0, 1))
+        reference = np.array([bisect_from_cap(r, d) for r, d in zip(rho, sigma)])
+        alone = np.array([bisect_stack(rho[i:i + 1], sigma[i:i + 1])[0] for i in range(len(pairs))])
+        assert np.array_equal(bisect_stack(rho, sigma), reference, equal_nan=True)
+        assert np.array_equal(alone, reference, equal_nan=True)
+        assert np.sum(reference < 1.0) >= 20 and np.sum(reference > 1.0) >= 4 and np.isnan(reference[5])
 
     def test_bracket_past_the_crossing_is_rejected(self, monkeypatch):
         # a Newton point past the crossing puts both ends of its bracket on
@@ -255,6 +282,14 @@ def pure_state(theta, rng=None):
     return rho if rng is None else rotate_locally(rho, rng)
 
 
+def oracle_results(*rhos):
+    """``absolute_robustness`` of the states ``rhos`` as one stack, with no
+    closed form: one ``OracleResult`` per state, each without an error."""
+    results, errors = absolute_robustness(np.array([rho.matrix for rho in rhos]), np.full(len(rhos), np.nan))
+    assert errors == [None] * len(rhos)
+    return results
+
+
 class TestAbsoluteRobustness:
     def test_brackets_known_values(self):
         # R = C on Bell-diagonal states, (3p - 1)/2 on Werner states and
@@ -263,8 +298,7 @@ class TestAbsoluteRobustness:
         known = [(BELL_07, 0.4), (SINGLET, 1.0), (werner(0.5), 0.25), (werner(0.8), 0.7)]
         for theta in rng.uniform(0.05, math.pi / 4, 4):
             known.append((pure_state(theta, rng), abs(math.sin(2.0 * theta))))
-        for rho, value in known:
-            bracket = absolute_robustness(rho)
+        for (rho, value), bracket in zip(known, oracle_results(*(rho for rho, _ in known))):
             assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
             # degenerate optima: the QR-factored Newton solve still reaches the target
             assert bracket.converged and bracket.duality_gap <= SDP_GAP * (1.0 + bracket.s_upper)
@@ -273,18 +307,16 @@ class TestAbsoluteRobustness:
     def test_rank_two_family(self, p):
         # R = p^2/(4(1 - p)), reached along the product noise |10><10|
         rho, value = rank_two_state(p), p * p / (4.0 * (1.0 - p))
-        bracket = absolute_robustness(rho)
+        (bracket,) = oracle_results(rho)
         assert bracket.converged and bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
         (s,), errors = relative_robustness_stack(rho.matrix[None], np.diag([0.0, 0.0, 1.0, 0.0])[None])
         assert errors == [None] and abs(s - value) <= CROSSING_WIDTH * (1.0 + value)
 
     def test_ginibre_corpus_bounds(self):
-        entangled = 0
-        for rho in ginibre_states(25):
-            if is_separable_ppt(rho)[0]:
-                continue
-            entangled += 1
-            bracket = absolute_robustness(rho)
+        # the stacked run and each state's N = 1 run agree
+        corpus = [rho for rho in ginibre_states(25) if not is_separable_ppt(rho)[0]]
+        entangled = len(corpus)
+        for rho, bracket in zip(corpus, oracle_results(*corpus)):
             result = minimize_absolute_robustness(rho)
             assert bracket.converged
             assert bracket.s_upper >= negativity(rho)                      # Vidal & Werner
@@ -292,6 +324,7 @@ class TestAbsoluteRobustness:
             assert bracket.s_lower <= result.s_best
             assert result.s_best <= bracket.s_upper + CROSSING_WIDTH * (1.0 + bracket.s_upper)
             assert result.s_lower == bracket.s_lower and result.converged
+            assert result.s_best == bracket.s_best and result.s_upper == bracket.s_upper
         assert entangled >= 20
 
     def test_singular_newton_system_keeps_the_best_bracket(self, monkeypatch):
@@ -308,7 +341,7 @@ class TestAbsoluteRobustness:
             return qr(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", failing)
-        bracket = absolute_robustness(pure_state(0.5))
+        (bracket,) = oracle_results(pure_state(0.5))
         assert len(calls) == 5 and bracket.newton_steps == 4
         assert 0.0 < bracket.s_lower <= math.sin(1.0) <= bracket.s_upper < math.inf
         assert not bracket.converged
@@ -324,15 +357,14 @@ class TestAbsoluteRobustness:
                  (werner(1.0 / 3.0 + eps), 1.5 * eps),
                  (DensityMatrix((1.0 - eps) * phi + eps * np.eye(4) / 4.0), 1.0 - 1.5 * eps)]
         cases += [(rho, None) for rho in ginibre_states(25) if not is_separable_ppt(rho)[0]]
-        for rho, value in cases:
-            bracket = absolute_robustness(rho)
+        for (rho, value), bracket in zip(cases, oracle_results(*(rho for rho, _ in cases))):
             assert bracket.converged, bracket
             assert value is None or bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
             assert bracket.newton_steps <= 25, bracket
 
     def test_unreachable_gap_target_is_not_converged(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "SDP_GAP", 0.0)
-        bracket = absolute_robustness(BELL_07)
+        (bracket,) = oracle_results(BELL_07)
         assert not bracket.converged
         assert bracket.s_lower <= 0.4 <= bracket.s_upper
 
@@ -349,8 +381,7 @@ class TestAbsoluteRobustness:
         for theta in rng.uniform(0.05, math.pi / 4, 4):
             known.append((pure_state(theta, rng), abs(math.sin(2.0 * theta))))
         monkeypatch.setattr(oracle_module, "SDP_GAP", 0.0)
-        for rho, value in known:
-            bracket = absolute_robustness(rho)
+        for (rho, value), bracket in zip(known, oracle_results(*(rho for rho, _ in known))):
             assert bracket.s_lower <= value <= bracket.s_upper, (value, bracket)
 
     def test_dual_bound_is_a_proof_for_any_psd_triple(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ginibre_states
+from conftest import ginibre_states, rank_two_state
 from test_wootters import TIED_WEIGHTS
 from qrobust import decompose, wootters
 from qrobust.coset import CosetParams, _k_stack, density_from_params
@@ -162,6 +162,16 @@ class TestRobustnessCertificate:
         k = _k_stack(np.array(list(angles.values())))
         expected = 0.5 * min(k[1] + k[2], k[1] + k[3], k[2] + k[3])
         assert abs(ratios[0] - expected) <= 1e-8
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_closed_form_diverges_next_to_the_rank_two_family(self, eps):
+        # (1 - eps) rho_{1/2} + eps I/4 is full rank, with C -> 1/2 and R -> 1/8,
+        # but its largest K grows as 1/sqrt(2 eps), so s_formula ~ 1/(4 sqrt(2 eps))
+        rho = DensityMatrix((1.0 - eps) * rank_two_state(0.5).matrix + eps * np.eye(4) / 4.0)
+        cert = robustness(rho)
+        k_max, s = cert.decomposition.k_norm.max() * np.sqrt(eps), cert.s * np.sqrt(eps)
+        assert abs(k_max * np.sqrt(2.0) - 1.0) <= 1e-3, k_max
+        assert abs(s * 4.0 * np.sqrt(2.0) - 1.0) <= 1e-3, s
 
     def test_report_round_trip(self):
         import json

@@ -118,6 +118,18 @@ def test_verify_certificate_fails_the_check_its_group_fails(monkeypatch):
     assert not report["passed"]
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_raised_s_fails_npt_before_s_at_any_tolerance_scale(scale):
+    # npt_before_s reads the oracle's fixed PPT cut: at 0.999 of an s raised
+    # by 1% every entangled state's mixture is already PPT, at every scale
+    corpus = verify.Corpus(20)
+    raised = dataclasses.replace(corpus.certificates, s=corpus.certificates.s * 1.01)
+    checks, _, errors = verify.certificate_checks(corpus.ginibre, raised, DEFAULT.scaled(scale))
+    residual, bound = checks["npt_before_s"]
+    entangled = raised.s != 0.0
+    assert np.sum(entangled) >= 10 and np.all(residual[entangled] == 1.0) and bound == 0.0
+
+
 def _failed_audit(matrices, certs):
     """Entry errors and names of failed checks of one ``certificate_checks`` run on a stack."""
     checks, _, errors = verify.certificate_checks(matrices, certs, DEFAULT)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -97,21 +96,25 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
-        (result,), (error,) = oracle.absolute_robustness(rho.matrix[None], certs.s)
+        _, (result,), (error,) = verify.oracle_pass(rho.matrix[None], certs, with_sdp=True)
         if error is not None:
             raise error
         report["method"] = "oracle_estimate"
         report["oracle"] = {**result.to_report(), "note": str(exc)}
         return report, EXIT_OK
-    run = verify.certificate_checks(rho.matrix[None], certs, tol)
-    residual = {name: float(values[0]) for name, (values, _) in run[0].items()}
+    if run_oracle:
+        audit = verify.verify_certificate(rho, cert, oracle=True, tolerances=tol)
+        residual = {name: check["residual"] for name, check in audit["checks"].items()}
+    else:   # the plain report does not read the run's errors
+        checks = verify.certificate_checks(rho.matrix[None], certs, tol)[0]
+        residual = {name: float(values[0]) for name, (values, _) in checks.items()}
     report = {"decomposition": cert.decomposition.to_report(), "method": "closed_form",
               "certificate": {**cert.to_report(), "residuals": {
                   "pseudomixture": residual["pseudomixture"], "plane": residual["plane"],
                   "ppt_min_eig_rho_p": -residual["rho_p_separable"],
                   "ppt_min_eig_rho_pp": -residual["rho_pp_separable"]}}}
     if run_oracle:
-        report["verification"] = verify._audit(rho, certs, run, tol, with_oracle=True)
+        report["verification"] = audit
     return report, EXIT_OK
 
 
@@ -145,38 +148,27 @@ def _sample_rows(args, tol):
 
 def _sample_chunk(args, tol, indices):
     """Rows for ``indices``: the states drawn as one stack, each from its own
-    seed, then one stacked certificate, one stacked crossing and with
-    ``--oracle`` one ``oracle.absolute_robustness`` pass for the whole chunk.
-    Rows before an entry that fails are still yielded; its closed-form or
-    crossing error is raised then, before its oracle error."""
+    seed, then one stacked certificate and one ``verify.oracle_pass``, with
+    the SDP under ``--oracle``, for the whole chunk.  Rows before an entry
+    that fails are still yielded; the pass's error of that entry is raised
+    then (a rank-deficient entry has none and writes its nan row)."""
     drawn = states.sample_stack(args.ensemble, [args.seed + i for i in indices], tol)
     matrices = drawn.matrices
-    if len(matrices):
-        certs = robustness_stack(matrices, tol)
-        decomp = certs.decomposition
-        # a rank-deficient entry writes its nan row; any other error ends the rows
-        errors = [None if isinstance(e, RankDeficient) else e for e in certs.errors]
-        has_cert = np.array([e is None for e in certs.errors], dtype=bool)
-        s_bisection = np.full(len(matrices), math.nan)
-        s_bisection[has_cert], crossing_errors = oracle.relative_robustness_stack(
-            matrices[has_cert], certs.rho_pp[has_cert])
-        for j, error in zip(np.flatnonzero(has_cert), crossing_errors):
-            errors[j] = error
+    certs = robustness_stack(matrices, tol)
+    decomp = certs.decomposition
+    s_bisection, found, errors = verify.oracle_pass(matrices, certs, with_sdp=args.oracle)
+    min_pair = _min_pair(decomp.k_norm)[1]   # nan where a pair holds an undefined K_i
+    for j, i in enumerate(indices[:len(matrices)]):
+        if errors[j] is not None:
+            raise errors[j]
+        k = decomp.k_norm[j]
+        row = [str(i), _fmt(decomp.concurrence[j]), _fmt(k[0]), _fmt(k[1]), _fmt(k[2]), _fmt(k[3]),
+               _fmt(min_pair[j]), _fmt(certs.s[j]), _fmt(s_bisection[j])]
+        if drawn.k_agreement is not None:
+            row.append(_fmt(drawn.k_agreement[j]))
         if args.oracle:
-            found, oracle_errors = oracle.absolute_robustness(matrices, certs.s)
-            errors = [error or oracle_error for error, oracle_error in zip(errors, oracle_errors)]
-        min_pair = _min_pair(decomp.k_norm)[1]   # nan where a pair holds an undefined K_i
-        for j, i in enumerate(indices[:len(matrices)]):
-            if errors[j] is not None:
-                raise errors[j]
-            k = decomp.k_norm[j]
-            row = [str(i), _fmt(decomp.concurrence[j]), _fmt(k[0]), _fmt(k[1]), _fmt(k[2]), _fmt(k[3]),
-                   _fmt(min_pair[j]), _fmt(certs.s[j]), _fmt(s_bisection[j])]
-            if drawn.k_agreement is not None:
-                row.append(_fmt(drawn.k_agreement[j]))
-            if args.oracle:
-                row += [_fmt(found[j].s_best), _fmt(found[j].gap_to_formula)]
-            yield row
+            row += [_fmt(found[j].s_best), _fmt(found[j].gap_to_formula)]
+        yield row
     if drawn.error is not None:
         raise states.ValidationError(f"seed {args.seed + indices[len(matrices)]}: "
                                      f"generated state failed validation: {drawn.error}")

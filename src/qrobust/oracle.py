@@ -171,6 +171,8 @@ def relative_robustness_stack(rho: np.ndarray, sigma: np.ndarray):
     estimate polished by one Newton step, verified by one stacked PPT test of
     the mixtures at 0, lo and hi (hi - lo <= CROSSING_WIDTH*(1+hi) brackets
     the Newton point); an entry whose bracket fails it goes to ``_bisect``."""
+    if not len(rho):                                      # no PPT call for no entry
+        return np.empty(0), []
     direction_eig = ppt_min_eig(sigma)
     errors = [None if e >= -PPT_CUT else NotSeparableDirection(f"direction has PT eigenvalue {e:.3e}")
               for e in direction_eig.tolist()]

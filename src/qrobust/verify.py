@@ -3,11 +3,11 @@
 Each group is the one implementation of one family of invariants: a pass
 over (N, 4, 4) stacks drawn from a seeded corpus that reports the worst
 residual against the tolerance field that names it.  ``qrobust verify`` runs
-every group on one shared corpus; the tests call the same groups at their
-own corpus sizes.  Any exception inside a group counts as a failure of that
-group, so a broken kernel or a zeroed tolerance record surfaces as named
-failing properties rather than a crash.  The certificate group's checks
-(``certificate_checks``) also run on one state, as ``verify_certificate``.
+every group on one shared corpus, the tests at their own sizes; an exception
+inside a group fails that group, so a broken kernel or a zeroed tolerance
+record shows as named failing properties, not a crash.  ``oracle_pass`` is
+the one run of the crossings and the SDP, for ``sample``, ``analyze`` and the
+``certificate_checks`` of the certificate group and ``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import coset, oracle, states, wootters
 from .numerics import hermitian_eig_stack, takagi_stack
-from .robustness import (_VERTEX_COLUMNS, CertificateStack, RobustnessCertificate, _min_pair, _plane_robustness,
-                         robustness_stack)
+from .robustness import (_VERTEX_COLUMNS, CertificateStack, RankDeficient, RobustnessCertificate, _min_pair,
+                         _plane_robustness, robustness_stack)
 from .tolerances import DEFAULT, Tolerances
 
 _EYE = np.eye(4)
@@ -272,17 +272,37 @@ def _check_local_unitary(corpus: Corpus) -> PropertyResult:
     ], entry)
 
 
-def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances):
+def oracle_pass(rho: np.ndarray, certs: CertificateStack, *, with_sdp: bool):
+    """The one oracle pass over states ``rho`` (N, 4, 4) and their ``certs``:
+    ``(s_bisection, results, errors)``.  One stacked crossing along every
+    rho'' (NaN where ``certs`` holds an error) and, ``with_sdp``, one
+    ``oracle.absolute_robustness`` run (else ``results`` holds None).
+    ``errors[i]`` is entry i's first error: its decomposition's
+    (``RankDeficient`` is none), then its crossing's, then its oracle's."""
+    errors = [None if isinstance(e, RankDeficient) else e for e in certs.errors]
+    has_cert = np.array([e is None for e in certs.errors], dtype=bool)
+    s_bisection = np.full(len(rho), math.nan)
+    s_bisection[has_cert], crossing_errors = oracle.relative_robustness_stack(rho[has_cert], certs.rho_pp[has_cert])
+    for i, error in zip(np.flatnonzero(has_cert), crossing_errors):
+        errors[i] = error
+    results = oracle_errors = [None] * len(rho)
+    if with_sdp:
+        results, oracle_errors = oracle.absolute_robustness(rho, certs.s)
+    return s_bisection, results, [error or oracle_error for error, oracle_error in zip(errors, oracle_errors)]
+
+
+def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances, *, with_sdp: bool = False):
     """Every check of the certificates ``certs`` of the states ``rho`` (N, 4, 4),
-    none of them failed: ``(checks, s_bisection, errors)``.
+    none of them failed: ``(checks, s_bisection, results, errors)``.
 
     ``checks`` maps each check's name to its residuals, one per entry, and its
-    bound; ``s_bisection`` holds the PPT crossings along each rho''; and
-    ``errors[i]`` is a library error of entry i (a mixture that fails the
-    state checks, or a decomposition or crossing that fails), or None.  An
-    entry's residuals mean something only when its error is None.  A
-    separable entry has the degenerate certificate (s = 0, rho' = rho), and
-    the checks of the entanglement a certificate removes read 0 on it.
+    bound; ``s_bisection``, ``results`` and ``errors`` are the ``oracle_pass``
+    of the stack, and ``errors[i]`` also takes, after the pass's, a mixture
+    along entry i's rho'' that fails the state checks or a decomposition of
+    the certificate's states that fails.  An entry's residuals mean something
+    only when its error is None.  A separable entry has the degenerate
+    certificate (s = 0, rho' = rho), and the checks of the entanglement a
+    certificate removes read 0 on it.
     """
     s, rho_p, rho_pp, lam_p = certs.s, certs.rho_p, certs.rho_pp, certs.rho_p_coords
     k, c = certs.decomposition.k_norm, certs.decomposition.concurrence
@@ -293,7 +313,7 @@ def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances
         out[ent] = residual
         return out
 
-    s_bisection, errors = oracle.relative_robustness_stack(rho, rho_pp)
+    s_bisection, results, errors = oracle_pass(rho, certs, with_sdp=with_sdp)
     ts = np.stack((s[ent], 0.999 * s[ent]))[:, :, None, None]
     at, before = (rho[ent] + ts * rho_pp[ent]) / (1.0 + ts)            # at s, and just before it
     failure = states._density_failure(np.concatenate((at, before)), tol)
@@ -325,13 +345,13 @@ def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances
         "entangled_before_s": (entangled(_flag(conc[3] <= 0.0)), 0.0),
         "crossing": (np.abs(s_bisection - s), tol.bisect_formula),          # along rho''
         "k_at_least_1": (entangled(1.0 - k[ent].min(axis=-1)), tol.defining_relation),   # so s >= C
-    }, s_bisection, errors
+    }, s_bisection, results, errors
 
 
 def _check_certificates(corpus: Corpus) -> PropertyResult:
     certs, seeds = corpus.certificates, corpus.seeds("ginibre")
     _raise_first(certs.errors, seeds)
-    checks, _, errors = certificate_checks(corpus.ginibre, certs, corpus.tol)
+    checks, _, _, errors = certificate_checks(corpus.ginibre, certs, corpus.tol)
     _raise_first(errors, seeds)
     return _result("robustness certificates (soundness, boundary, pseudomixture)", list(checks.values()),
                    seeds, detail=f"{np.count_nonzero(certs.s)} entangled states")
@@ -340,37 +360,25 @@ def _check_certificates(corpus: Corpus) -> PropertyResult:
 def verify_certificate(rho: states.DensityMatrix, certificate: RobustnessCertificate, *,
                        oracle: bool = False, tolerances: Tolerances = DEFAULT) -> dict:
     """Machine-readable audit of one certificate: the N = 1 run of
-    ``certificate_checks``.  ``checks`` gives each named check's residual,
-    bound and verdict, and ``passed`` is their conjunction; with ``oracle``
-    the report adds the absolute-robustness bracket, reported but never
-    failed on.  An error of the run, such as a crossing's
-    ``NotSeparableDirection``, is raised.
+    ``certificate_checks``, with the SDP under ``oracle``.  ``checks`` gives
+    each named check's residual, bound and verdict, and ``passed`` is their
+    conjunction; with ``oracle`` the report adds the absolute-robustness
+    bracket, reported but never failed on.  The run's first error, such as a
+    crossing's ``NotSeparableDirection``, is raised.
     """
     stack = CertificateStack(
         s=np.array([certificate.s]), k_index=np.array([certificate.k_index]), rho_pp=certificate.rho_pp.matrix[None],
         rho_p=certificate.rho_p.matrix[None], rho_p_coords=certificate.rho_p_coords[None], errors=[None],
         decomposition=wootters.DecompositionStack(
             **{name: np.array([v]) for name, v in asdict(certificate.decomposition).items()}, errors=[None]))
-    return _audit(rho, stack, certificate_checks(rho.matrix[None], stack, tolerances), tolerances,
-                  with_oracle=oracle)
-
-
-def _audit(rho: states.DensityMatrix, certs: CertificateStack, run, tolerances: Tolerances, *,
-           with_oracle: bool) -> dict:
-    """``verify_certificate`` of ``rho`` from its N = 1 certificate stack
-    ``certs`` and the ``certificate_checks`` ``run`` of it; the oracle block
-    takes its ``s_formula`` from ``certs``."""
-    checks, s_bisection, errors = run
-    if errors[0] is not None:
-        raise errors[0]
+    checks, s_bisection, (result,), (error,) = certificate_checks(rho.matrix[None], stack, tolerances, with_sdp=oracle)
+    if error is not None:
+        raise error
     verdicts = {name: {"residual": float(residual[0]), "bound": float(bound), "passed": bool(residual[0] <= bound)}
                 for name, (residual, bound) in checks.items()}
-    report = {"s_formula": float(certs.s[0]), "s_bisection": float(s_bisection[0]), "checks": verdicts,
+    report = {"s_formula": float(certificate.s), "s_bisection": float(s_bisection[0]), "checks": verdicts,
               "passed": all(verdict["passed"] for verdict in verdicts.values())}
-    if with_oracle:
-        (result,), (error,) = oracle.absolute_robustness(rho.matrix[None], certs.s)
-        if error is not None:
-            raise error
+    if oracle:
         report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
                             "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
     return report

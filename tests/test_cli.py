@@ -203,13 +203,20 @@ def test_analyze_oracle_runs_the_certificate_checks_once(tmp_path, monkeypatch, 
 
 def test_each_crossing_is_located_once(tmp_path, monkeypatch):
     # analyze --oracle: the crossing along rho'' and the one along the SDP
-    # direction; sample --oracle: per chunk, one stacked call along the rho''
-    # and one along the SDP directions of its NPT rows
-    state = tmp_path / "bell.json"
+    # direction; analyze: the one along rho''; the rank-deficient fallback:
+    # none along rho'' (an empty stack) and the one along the SDP direction;
+    # sample --oracle: per chunk, one stacked call along the rho'' and one
+    # along the SDP directions of its NPT rows
+    state, singlet = tmp_path / "bell.json", tmp_path / "singlet.json"
     write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
+    write_state(werner(1.0), singlet)
     calls = _counting(monkeypatch, oracle, "relative_robustness_stack")
     assert main(["analyze", "--in", str(state), "--oracle", "--out", str(tmp_path / "r.json")]) == 0
     assert sum(len(args[0]) for args in calls) == 2 and len(calls) == 2
+    for path, entries in ((state, [1]), (singlet, [0, 1])):
+        calls.clear()
+        assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        assert [len(args[0]) for args in calls] == entries
     argv = ["sample", "--ensemble", "ginibre", "--n", "6", "--seed", "0", "--oracle", "--out", str(tmp_path / "o.csv")]
     for chunk, stacked in ((cli._SAMPLE_CHUNK, 2), (3, 4)):
         monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)

@@ -188,6 +188,13 @@ class TestBisection:
             assert stacked[i] == bisect_relative_robustness(rhos[i], directions[i])
         assert np.isnan(stacked[[1, 3]]).all()
 
+    def test_empty_stack_makes_no_ppt_test(self, monkeypatch):
+        # an all-PPT oracle stack and a rank-deficient fallback ask for no crossing
+        calls = []
+        monkeypatch.setattr(oracle_module, "ppt_min_eig", lambda m: calls.append(m))
+        stacked, errors = relative_robustness_stack(np.empty((0, 4, 4)), np.empty((0, 4, 4)))
+        assert stacked.shape == (0,) and errors == [] and calls == []
+
     def test_rejects_entangled_direction(self):
         with pytest.raises(NotSeparableDirection):
             bisect_relative_robustness(MIXED, SINGLET)
@@ -421,7 +428,7 @@ class TestVerifyCertificate:
     def test_corpus_passes(self):
         # each audit is the N = 1 run of the corpus run, bit for bit
         corpus = Corpus(20)
-        checks, s_bisection, errors = certificate_checks(corpus.ginibre, corpus.certificates, DEFAULT)
+        checks, s_bisection, _, errors = certificate_checks(corpus.ginibre, corpus.certificates, DEFAULT)
         assert errors == [None] * 20
         for i, rho in enumerate(ginibre_states(20)):
             report = verify_certificate(rho, robustness(rho))

@@ -13,7 +13,8 @@ import pytest
 
 from conftest import rotate_locally, werner_boundary
 from qrobust import oracle, states, verify
-from qrobust.robustness import _MIN_PAIR_COLUMNS, _MIN_PAIR_VERTEX, robustness_stack
+from qrobust.numerics import NumericalFailure
+from qrobust.robustness import _MIN_PAIR_COLUMNS, _MIN_PAIR_VERTEX, RankDeficient, robustness_stack
 from qrobust.states import ValidationError, ppt_min_eig, sample_state
 from qrobust.tolerances import DEFAULT
 
@@ -124,7 +125,7 @@ def test_raised_s_fails_npt_before_s_at_any_tolerance_scale(scale):
     # by 1% every entangled state's mixture is already PPT, at every scale
     corpus = verify.Corpus(20)
     raised = dataclasses.replace(corpus.certificates, s=corpus.certificates.s * 1.01)
-    checks, _, errors = verify.certificate_checks(corpus.ginibre, raised, DEFAULT.scaled(scale))
+    checks, _, _, errors = verify.certificate_checks(corpus.ginibre, raised, DEFAULT.scaled(scale))
     residual, bound = checks["npt_before_s"]
     entangled = raised.s != 0.0
     assert np.sum(entangled) >= 10 and np.all(residual[entangled] == 1.0) and bound == 0.0
@@ -132,7 +133,7 @@ def test_raised_s_fails_npt_before_s_at_any_tolerance_scale(scale):
 
 def _failed_audit(matrices, certs):
     """Entry errors and names of failed checks of one ``certificate_checks`` run on a stack."""
-    checks, _, errors = verify.certificate_checks(matrices, certs, DEFAULT)
+    checks, _, _, errors = verify.certificate_checks(matrices, certs, DEFAULT)
     return [e for e in errors if e is not None] + [n for n, (r, b) in checks.items() if not np.all(r <= b)]
 
 
@@ -156,6 +157,60 @@ def test_audit_passes_on_the_bell_decomposable_family():
     for vertex in _MIN_PAIR_VERTEX[sums != own]:
         moved = dataclasses.replace(certs, k_index=np.array([vertex]))
         assert _failed_audit(rho, moved) == ["minimal_pair"]
+
+
+def _pass_stack():
+    """Ginibre seeds 0-5, Bures seed 9626 (rank deficient, entry 6), I/4 and
+    werner(0.8), with their certificates."""
+    matrices = np.array([sample_state("ginibre", seed).matrix for seed in range(6)]
+                        + [sample_state("bures", 9626).matrix, np.eye(4) / 4.0, states.werner(0.8).matrix])
+    return matrices, robustness_stack(matrices)
+
+
+def _pass_bits(s_bisection, results, errors):
+    """An ``oracle_pass`` run as bytes and reprs, so NaN entries compare too."""
+    found = [None if r is None else [v.matrix.tobytes() if isinstance(v, states.DensityMatrix) else repr(v)
+                                     for v in vars(r).values()] for r in results]
+    return s_bisection.tobytes(), found, [repr(e) for e in errors]
+
+
+@pytest.mark.parametrize("with_sdp", [False, True])
+def test_oracle_pass_matches_each_entry_alone(with_sdp):
+    # each entry of the stacked pass is its N = 1 pass, bit for bit; the
+    # rank-deficient entry gets no crossing and no error
+    matrices, certs = _pass_stack()
+    s_bisection, results, errors = verify.oracle_pass(matrices, certs, with_sdp=with_sdp)
+    for i in range(len(matrices)):
+        alone = verify.oracle_pass(matrices[i:i + 1], robustness_stack(matrices[i:i + 1]), with_sdp=with_sdp)
+        assert _pass_bits(*alone) == _pass_bits(s_bisection[i:i + 1], results[i:i + 1], errors[i:i + 1]), i
+    assert isinstance(certs.errors[6], RankDeficient) and np.isnan(s_bisection[6])
+    assert errors == [None] * len(matrices) and np.isfinite(np.delete(s_bisection, 6)).all()
+    assert [r is not None for r in results] == [with_sdp] * len(matrices)
+
+
+def test_oracle_pass_reports_the_first_error_of_an_entry(monkeypatch):
+    # at entry 2: a decomposition error wins over a crossing error, and a
+    # crossing error over an oracle error
+    matrices, certs = _pass_stack()
+    real_crossing = oracle.relative_robustness_stack
+
+    def at_entry_2(real, error):
+        def injected(rho, other):
+            *values, errors = real(rho, other)
+            return (*values, [error if np.array_equal(m, matrices[2]) else e for m, e in zip(rho, errors)])
+        return injected
+
+    monkeypatch.setattr(oracle, "relative_robustness_stack",
+                        at_entry_2(real_crossing, oracle.ImproperDirection("crossing")))
+    monkeypatch.setattr(oracle, "absolute_robustness", at_entry_2(oracle.absolute_robustness, ValidationError("sdp")))
+    failed = dataclasses.replace(certs, errors=[NumericalFailure("decomposition") if i == 2 else e
+                                                for i, e in enumerate(certs.errors)])
+    runs = [verify.oracle_pass(matrices, failed, with_sdp=True), verify.oracle_pass(matrices, certs, with_sdp=True)]
+    monkeypatch.setattr(oracle, "relative_robustness_stack", real_crossing)
+    runs.append(verify.oracle_pass(matrices, certs, with_sdp=True))
+    for _, _, errors in runs:
+        assert errors[:2] + errors[3:] == [None] * (len(matrices) - 1)
+    assert [str(errors[2]) for _, _, errors in runs] == ["decomposition", "crossing", "sdp"]
 
 
 @pytest.mark.parametrize("field, group", [

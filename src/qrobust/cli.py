@@ -96,7 +96,7 @@ def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback
         if no_fallback:
             print(f"error: {exc}", file=sys.stderr)
             return report, EXIT_UNSUPPORTED
-        _, (result,), (error,) = verify.oracle_pass(rho.matrix[None], certs, with_sdp=True)
+        _, (result,), (error,) = oracle.oracle_pass(rho.matrix[None], certs, with_sdp=True)
         if error is not None:
             raise error
         report["method"] = "oracle_estimate"
@@ -148,7 +148,7 @@ def _sample_rows(args, tol):
 
 def _sample_chunk(args, tol, indices):
     """Rows for ``indices``: the states drawn as one stack, each from its own
-    seed, then one stacked certificate and one ``verify.oracle_pass``, with
+    seed, then one stacked certificate and one ``oracle.oracle_pass``, with
     the SDP under ``--oracle``, for the whole chunk.  Rows before an entry
     that fails are still yielded; the pass's error of that entry is raised
     then (a rank-deficient entry has none and writes its nan row)."""
@@ -156,7 +156,7 @@ def _sample_chunk(args, tol, indices):
     matrices = drawn.matrices
     certs = robustness_stack(matrices, tol)
     decomp = certs.decomposition
-    s_bisection, found, errors = verify.oracle_pass(matrices, certs, with_sdp=args.oracle)
+    s_bisection, found, errors = oracle.oracle_pass(matrices, certs, with_sdp=args.oracle)
     min_pair = _min_pair(decomp.k_norm)[1]   # nan where a pair holds an undefined K_i
     for j, i in enumerate(indices[:len(matrices)]):
         if errors[j] is not None:

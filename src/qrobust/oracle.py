@@ -5,11 +5,11 @@ partial transpose, so the relative robustness along any separable direction
 can be bracketed by PPT tests, and the absolute robustness is a small
 semidefinite program, solved here by a primal-dual interior-point method
 (about ten predictor-corrector iterations) with a certified lower and upper
-bound.  ``absolute_robustness``, the one oracle entry, makes one pass over a
-stack and gives one ``OracleResult`` per entry.  Nothing here reuses the
-closed form: its value enters only the reported difference
-``gap_to_formula``, which keeps the two routes independent.  The audit of
-one certificate against these routes is ``verify.verify_certificate``.
+bound.  ``oracle_pass``, the one stacked entry, runs both routes over a
+stack of states and their certificates.  Nothing here reuses the closed
+form: it enters only as data, the rho'' directions whose crossings are
+located and the s_formula behind ``gap_to_formula``, which keeps the routes
+independent.  The audit of one certificate is ``verify.verify_certificate``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .robustness import RankDeficient, robustness_stack
+from .robustness import CertificateStack, RankDeficient, robustness_stack
 from .states import DensityMatrix, ValidationError, partial_transpose_matrix, ppt_min_eig
 from .tolerances import DEFAULT, Tolerances
 
@@ -79,7 +79,7 @@ def _product_mixtures(weights: np.ndarray, bloch_angles: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class OracleResult:
-    """One entry of ``absolute_robustness``, the oracle's only result type:
+    """One entry of ``oracle_pass`` with the SDP, the oracle's only result type:
     the SDP's certified bracket s_lower <= R <= s_upper of width
     ``duality_gap``, and ``s_best``, the crossing along its direction
     ``best_direction`` (a PPT entry's own state); ``evaluations`` counts the
@@ -296,49 +296,64 @@ def _sdp(rho_pt: np.ndarray):
     return lower, upper, X / np.trace(X).real, steps
 
 
-def absolute_robustness(rho: np.ndarray, s_formula: np.ndarray):
-    """``(results, errors)`` for an (N, 4, 4) stack of states with closed-form
-    values ``s_formula`` (NaN where none): one stacked PPT test, ``_sdp`` on
-    each entry that fails it, and one ``relative_robustness_stack`` along the
-    SDP directions, each also validated as a ``DensityMatrix``.  ``results[i]``
-    is an ``OracleResult``, or None where ``errors[i]`` holds the entry's
-    crossing or validation error; a failing entry does not stop the others.
-    ``converged``: the SDP met ``SDP_GAP * (1 + s_upper)`` before a stop."""
-    ppt = ppt_min_eig(rho) >= -PPT_CUT
-    npt = np.flatnonzero(~ppt)
+def oracle_pass(rho: np.ndarray, certs: CertificateStack, *, with_sdp: bool):
+    """The one oracle pass over states ``rho`` (N, 4, 4) and their ``certs``:
+    ``(s_bisection, results, errors)``.  ``s_bisection[i]`` is the crossing
+    along entry i's rho'' (NaN where ``certs`` holds an error).  ``with_sdp``,
+    one stacked PPT test, ``_sdp`` on each entry that fails it, and an
+    ``OracleResult`` per entry in ``results`` (else None), whose SDP direction
+    is also validated as a ``DensityMatrix``; both routes' crossings are
+    located in one ``relative_robustness_stack`` call.  ``errors[i]`` is entry
+    i's first error: its decomposition's (``RankDeficient`` is none), then its
+    crossing's along rho'', then its oracle's; a failing entry does not stop
+    the others.  ``converged``: the SDP met ``SDP_GAP * (1 + s_upper)``."""
+    errors = [None if isinstance(e, RankDeficient) else e for e in certs.errors]
+    results, npt = [None] * len(rho), np.empty(0, dtype=int)
+    if with_sdp:
+        ppt = ppt_min_eig(rho) >= -PPT_CUT
+        npt = np.flatnonzero(~ppt)
+        for i in np.flatnonzero(ppt):
+            results[i] = OracleResult(s_best=0.0, best_direction=DensityMatrix._by_construction(rho[i]),
+                                      evaluations=1, converged=True, gap_to_formula=float(certs.s[i]),
+                                      s_lower=0.0, s_upper=0.0, duality_gap=0.0, newton_steps=0)
     solved = [_sdp(m) for m in partial_transpose_matrix(rho[npt])]   # one solve per entry
     directions = np.array([direction for _, _, direction, _ in solved]).reshape(-1, 4, 4)
-    s_best, crossing_errors = relative_robustness_stack(rho[npt], directions)
-    results, errors = [None] * len(rho), [None] * len(rho)
-    for i in np.flatnonzero(ppt):
-        results[i] = OracleResult(s_best=0.0, best_direction=DensityMatrix._by_construction(rho[i]),
-                                  evaluations=1, converged=True, gap_to_formula=float(s_formula[i]),
-                                  s_lower=0.0, s_upper=0.0, duality_gap=0.0, newton_steps=0)
-    for i, (lower, upper, direction, steps), s, error in zip(npt, solved, s_best.tolist(), crossing_errors):
+    has_cert = np.flatnonzero([e is None for e in certs.errors])
+    s, crossing_errors = relative_robustness_stack(np.concatenate([rho[has_cert], rho[npt]]),
+                                                   np.concatenate([certs.rho_pp[has_cert], directions]))
+    n = len(has_cert)                                     # the rho'' rows come first
+    s_bisection = np.full(len(rho), math.nan)
+    s_bisection[has_cert] = s[:n]
+    for i, error in zip(has_cert, crossing_errors[:n]):
+        errors[i] = error
+    sdp_rows = zip(npt, solved, s[n:].tolist(), crossing_errors[n:])
+    for i, (lower, upper, direction, steps), s_best, error in sdp_rows:
         if error is None:
             try:
                 best = DensityMatrix(direction)
             except ValidationError as exc:
                 error = exc
-        errors[i] = error
+        errors[i] = errors[i] or error
         if error is None:
-            results[i] = OracleResult(s_best=s, best_direction=best, evaluations=1,
+            results[i] = OracleResult(s_best=s_best, best_direction=best, evaluations=1,
                                       converged=bool(upper - lower <= SDP_GAP * (1.0 + upper)),
-                                      gap_to_formula=float(s_formula[i]) - s, s_lower=float(lower),
+                                      gap_to_formula=float(certs.s[i]) - s_best, s_lower=float(lower),
                                       s_upper=float(upper), duality_gap=float(upper - lower), newton_steps=steps)
-    return results, errors
+    return s_bisection, results, errors
 
 
 def minimize_absolute_robustness(rho: DensityMatrix, budget: int = 0, seed: int = 0, *,
                                  tolerances: Tolerances = DEFAULT) -> OracleResult:
-    """The N = 1 run of ``absolute_robustness`` on ``rho``, with the closed
-    form of ``robustness`` as its s_formula (NaN where the state is rank
-    deficient); the entry's error, or any other decomposition error, is
-    raised.  ``budget`` and ``seed`` are accepted for older callers only."""
+    """The N = 1 ``oracle_pass`` on ``rho`` with the SDP: its
+    ``OracleResult``, whose s_formula is the closed form of ``robustness``
+    (NaN where the state is rank deficient), even where the crossing along
+    rho'' fails.  A decomposition error other than ``RankDeficient`` is
+    raised first, and then the entry's error where it has no result.
+    ``budget`` and ``seed`` are accepted for older callers only."""
     certs = robustness_stack(rho.matrix[None], tolerances)
     if certs.errors[0] is not None and not isinstance(certs.errors[0], RankDeficient):
         raise certs.errors[0]
-    (result,), (error,) = absolute_robustness(rho.matrix[None], certs.s)
-    if error is not None:
+    _, (result,), (error,) = oracle_pass(rho.matrix[None], certs, with_sdp=True)
+    if result is None:
         raise error
     return result

@@ -5,9 +5,9 @@ over (N, 4, 4) stacks drawn from a seeded corpus that reports the worst
 residual against the tolerance field that names it.  ``qrobust verify`` runs
 every group on one shared corpus, the tests at their own sizes; an exception
 inside a group fails that group, so a broken kernel or a zeroed tolerance
-record shows as named failing properties, not a crash.  ``oracle_pass`` is
-the one run of the crossings and the SDP, for ``sample``, ``analyze`` and the
-``certificate_checks`` of the certificate group and ``verify_certificate``.
+record shows as named failing properties, not a crash.  The crossings and
+the SDP of ``certificate_checks``, behind the certificate group and
+``verify_certificate``, are one ``oracle.oracle_pass``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import coset, oracle, states, wootters
 from .numerics import hermitian_eig_stack, takagi_stack
-from .robustness import (_VERTEX_COLUMNS, CertificateStack, RankDeficient, RobustnessCertificate, _min_pair,
-                         _plane_robustness, robustness_stack)
+from .robustness import (_VERTEX_COLUMNS, CertificateStack, RobustnessCertificate, _min_pair, _plane_robustness,
+                         robustness_stack)
 from .tolerances import DEFAULT, Tolerances
 
 _EYE = np.eye(4)
@@ -272,31 +272,12 @@ def _check_local_unitary(corpus: Corpus) -> PropertyResult:
     ], entry)
 
 
-def oracle_pass(rho: np.ndarray, certs: CertificateStack, *, with_sdp: bool):
-    """The one oracle pass over states ``rho`` (N, 4, 4) and their ``certs``:
-    ``(s_bisection, results, errors)``.  One stacked crossing along every
-    rho'' (NaN where ``certs`` holds an error) and, ``with_sdp``, one
-    ``oracle.absolute_robustness`` run (else ``results`` holds None).
-    ``errors[i]`` is entry i's first error: its decomposition's
-    (``RankDeficient`` is none), then its crossing's, then its oracle's."""
-    errors = [None if isinstance(e, RankDeficient) else e for e in certs.errors]
-    has_cert = np.array([e is None for e in certs.errors], dtype=bool)
-    s_bisection = np.full(len(rho), math.nan)
-    s_bisection[has_cert], crossing_errors = oracle.relative_robustness_stack(rho[has_cert], certs.rho_pp[has_cert])
-    for i, error in zip(np.flatnonzero(has_cert), crossing_errors):
-        errors[i] = error
-    results = oracle_errors = [None] * len(rho)
-    if with_sdp:
-        results, oracle_errors = oracle.absolute_robustness(rho, certs.s)
-    return s_bisection, results, [error or oracle_error for error, oracle_error in zip(errors, oracle_errors)]
-
-
 def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances, *, with_sdp: bool = False):
     """Every check of the certificates ``certs`` of the states ``rho`` (N, 4, 4),
     none of them failed: ``(checks, s_bisection, results, errors)``.
 
     ``checks`` maps each check's name to its residuals, one per entry, and its
-    bound; ``s_bisection``, ``results`` and ``errors`` are the ``oracle_pass``
+    bound; ``s_bisection``, ``results`` and ``errors`` are the ``oracle.oracle_pass``
     of the stack, and ``errors[i]`` also takes, after the pass's, a mixture
     along entry i's rho'' that fails the state checks or a decomposition of
     the certificate's states that fails.  An entry's residuals mean something
@@ -313,7 +294,7 @@ def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances
         out[ent] = residual
         return out
 
-    s_bisection, results, errors = oracle_pass(rho, certs, with_sdp=with_sdp)
+    s_bisection, results, errors = oracle.oracle_pass(rho, certs, with_sdp=with_sdp)
     ts = np.stack((s[ent], 0.999 * s[ent]))[:, :, None, None]
     at, before = (rho[ent] + ts * rho_pp[ent]) / (1.0 + ts)            # at s, and just before it
     failure = states._density_failure(np.concatenate((at, before)), tol)
@@ -435,7 +416,7 @@ def _check_thresholds(corpus: Corpus) -> PropertyResult:
     """
     tol = corpus.tol
     singlet = states.werner(1.0)
-    ratios = [abs(states.is_separable_ppt(singlet, tol)[1] + 0.5) / max(tol.singular_agreement, 1e-300)]
+    ratios = [abs(states.ppt_min_eig(singlet.matrix) + 0.5) / max(tol.singular_agreement, 1e-300)]
     s_mix = oracle.bisect_relative_robustness(singlet, states.DensityMatrix(_EYE / 4.0))
     ratios.append(abs(s_mix - 2.0) / max(tol.bisect_formula, 1e-300))
     ratios.append(abs(1.0 / (1.0 + s_mix) - 1.0 / 3.0) / max(tol.werner_boundary, 1e-300))

@@ -202,27 +202,64 @@ def test_analyze_oracle_runs_the_certificate_checks_once(tmp_path, monkeypatch, 
 
 
 def test_each_crossing_is_located_once(tmp_path, monkeypatch):
-    # analyze --oracle: the crossing along rho'' and the one along the SDP
-    # direction; analyze: the one along rho''; the rank-deficient fallback:
-    # none along rho'' (an empty stack) and the one along the SDP direction;
-    # sample --oracle: per chunk, one stacked call along the rho'' and one
-    # along the SDP directions of its NPT rows
+    # one stacked call per pass, over the rho'' rows and the SDP directions'
+    # rows: analyze --oracle, the crossing along rho'' and the one along the
+    # SDP direction; analyze, the one along rho''; the rank-deficient
+    # fallback, none along rho'' and the one along the SDP direction;
+    # sample --oracle, per chunk, one along each rho'' and one along the SDP
+    # direction of each NPT row; the search, the two of analyze --oracle
     state, singlet = tmp_path / "bell.json", tmp_path / "singlet.json"
     write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
     write_state(werner(1.0), singlet)
     calls = _counting(monkeypatch, oracle, "relative_robustness_stack")
     assert main(["analyze", "--in", str(state), "--oracle", "--out", str(tmp_path / "r.json")]) == 0
-    assert sum(len(args[0]) for args in calls) == 2 and len(calls) == 2
-    for path, entries in ((state, [1]), (singlet, [0, 1])):
+    assert [len(args[0]) for args in calls] == [2]
+    for path, entries in ((state, [1]), (singlet, [1])):
         calls.clear()
         assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 0
         assert [len(args[0]) for args in calls] == entries
     argv = ["sample", "--ensemble", "ginibre", "--n", "6", "--seed", "0", "--oracle", "--out", str(tmp_path / "o.csv")]
-    for chunk, stacked in ((cli._SAMPLE_CHUNK, 2), (3, 4)):
+    for chunk, stacked in ((cli._SAMPLE_CHUNK, 1), (3, 2)):
         monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
         calls.clear()
         assert main(argv) == 0
         assert sum(len(args[0]) for args in calls) == 12 and len(calls) == stacked
+    calls.clear()
+    rho = sample_state("ginibre", 0)
+    assert robustness(rho).s > 0.0
+    oracle.minimize_absolute_robustness(rho)
+    assert [len(args[0]) for args in calls] == [2]
+
+
+def test_failing_crossing_along_rho_pp_does_not_stop_the_search(tmp_path, monkeypatch, capsys):
+    # NotSeparableDirection on the rho'' row of Ginibre seed 0 only, matched on
+    # the direction: the search returns the bits it returns without it, and
+    # analyze --oracle on that state exits 1 with the error line
+    state, out = tmp_path / "state.json", tmp_path / "report.json"
+    write_state(sample_state("ginibre", 0), state)
+    rho = read_state(state)
+    rho_pp = robustness(rho).rho_pp.matrix
+    clean = oracle.minimize_absolute_robustness(rho)
+    real = oracle.relative_robustness_stack
+    error = oracle.NotSeparableDirection("direction has PT eigenvalue -1.000e-03")
+    hits = []
+
+    def injected(rho_stack, sigma):
+        s, errors = real(rho_stack, sigma)
+        for j, direction in enumerate(sigma):
+            if np.array_equal(direction, rho_pp):
+                hits.append(j)
+                s[j], errors[j] = np.nan, error
+        return s, errors
+
+    def bits(result):
+        return [v.matrix.tobytes() if isinstance(v, DensityMatrix) else repr(v) for v in vars(result).values()]
+
+    monkeypatch.setattr(oracle, "relative_robustness_stack", injected)
+    assert bits(oracle.minimize_absolute_robustness(rho)) == bits(clean) and hits == [0]
+    assert main(["analyze", "--in", str(state), "--oracle", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: direction has PT eigenvalue -1.000e-03\n"
+    assert not out.exists() and hits == [0, 0]
 
 
 def _reject_constant(name):

@@ -12,15 +12,15 @@ from qrobust.oracle import (
     SDP_GAP,
     ImproperDirection,
     NotSeparableDirection,
-    absolute_robustness,
     bisect_relative_robustness,
     _bisect as bisect_stack,
     _dual_bound,
     _product_mixtures,
     minimize_absolute_robustness,
+    oracle_pass,
     relative_robustness_stack,
 )
-from qrobust.robustness import robustness
+from qrobust.robustness import robustness, robustness_stack
 from qrobust.states import (
     BellWeights,
     DensityMatrix,
@@ -290,9 +290,10 @@ def pure_state(theta, rng=None):
 
 
 def oracle_results(*rhos):
-    """``absolute_robustness`` of the states ``rhos`` as one stack, with no
-    closed form: one ``OracleResult`` per state, each without an error."""
-    results, errors = absolute_robustness(np.array([rho.matrix for rho in rhos]), np.full(len(rhos), np.nan))
+    """The oracle pass with the SDP of the states ``rhos`` as one stack: one
+    ``OracleResult`` per state, each without an error."""
+    m = np.array([rho.matrix for rho in rhos])
+    _, results, errors = oracle_pass(m, robustness_stack(m), with_sdp=True)
     assert errors == [None] * len(rhos)
     return results
 
@@ -337,7 +338,10 @@ class TestAbsoluteRobustness:
     def test_singular_newton_system_keeps_the_best_bracket(self, monkeypatch):
         # a LinAlgError from factoring the Newton system in the fifth iteration
         # ends the solve after four with the best bracket so far: finite,
-        # containing R, not converged
+        # containing R, not converged; the certificate is built first, since
+        # the pure state's decomposition calls qr in its Takagi zero cluster
+        m = pure_state(0.5).matrix[None]
+        certs = robustness_stack(m)
         calls = []
         qr = np.linalg.qr
 
@@ -348,7 +352,8 @@ class TestAbsoluteRobustness:
             return qr(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", failing)
-        (bracket,) = oracle_results(pure_state(0.5))
+        _, (bracket,), errors = oracle_pass(m, certs, with_sdp=True)
+        assert errors == [None]
         assert len(calls) == 5 and bracket.newton_steps == 4
         assert 0.0 < bracket.s_lower <= math.sin(1.0) <= bracket.s_upper < math.inf
         assert not bracket.converged

@@ -179,9 +179,9 @@ def test_oracle_pass_matches_each_entry_alone(with_sdp):
     # each entry of the stacked pass is its N = 1 pass, bit for bit; the
     # rank-deficient entry gets no crossing and no error
     matrices, certs = _pass_stack()
-    s_bisection, results, errors = verify.oracle_pass(matrices, certs, with_sdp=with_sdp)
+    s_bisection, results, errors = oracle.oracle_pass(matrices, certs, with_sdp=with_sdp)
     for i in range(len(matrices)):
-        alone = verify.oracle_pass(matrices[i:i + 1], robustness_stack(matrices[i:i + 1]), with_sdp=with_sdp)
+        alone = oracle.oracle_pass(matrices[i:i + 1], robustness_stack(matrices[i:i + 1]), with_sdp=with_sdp)
         assert _pass_bits(*alone) == _pass_bits(s_bisection[i:i + 1], results[i:i + 1], errors[i:i + 1]), i
     assert isinstance(certs.errors[6], RankDeficient) and np.isnan(s_bisection[6])
     assert errors == [None] * len(matrices) and np.isfinite(np.delete(s_bisection, 6)).all()
@@ -189,28 +189,35 @@ def test_oracle_pass_matches_each_entry_alone(with_sdp):
 
 
 def test_oracle_pass_reports_the_first_error_of_an_entry(monkeypatch):
-    # at entry 2: a decomposition error wins over a crossing error, and a
-    # crossing error over an oracle error
+    # at entry 2: a decomposition error wins over a crossing error along
+    # rho'', and that over an oracle error, here an entangled SDP direction
+    # (the state itself), whose crossing fails
     matrices, certs = _pass_stack()
-    real_crossing = oracle.relative_robustness_stack
+    real_crossing, real_sdp = oracle.relative_robustness_stack, oracle._sdp
 
-    def at_entry_2(real, error):
-        def injected(rho, other):
-            *values, errors = real(rho, other)
-            return (*values, [error if np.array_equal(m, matrices[2]) else e for m, e in zip(rho, errors)])
-        return injected
+    def crossing(rho, sigma):
+        s, errors = real_crossing(rho, sigma)
+        return s, [oracle.ImproperDirection("crossing") if np.array_equal(d, certs.rho_pp[2]) else e
+                   for d, e in zip(sigma, errors)]
 
-    monkeypatch.setattr(oracle, "relative_robustness_stack",
-                        at_entry_2(real_crossing, oracle.ImproperDirection("crossing")))
-    monkeypatch.setattr(oracle, "absolute_robustness", at_entry_2(oracle.absolute_robustness, ValidationError("sdp")))
+    def sdp(rho_pt):
+        lower, upper, direction, steps = real_sdp(rho_pt)
+        if np.array_equal(rho_pt, states.partial_transpose_matrix(matrices[2])):
+            direction = matrices[2]
+        return lower, upper, direction, steps
+
+    monkeypatch.setattr(oracle, "relative_robustness_stack", crossing)
+    monkeypatch.setattr(oracle, "_sdp", sdp)
     failed = dataclasses.replace(certs, errors=[NumericalFailure("decomposition") if i == 2 else e
                                                 for i, e in enumerate(certs.errors)])
-    runs = [verify.oracle_pass(matrices, failed, with_sdp=True), verify.oracle_pass(matrices, certs, with_sdp=True)]
+    runs = [oracle.oracle_pass(matrices, failed, with_sdp=True), oracle.oracle_pass(matrices, certs, with_sdp=True)]
     monkeypatch.setattr(oracle, "relative_robustness_stack", real_crossing)
-    runs.append(verify.oracle_pass(matrices, certs, with_sdp=True))
+    runs.append(oracle.oracle_pass(matrices, certs, with_sdp=True))
     for _, _, errors in runs:
         assert errors[:2] + errors[3:] == [None] * (len(matrices) - 1)
-    assert [str(errors[2]) for _, _, errors in runs] == ["decomposition", "crossing", "sdp"]
+    assert [str(errors[2]) for _, _, errors in runs][:2] == ["decomposition", "crossing"]
+    assert isinstance(runs[2][2][2], oracle.NotSeparableDirection)
+    assert re.fullmatch(r"direction has PT eigenvalue -\d\.\d{3}e-\d\d", str(runs[2][2][2]))
 
 
 @pytest.mark.parametrize("field, group", [

@@ -56,7 +56,7 @@ environment:
                 same at any factor at which the run passes.  It does not
                 move the algorithm constants:
                   numerics.TAKAGI_CLUSTER 1e-6  Takagi cluster gap
-                  wootters.RANK_CUT       1e-10 rank cut 5e-11, clipped to [1e-10, 1e-8] lambda_1
+                  wootters.RANK_CUT       1e-13 rank cut, relative to rho's largest eigenvalue
                   wootters.TIE            1e-12 ties of lambdas, K_i, pair sums
                   oracle.CROSSING_WIDTH   1e-10 crossing bracket width
                   oracle.PPT_CUT          1e-11 PPT cut of each located crossing

@@ -29,14 +29,11 @@ from .numerics import NumericalFailure
 from .states import DensityMatrix
 from .tolerances import DEFAULT, Tolerances
 
-# Algorithm parameters: lambdas at or below RANK_CUT clip(1/2, lambda_1,
-# 100 lambda_1), i.e. 5e-11 held between 1e-10 and 1e-8 of lambda_1, fall
-# outside the rank; lambdas, K_i and pair sums (``robustness``) tie within
-# TIE times lambda_1, K_max and the smallest sum.  Zero lambdas carry absolute
-# noise (3e-16/C for a pure state), so the cut stays at 1e-8 lambda_1 below
-# lambda_1 = 5e-3, and 12 full-rank Bures draws of seeds 0-19999 (lambda_1 >
-# 0.4, lambda_4 from 1.1e-10 to 4.0e-9) count as rank 4.
-RANK_CUT = 1e-10
+# Algorithm parameters: rho's eigenvalues at or below RANK_CUT mu_1 (mu_1 its largest)
+# are set to zero, and lambdas at or below it fall outside the rank; as lambda_1...lambda_4
+# = det rho, every lambda beyond rank(rho) is then at rounding level.  Lambdas, K_i and
+# pair sums (``robustness``) tie within TIE times lambda_1, K_max and the smallest sum.
+RANK_CUT = 1e-13
 TIE = 1e-12
 
 
@@ -54,7 +51,8 @@ class WoottersDecomposition:
         the rank cuts off.
     p_coord : tetrahedron coordinates P_i = <x_i|x_i> = lambda_i K_i.
     concurrence : max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
-    rank : number of lambdas above ``RANK_CUT * clip(1/2, lambda_1, 100 lambda_1)``.
+    rank : number of lambdas above ``RANK_CUT * mu_1``, mu_1 the largest
+        eigenvalue of rho; at most the number of rho's eigenvalues above that cut.
     """
 
     lambdas: np.ndarray
@@ -180,7 +178,8 @@ def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Decompos
     check fails is recorded in ``errors`` and does not stop the others.
     """
     mu, vecs, eig_errors = numerics.hermitian_eig_stack(matrices, tol)
-    sub = vecs * np.sqrt(mu.clip(0.0, None))[:, None, :]
+    cut = RANK_CUT * mu[:, :1]
+    sub = vecs * np.sqrt(np.where(mu > cut, mu, 0.0))[:, None, :]
     tau = (sub.swapaxes(-1, -2) @ states.SIGMA_YY @ sub).conj()  # tau_ij = <v_i|~v_j>, complex symmetric
     u, lambdas, takagi_errors = numerics.takagi_stack(tau, tol)
     residual = np.abs(u @ tau @ u.swapaxes(-1, -2) - lambdas[:, :, None] * _EYE).max(axis=(-2, -1))
@@ -188,8 +187,7 @@ def decompose_stack(matrices: np.ndarray, tol: Tolerances = DEFAULT) -> Decompos
         f"factorization residual {r:.3e} exceeds {tol.decompose_failure:.3e}"))
 
     x = sub @ u.conj().swapaxes(-1, -2)
-    eps_rank = RANK_CUT * np.clip(0.5, lambdas[:, 0], 100.0 * lambdas[:, 0])
-    rank = (lambdas > eps_rank[:, None]).sum(axis=1)
+    rank = (lambdas > cut).sum(axis=1)
     inside = _COLUMNS < rank[:, None]
     x = np.where(inside[:, None, :], x, 0.0)
     tied = (lambdas[:, :-1] - lambdas[:, 1:] <= TIE * lambdas[:, :1]) & inside[:, 1:]

@@ -52,6 +52,21 @@ def rank_two_state(p):
     return DensityMatrix(p * np.outer(phi, phi) + (1.0 - p) * np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
+def inject_state(monkeypatch, seed, rho):
+    """Make ``states.sample_stack`` draw ``rho`` at ``seed``, whatever the
+    ensemble: every ensemble is full rank almost surely, so a test that needs
+    a rank-deficient row puts one in."""
+    real = states.sample_stack
+
+    def sample_stack(ensemble, seeds, *tol):
+        drawn = real(ensemble, seeds, *tol)
+        matrices = drawn.matrices.copy()
+        matrices[[i for i, s in enumerate(seeds[:len(matrices)]) if s == seed]] = rho.matrix
+        return drawn._replace(matrices=matrices)
+
+    monkeypatch.setattr(states, "sample_stack", sample_stack)
+
+
 def rotate_locally(rho, rng):
     """(U1 x U2) rho (U1 x U2)^dag for one Haar-random SU(2) pair drawn from ``rng``."""
     u = np.kron(*states._su2_pairs(rng, 1)[0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qrobust
-from conftest import rank_two_state
+from conftest import inject_state, rank_two_state
 from qrobust import cli, oracle, states, verify, wootters
 from qrobust.cli import main
 from qrobust.numerics import NumericalFailure
@@ -20,6 +20,14 @@ from qrobust.tolerances import DEFAULT
 
 BELL_ARGS = ["--theta1", "0", "--theta2", "0", "--xi1", "0", "--xi2", "0",
              "--phi1", "0", "--phi2", "0", "--lambda", "0.7,0.1,0.1,0.1"]
+
+
+def test_epilog_lists_each_algorithm_constant_at_its_value():
+    listed = re.findall(r"^ +(\w+)\.([A-Z_]+) +(\S+) ", cli._EPILOG, re.MULTILINE)
+    assert [name for _, name, _ in listed] == ["TAKAGI_CLUSTER", "RANK_CUT", "TIE", "CROSSING_WIDTH",
+                                               "PPT_CUT", "SDP_GAP"]
+    for module, name, value in listed:
+        assert float(value) == getattr(getattr(qrobust, module), name), name
 
 
 def test_param_reproduces_bell_diagonal_state(tmp_path, capsys):
@@ -382,9 +390,10 @@ def test_sample_coset_agreement_column(tmp_path):
         assert float(line.split(",")[idx]) <= 1e-9
 
 
-def test_sample_rank_deficient_row_is_nan_in_closed_form_columns(tmp_path):
-    # Bures seed 9626 has rank 3 (lambda_4/lambda_1 = 8.6e-12, under the rank
-    # cut): K4 is undefined, so no pair sum involving it exists
+def test_sample_rank_deficient_row_is_nan_in_closed_form_columns(tmp_path, monkeypatch):
+    # a rank-3 state put in at Bures seed 9626 (Bell weights 0.6, 0.3, 0.1, 0):
+    # K4 is undefined, so no pair sum involving it exists
+    inject_state(monkeypatch, 9626, bell_diagonal(BellWeights(np.array([0.6, 0.3, 0.1, 0.0]))))
     out = tmp_path / "rank3.csv"
     assert main(["sample", "--ensemble", "bures", "--n", "1", "--seed", "9626", "--out", str(out)]) == 0
     header, row = (line.split(",") for line in out.read_text().splitlines())
@@ -449,15 +458,20 @@ def test_sample_oracle_decomposes_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("ensemble, seed, n", [("ginibre", 0, 4), ("bures", 9624, 4)])
-def test_sample_oracle_columns_are_the_public_search(tmp_path, ensemble, seed, n):
+def test_sample_oracle_columns_are_the_public_search(tmp_path, monkeypatch, ensemble, seed, n):
     # each row's s_best and gap are those of the search on its state alone;
-    # Bures seed 9626 is rank deficient: no closed form, so a nan gap
+    # the Bures run gets the rank-deficient rank_two_state(0.5) at seed 9626:
+    # no closed form, so a nan gap
+    drawn = {seed + i: sample_state(ensemble, seed + i) for i in range(n)}
+    if ensemble == "bures":
+        drawn[9626] = rank_two_state(0.5)
+        inject_state(monkeypatch, 9626, drawn[9626])
     out = tmp_path / "oracle.csv"
     assert main(["sample", "--ensemble", ensemble, "--n", str(n), "--seed", str(seed),
                  "--oracle", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     for i, row in enumerate(rows):
-        result = oracle.minimize_absolute_robustness(sample_state(ensemble, seed + i))
+        result = oracle.minimize_absolute_robustness(drawn[seed + i])
         assert row[-2:] == [repr(result.s_best), repr(result.gap_to_formula)]
     if ensemble == "bures":
         assert rows[9626 - seed][-1] == "nan" and rows[9626 - seed][7] == "nan"
@@ -710,9 +724,10 @@ def _csv_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
-def test_sample_chunks_equal_separate_runs(tmp_path):
-    # --n 300 crosses the boundary of the 256-row chunks; Bures seed 9626 is a
-    # rank-deficient nan row inside the first chunk
+def test_sample_chunks_equal_separate_runs(tmp_path, monkeypatch):
+    # --n 300 crosses the boundary of the 256-row chunks; rank_two_state(0.5),
+    # put in at Bures seed 9626, is a rank-deficient nan row inside the first chunk
+    inject_state(monkeypatch, 9626, rank_two_state(0.5))
     whole = tmp_path / "whole.csv"
     assert main(["sample", "--ensemble", "bures", "--n", "300", "--seed", "9500", "--out", str(whole)]) == 0
     parts = []

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import rotate_locally, werner_boundary
+from conftest import rank_two_state, rotate_locally, werner_boundary
 from qrobust import oracle, states, verify
 from qrobust.numerics import NumericalFailure
 from qrobust.robustness import _MIN_PAIR_COLUMNS, _MIN_PAIR_VERTEX, RankDeficient, robustness_stack
@@ -160,10 +160,10 @@ def test_audit_passes_on_the_bell_decomposable_family():
 
 
 def _pass_stack():
-    """Ginibre seeds 0-5, Bures seed 9626 (rank deficient, entry 6), I/4 and
-    werner(0.8), with their certificates."""
+    """Ginibre seeds 0-5, rank_two_state(0.5) (rank deficient, entry 6), I/4
+    and werner(0.8), with their certificates."""
     matrices = np.array([sample_state("ginibre", seed).matrix for seed in range(6)]
-                        + [sample_state("bures", 9626).matrix, np.eye(4) / 4.0, states.werner(0.8).matrix])
+                        + [rank_two_state(0.5).matrix, np.eye(4) / 4.0, states.werner(0.8).matrix])
     return matrices, robustness_stack(matrices)
 
 

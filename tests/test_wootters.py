@@ -319,8 +319,7 @@ class TestStress:
     """Seeded states whose Takagi input has clusters of singular values that
     sqrt(eig(S conj(S))) cannot separate from zero: near-pure states carry a
     tied triple at eps/4, and the sum of lambda_i K_i is 1, so large-K coset
-    states have lambdas of 1e-10 to 1e-6 (946 of these 1150) that form one
-    cluster."""
+    states have lambdas of 1e-8 to 1e-6 (126 of these 212)."""
 
     @staticmethod
     def _check_full_rank(matrices):
@@ -343,20 +342,24 @@ class TestStress:
         self._check_full_rank(np.array([rotate_locally(near_pure, rng).matrix for _ in range(10)]))
 
     def test_large_k_coset_states(self):
-        # angles up to 6: K_i up to about 1e10; 1150 of the 2000 states are full rank
+        # angles up to 6: orbit K_i up to about 6e13; the 212 of the 2000 states
+        # that are full rank have K_i up to 1.5e6, and recover them
         angles, lam = coset._draw_rows(np.random.default_rng(11), 2000, 6.0, 0.05)
         matrices = coset.density_stack(angles, lam)[0]
-        full = robustness_stack(matrices).decomposition.rank == 4
-        assert full.sum() == 1150
+        dec = robustness_stack(matrices).decomposition
+        full = dec.rank == 4
+        assert full.sum() == 212
+        k = coset._k_stack(angles[full])
+        assert np.max(np.abs(dec.k_norm[full] - k) / k) <= 1e-2
         self._check_full_rank(matrices[full])
 
 
 def test_rank_cut_keeps_rank_deficient_states_and_certifies_full_rank_bures():
-    # zero lambdas carry absolute noise that grows as lambda_1 falls: pure
-    # states down to C = 2e-4 and nearly product rank-2 and rank-3 mixtures
-    # (lambda_1 down to about 3e-4) keep their rank under the clipped cut, and
-    # full-rank Bures draws with lambda_4 of 1.3e-9 to 3.1e-9 stay above it,
-    # with a certificate the bisection confirms
+    # pure states down to C = 2e-7, product states (rank 0, lambda_1 at
+    # rounding level) and nearly product rank-2 and rank-3 mixtures (lambda_1
+    # down to about 3e-4) keep their rank, and full-rank Bures draws with
+    # lambda_4 of 3.8e-12 to 3.1e-9 (4.7e-12 to 4.7e-9 of rho's largest
+    # eigenvalue) stay above the cut, with a certificate the bisection confirms
     rng = np.random.default_rng(0)
     n = 1000
 
@@ -382,11 +385,21 @@ def test_rank_cut_keeps_rank_deficient_states_and_certifies_full_rank_bures():
     rank1 = np.concatenate((mix(haar(1), np.ones((1, n))), mix(schmidt, np.ones((1, n)))))
     rank2 = np.concatenate((mix(haar(2), pairs), mix(near[:2], pairs)))
     rank3 = mix(near, rng.dirichlet(np.ones(3), n).T)
-    for stack, rank in ((rank1, 1), (rank2, 2), (rank3, 3)):
+    rotations = np.array([np.kron(*pair) for pair in states._su2_pairs(rng, 2000)])
+
+    def rotated(ket):
+        psi = rotations @ ket
+        return psi[:, :, None] * psi[:, None, :].conj()
+
+    weak = np.concatenate([rotated(np.array([np.cos(t), 0.0, 0.0, np.sin(t)])) for t in (1e-4, 3e-5, 1e-5, 1e-7)])
+    product = rotated(np.array([1.0, 0.0, 0.0, 0.0]))
+    for stack, rank in ((rank1, 1), (weak, 1), (product, 0), (rank2, 2), (rank3, 3)):
         assert np.all(decompose_stack(stack).rank == rank)
-    matrices = np.array([sample_state("bures", seed).matrix for seed in (61, 697, 5342)])
+    assert decompose_stack(product).lambdas[:, 0].max() <= 1e-14
+    seeds = (61, 697, 5342, 9626, 13218, 14862)
+    matrices = np.array([sample_state("bures", seed).matrix for seed in seeds])
     certs = robustness_stack(matrices)
-    assert certs.decomposition.rank.tolist() == [4, 4, 4]
+    assert certs.decomposition.rank.tolist() == [4] * len(seeds)
     s_bisection, errors = oracle.relative_robustness_stack(matrices, certs.rho_pp)
-    assert errors == [None] * 3
+    assert errors == [None] * len(seeds)
     assert np.max(np.abs(s_bisection - certs.s)) <= 1e-6

@@ -24,7 +24,6 @@ from .robustness import RankDeficient, _min_pair, robustness_stack
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_VALIDATION = 2
-EXIT_UNSUPPORTED = 3
 EXIT_IO = 4
 
 _SAMPLE_CHUNK = 256   # rows computed together by ``sample``; bounds the stacked arrays at large --n
@@ -46,7 +45,6 @@ exit codes:
      or a PPT crossing along a certificate's direction that fails (one
      error: line)
   2  input validation: a malformed or invalid state file or flag
-  3  unsupported input: rank deficient with --no-fallback
   4  I/O
 
 environment:
@@ -86,36 +84,27 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, no_fallback: bool,
-                     tol: tolerances.Tolerances) -> tuple[dict, int]:
+def _analysis_report(rho: states.DensityMatrix, *, run_oracle: bool, tol: tolerances.Tolerances) -> dict:
+    """A rank-deficient state's oracle estimate, or a full-rank state's certificate read from
+    one ``verify.certificate_checks`` run, with the SDP and the audit under ``run_oracle``."""
     certs = robustness_stack(rho.matrix[None], tol)
-    try:
-        cert = certs.entry(0)
-    except RankDeficient as exc:
-        report = {"decomposition": exc.decomposition.to_report()}
-        if no_fallback:
-            print(f"error: {exc}", file=sys.stderr)
-            return report, EXIT_UNSUPPORTED
-        _, (result,), (error,) = oracle.oracle_pass(rho.matrix[None], certs, with_sdp=True)
-        if error is not None:
-            raise error
-        report["method"] = "oracle_estimate"
-        report["oracle"] = {**result.to_report(), "note": str(exc)}
-        return report, EXIT_OK
-    if run_oracle:
-        audit = verify.verify_certificate(rho, cert, oracle=True, tolerances=tol)
-        residual = {name: check["residual"] for name, check in audit["checks"].items()}
-    else:   # the plain report does not read the run's errors
-        checks = verify.certificate_checks(rho.matrix[None], certs, tol)[0]
-        residual = {name: float(values[0]) for name, (values, _) in checks.items()}
+    error = certs.errors[0]
+    if isinstance(error, RankDeficient):
+        _, (result,), (failure,) = oracle.oracle_pass(rho.matrix[None], certs, with_sdp=True)
+        if failure is not None:
+            raise failure
+        return {"decomposition": error.decomposition.to_report(), "method": "oracle_estimate",
+                "oracle": {**result.to_report(), "note": str(error)}}
+    cert = certs.entry(0)   # raises any other error
+    run = verify.certificate_checks(rho.matrix[None], certs, tol, with_sdp=run_oracle)
+    res = {name: float(values[0]) for name, (values, _) in run[0].items()}
+    residuals = {"pseudomixture": res["pseudomixture"], "plane": res["plane"],
+                 "ppt_min_eig_rho_p": -res["rho_p_separable"], "ppt_min_eig_rho_pp": -res["rho_pp_separable"]}
     report = {"decomposition": cert.decomposition.to_report(), "method": "closed_form",
-              "certificate": {**cert.to_report(), "residuals": {
-                  "pseudomixture": residual["pseudomixture"], "plane": residual["plane"],
-                  "ppt_min_eig_rho_p": -residual["rho_p_separable"],
-                  "ppt_min_eig_rho_pp": -residual["rho_pp_separable"]}}}
-    if run_oracle:
-        report["verification"] = audit
-    return report, EXIT_OK
+              "certificate": {**cert.to_report(), "residuals": residuals}}
+    if run_oracle:   # the audit raises the run's first error; the plain report does not read them
+        report["verification"] = verify._audit_report(cert.s, run, tol)
+    return report
 
 
 def cmd_analyze(args, tol) -> int:
@@ -127,10 +116,7 @@ def cmd_analyze(args, tol) -> int:
     except (states.ParseError, states.ValidationError) as exc:
         print(f"error: {args.in_path}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    report, code = _analysis_report(rho, run_oracle=args.oracle, no_fallback=args.no_fallback, tol=tol)
-    if code != EXIT_OK:
-        return code
-    report = {"input": args.in_path, **report}
+    report = {"input": args.in_path, **_analysis_report(rho, run_oracle=args.oracle, tol=tol)}
     return _emit_json(report, args.out)
 
 
@@ -214,10 +200,8 @@ def cmd_param(args, tol) -> int:
     res_x = float(np.max(np.abs(x.T @ states.SIGMA_YY @ x - np.eye(4))))
     print(f"Y orthogonality residual: {res_y!r}")
     print(f"X identity residual: {res_x!r}")
-    report, code = _analysis_report(rho, run_oracle=args.oracle, no_fallback=False, tol=tol)
-    if code != EXIT_OK:
-        return code
-    report = {"params": params.to_dict(), "state_file": args.out, **report}
+    report = {"params": params.to_dict(), "state_file": args.out,
+              **_analysis_report(rho, run_oracle=args.oracle, tol=tol)}
     return _emit_json(report, args.out + ".analysis.json")
 
 
@@ -247,8 +231,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze one state file")
     p.add_argument("--in", dest="in_path", required=True, help="input state JSON")
     p.add_argument("--oracle", action="store_true", help="add bisection and SDP verification")
-    p.add_argument("--no-fallback", action="store_true",
-                   help="fail (exit 3) on rank-deficient states instead of using the oracle")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
 
     p = sub.add_parser("sample", help="sample an ensemble and emit per-state measures as CSV")

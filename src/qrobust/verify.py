@@ -273,8 +273,11 @@ def _check_local_unitary(corpus: Corpus) -> PropertyResult:
 
 
 def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances, *, with_sdp: bool = False):
-    """Every check of the certificates ``certs`` of the states ``rho`` (N, 4, 4),
-    none of them failed: ``(checks, s_bisection, results, errors)``.
+    """Every check of the certificates ``certs`` of the states ``rho`` (N, 4, 4):
+    ``(checks, s_bisection, results, errors)``.  Every entry of ``certs`` must be
+    free of errors, as ``_check_certificates``, ``verify_certificate`` and ``analyze``
+    ensure: a rank-deficient entry's s is NaN, which passes as entangled, and its
+    NaN mixtures stop the whole run in the eigensolver without naming the entry.
 
     ``checks`` maps each check's name to its residuals, one per entry, and its
     bound; ``s_bisection``, ``results`` and ``errors`` are the ``oracle.oracle_pass``
@@ -340,28 +343,33 @@ def _check_certificates(corpus: Corpus) -> PropertyResult:
 
 def verify_certificate(rho: states.DensityMatrix, certificate: RobustnessCertificate, *,
                        oracle: bool = False, tolerances: Tolerances = DEFAULT) -> dict:
-    """Machine-readable audit of one certificate: the N = 1 run of
-    ``certificate_checks``, with the SDP under ``oracle``.  ``checks`` gives
-    each named check's residual, bound and verdict, and ``passed`` is their
-    conjunction; with ``oracle`` the report adds the absolute-robustness
-    bracket, reported but never failed on.  The run's first error, such as a
-    crossing's ``NotSeparableDirection``, is raised.
-    """
+    """Machine-readable audit of one certificate: the N = 1 run of ``certificate_checks``,
+    with the SDP under ``oracle``.  ``checks`` gives each named check's residual, bound and
+    verdict, and ``passed`` is their conjunction; with ``oracle`` the report adds the
+    absolute-robustness bracket, reported but never failed on.  The run's first error, such
+    as a crossing's ``NotSeparableDirection``, is raised."""
     stack = CertificateStack(
         s=np.array([certificate.s]), k_index=np.array([certificate.k_index]), rho_pp=certificate.rho_pp.matrix[None],
         rho_p=certificate.rho_p.matrix[None], rho_p_coords=certificate.rho_p_coords[None], errors=[None],
         decomposition=wootters.DecompositionStack(
             **{name: np.array([v]) for name, v in asdict(certificate.decomposition).items()}, errors=[None]))
-    checks, s_bisection, (result,), (error,) = certificate_checks(rho.matrix[None], stack, tolerances, with_sdp=oracle)
+    run = certificate_checks(rho.matrix[None], stack, tolerances, with_sdp=oracle)
+    return _audit_report(certificate.s, run, tolerances)
+
+
+def _audit_report(s_formula: float, run: tuple, tol: Tolerances) -> dict:
+    """``verify_certificate``'s report from the N = 1 ``certificate_checks`` ``run`` of a certificate of
+    value ``s_formula``, with the ``oracle`` block when the run had the SDP; raises the run's error."""
+    checks, s_bisection, (result,), (error,) = run
     if error is not None:
         raise error
     verdicts = {name: {"residual": float(residual[0]), "bound": float(bound), "passed": bool(residual[0] <= bound)}
                 for name, (residual, bound) in checks.items()}
-    report = {"s_formula": float(certificate.s), "s_bisection": float(s_bisection[0]), "checks": verdicts,
+    report = {"s_formula": float(s_formula), "s_bisection": float(s_bisection[0]), "checks": verdicts,
               "passed": all(verdict["passed"] for verdict in verdicts.values())}
-    if oracle:
+    if result is not None:
         report["oracle"] = {**result.to_report(), "gap_to_formula": result.gap_to_formula,
-                            "minimality_flag": result.minimality_flag(tolerances.oracle_flag)}
+                            "minimality_flag": result.minimality_flag(tol.oracle_flag)}
     return report
 
 

@@ -138,10 +138,20 @@ def test_analyze_oracle_brackets_the_rank_two_family(tmp_path, capsys):
     assert report["oracle"]["s_lower"] <= 0.1 ** 2 / (4.0 * 0.9) <= report["oracle"]["s_best"]
 
 
-def test_analyze_no_fallback_exit_code(tmp_path, capsys):
-    state = tmp_path / "singlet.json"
+def test_analyze_rejects_no_fallback_as_a_usage_error(tmp_path, capsys):
+    # a rank-deficient state always gets the oracle estimate; the flag that
+    # swapped it for an error is gone, so argparse rejects it before any report
+    state, out = tmp_path / "singlet.json", tmp_path / "report.json"
     write_state(werner(1.0), state)
-    assert main(["analyze", "--in", str(state), "--no-fallback"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--in", str(state), "--no-fallback", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("usage:")] == [
+        "usage: qrobust [-h] {analyze,sample,param,verify} ..."]
+    assert "unrecognized arguments: --no-fallback" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("make, r", [
@@ -197,16 +207,23 @@ def test_analyze_fallback_decomposes_once(tmp_path, monkeypatch, capsys):
 
 def test_analyze_oracle_runs_the_certificate_checks_once(tmp_path, monkeypatch, capsys):
     # the audit takes the run behind the residuals, and its report is the
-    # public audit's
+    # public audit's; the plain report reads the same blocks from its own run
     state = tmp_path / "bell.json"
     write_state(bell_diagonal(BellWeights(np.array([0.7, 0.1, 0.1, 0.1]))), state)
     calls = _counting(monkeypatch, verify, "certificate_checks")
+    assert main(["analyze", "--in", str(state)]) == 0
+    assert len(calls) == 1
+    plain = json.loads(capsys.readouterr().out)
+    calls.clear()
     assert main(["analyze", "--in", str(state), "--oracle"]) == 0
     assert len(calls) == 1
     monkeypatch.undo()
+    report = json.loads(capsys.readouterr().out)
+    for block in ("decomposition", "certificate"):
+        assert json.dumps(report[block]) == json.dumps(plain[block])
     rho = read_state(state)
     expected = verify.verify_certificate(rho, robustness(rho), oracle=True)
-    assert json.loads(capsys.readouterr().out)["verification"] == expected
+    assert report["verification"] == expected
 
 
 def test_each_crossing_is_located_once(tmp_path, monkeypatch):

@@ -235,7 +235,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample an ensemble and emit per-state measures as CSV")
     p.add_argument("--ensemble", required=True,
-                   choices=["ginibre", "bures", "bell_diagonal", "coset"])
+                   choices=states._ENSEMBLES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true", help="add the absolute-robustness columns")

@@ -7,6 +7,10 @@ hyperbolic block factors with angles (theta_1, theta_2), (xi_1, xi_2),
 (phi_1, phi_2); together with four weights lambda_i it generates a state
 orbit, and the squared norms K_i = <x'_i|x'_i> have closed forms in the six
 angles.  All angles zero reproduces the Bell basis with K_i = 1.
+
+The helpers here take stacks: (N, 6) angle rows and (N, 4) weight rows.
+Single-state calls (``CosetParams``, ``build_X``, ``build_Y``,
+``density_from_params``) are their N = 1 calls.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class CosetParams:
         lam = np.array(self.lam, dtype=float)
         if lam.shape != (4,):
             raise ValidationError("lam must hold four weights")
-        failure = params_failure(np.array(self.angles, dtype=float), lam)
+        failure = params_failure(np.array([self.angles], dtype=float), lam[None])
         if failure is not None:
             raise ValidationError(failure[1])
         lam.setflags(write=False)
@@ -63,18 +67,16 @@ class CosetParams:
 
 
 def params_failure(angles: np.ndarray, lam: np.ndarray):
-    """The first invalid parameter set of (6,) angles and (4,) weights, or of
-    (N, 6) and (N, 4) rows, as ``(index, message)``, or None.  Checks, in
-    order: angles and weights finite, xi nonnegative, weights nonnegative,
-    weights descending."""
-    rows = angles.reshape(-1, 6)
+    """The first invalid parameter set of (N, 6) angle and (N, 4) weight rows,
+    as ``(index, message)``, or None.  Checks, in order: angles and weights
+    finite, xi nonnegative, weights nonnegative, weights descending."""
     return _first_failure([
         (~(np.isfinite(angles).all(axis=-1) & np.isfinite(lam).all(axis=-1)),
-         lambda i: f"angles and weights must be finite, got {rows[i].tolist()} and {lam.reshape(-1, 4)[i].tolist()}"),
-        (angles[..., 2:4].min(axis=-1) < 0.0,
-         lambda i: f"xi angles must be nonnegative, got ({rows[i, 2]}, {rows[i, 3]})"),
-        (lam.min(axis=-1) < 0.0, lambda i: f"weights must be nonnegative, got {lam.reshape(-1, 4)[i].tolist()}"),
-        ((lam[..., 1:] > lam[..., :-1]).any(axis=-1), lambda i: "weights must be sorted in descending order"),
+         lambda i: f"angles and weights must be finite, got {angles[i].tolist()} and {lam[i].tolist()}"),
+        (angles[:, 2:4].min(axis=-1) < 0.0,
+         lambda i: f"xi angles must be nonnegative, got ({angles[i, 2]}, {angles[i, 3]})"),
+        (lam.min(axis=-1) < 0.0, lambda i: f"weights must be nonnegative, got {lam[i].tolist()}"),
+        ((lam[:, 1:] > lam[:, :-1]).any(axis=-1), lambda i: "weights must be sorted in descending order"),
     ])
 
 
@@ -97,15 +99,14 @@ _Y_FROM = np.array([col + 6 * j for *_, col in _Y_BLOCKS for j in (0, 0, 1, 2)])
 
 
 def _y_stack(angles: np.ndarray) -> np.ndarray:
-    """Y(theta) Y(xi) Y(phi) of (6,) angles (theta1, theta2, xi1, xi2, phi1,
-    phi2) or of (N, 6) rows: (4, 4) or (N, 4, 4)."""
-    batch = angles.shape[:-1]
+    """Y(theta) Y(xi) Y(phi) of (N, 6) angle rows (theta1, theta2, xi1, xi2,
+    phi1, phi2): (N, 4, 4)."""
     s = np.sinh(angles)
     values = np.concatenate((np.cosh(angles), 1j * s, -1j * s), axis=-1)
-    factors = np.zeros(batch + (48,), dtype=complex)
-    factors[..., _Y_AT] = values[..., _Y_FROM]
-    factors = factors.reshape(batch + (3, 4, 4))
-    return factors[..., 0, :, :] @ factors[..., 1, :, :] @ factors[..., 2, :, :]
+    factors = np.zeros((len(angles), 48), dtype=complex)
+    factors[:, _Y_AT] = values[:, _Y_FROM]
+    factors = factors.reshape(-1, 3, 4, 4)
+    return factors[:, 0] @ factors[:, 1] @ factors[:, 2]
 
 
 def _x_stack(angles: np.ndarray) -> np.ndarray:
@@ -114,7 +115,7 @@ def _x_stack(angles: np.ndarray) -> np.ndarray:
 
 def build_Y(params: CosetParams) -> np.ndarray:
     """The complex orthogonal matrix Y(theta) Y(xi) Y(phi); Y^T Y = I."""
-    return _y_stack(np.array(params.angles))
+    return _y_stack(np.array([params.angles]))[0]
 
 
 def build_X(params: CosetParams) -> np.ndarray:
@@ -122,18 +123,18 @@ def build_X(params: CosetParams) -> np.ndarray:
 
     Satisfies X^T (sigma_y x sigma_y) X = I for any parameter values.
     """
-    return _x_stack(np.array(params.angles))
+    return _x_stack(np.array([params.angles]))[0]
 
 
 def _closed_form_x_stack(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The four subnormalized vectors |x_i> = sqrt(lambda_i) |x'_i> in closed
-    form, as the columns of a (4, 4) matrix for (6,) angles and (4,) weights,
-    or of (N, 4, 4) for (N, 6) and (N, 4) rows.
+    form, as the columns of (N, 4, 4) matrices for (N, 6) angle and (N, 4)
+    weight rows.
 
     Transcribed literally, including the fixed phases; column i agrees with
-    ``sqrt(lambda_i) * _x_stack(angles)[..., i]`` entry by entry.
+    ``sqrt(lambda_i) * _x_stack(angles)[:, :, i]`` entry by entry.
     """
-    t1, t2, xi1, xi2, p1, p2 = np.moveaxis(angles, -1, 0)
+    t1, t2, xi1, xi2, p1, p2 = angles.T
     c1, s1 = np.cosh(xi1), np.sinh(xi1)
     c2, s2 = np.cosh(xi2), np.sinh(xi2)
     ct1, st1 = np.cosh(t1), np.sinh(t1)
@@ -164,23 +165,18 @@ def _closed_form_x_stack(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
         -(c1*ct2*sp2 + c2*st2*cp2) + 1j*(s1*st1*sp2 + s2*ct1*cp2),
         -(c1*st2*sp2 + c2*ct2*cp2) + 1j*(s1*ct1*sp2 + s2*st1*cp2),
     ])
-    # (component, ..., vector) -> (..., component, vector)
-    return np.moveaxis(np.stack([x1, x2, x3, x4], axis=-1), 0, -2) * np.sqrt(lam / 2.0)[..., None, :]
+    # (component, N, vector) -> (N, component, vector)
+    return np.stack([x1, x2, x3, x4], axis=-1).swapaxes(0, 1) * np.sqrt(lam / 2.0)[:, None, :]
 
 
 def _k_stack(angles: np.ndarray) -> np.ndarray:
-    """Closed-form K_i of (6,) angles or of (N, 6) rows: (4,) or (N, 4); all
-    angles zero gives 1.
-
-    Squares are products, not powers: a single parameter set then gets the
-    bits its row of a stack gets (numpy's scalar power rounds differently).
-    """
+    """Closed-form K_i of (N, 6) angle rows: (N, 4); all angles zero gives 1."""
     c, s = np.cosh(angles), np.sinh(angles)
     _, _, ch_xi1, ch_xi2, _, _ = c.T
     _, _, sh_xi1, sh_xi2, _, _ = s.T
     _, _, ch_xi1_sq, ch_xi2_sq, ch_p1_sq, ch_p2_sq = (c * c).T
     _, _, sh_xi1_sq, sh_xi2_sq, sh_p1_sq, sh_p2_sq = (s * s).T
-    ch_2t1, ch_2t2 = np.cosh(2 * angles[..., :2]).T
+    ch_2t1, ch_2t2 = np.cosh(2 * angles[:, :2]).T
     sh_2t1, sh_2t2, _, _, sh_2p1, sh_2p2 = np.sinh(2 * angles).T
     cross1 = sh_xi1 * sh_xi2 * sh_2t2 + ch_xi1 * ch_xi2 * sh_2t1
     cross2 = sh_xi1 * sh_xi2 * sh_2t1 + ch_xi1 * ch_xi2 * sh_2t2
@@ -200,10 +196,9 @@ def _k_stack(angles: np.ndarray) -> np.ndarray:
 
 
 def density_stack(angles: np.ndarray, lam: np.ndarray):
-    """States sum_i lambda_i |x'_i><x'_i| of (6,) angles and (4,) weights, or
-    of (N, 6) and (N, 4) rows, with the weights rescaled to unit trace; with
-    the closed-form K and the basis matrices X they are built from:
-    ``(rho, k, x)``.
+    """States sum_i lambda_i |x'_i><x'_i| of (N, 6) angle and (N, 4) weight
+    rows, with the weights rescaled to unit trace; with the closed-form K and
+    the basis matrices X they are built from: ``(rho, k, x)``.
 
     Raises
     ------
@@ -215,13 +210,13 @@ def density_stack(angles: np.ndarray, lam: np.ndarray):
     if np.any(total <= 0.0):
         raise DegenerateInput("all weights are zero")
     x = _x_stack(angles)
-    lam = lam / total[..., None]
-    return (x * lam[..., None, :]) @ x.conj().swapaxes(-1, -2), k, x
+    lam = lam / total[:, None]
+    return (x * lam[:, None, :]) @ x.conj().swapaxes(-1, -2), k, x
 
 
 def density_from_params(params: CosetParams, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """State sum_i lambda_i |x'_i><x'_i| with the weights rescaled to unit
-    trace: :func:`density_stack` of one parameter set, validated.
+    trace: the N = 1 call of :func:`density_stack`, validated.
 
     Angles large enough to overflow cosh or sinh give entries that are not
     finite, which the validation rejects.
@@ -232,8 +227,8 @@ def density_from_params(params: CosetParams, tol: Tolerances = DEFAULT) -> Densi
         If every weight is zero.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rho, _, _ = density_stack(np.array(params.angles), params.lam)
-    return DensityMatrix(rho, tol)
+        rho, _, _ = density_stack(np.array([params.angles]), params.lam[None])
+    return DensityMatrix(rho[0], tol)
 
 
 def _draw_rows(rng: np.random.Generator, count: int, angle_scale: float, min_gap: float):
@@ -254,11 +249,11 @@ def _draw_rows(rng: np.random.Generator, count: int, angle_scale: float, min_gap
     return np.concatenate((turns[:, :2], xi, turns[:, 2:]), axis=1), lam
 
 
-def draw_params(rngs, shape: tuple):
+def draw_params(rngs):
     """Unvalidated orbit parameters, one :func:`_draw_rows` row per generator
-    at angle scale 1 and no gap bound: angles of shape + (6,), weights of
-    shape + (4,)."""
+    at angle scale 1 and no gap bound: (N, 6) angles and (N, 4) weights."""
     draws = [_draw_rows(rng, 1, 1.0, 0.0) for rng in rngs]
-    return (np.array([a[0] for a, _ in draws]).reshape(shape + (6,)),
-            np.array([lam[0] for _, lam in draws]).reshape(shape + (4,)))
+    # the reshapes give (0, 6) and (0, 4) for no generators
+    return (np.array([a[0] for a, _ in draws]).reshape(-1, 6),
+            np.array([lam[0] for _, lam in draws]).reshape(-1, 4))
 

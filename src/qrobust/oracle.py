@@ -62,9 +62,8 @@ _SDP_Z0 = np.stack(3 * [np.eye(4) / 2.0])     # the dual blocks' start
 
 
 def _product_mixtures(weights: np.ndarray, bloch_angles: np.ndarray) -> np.ndarray:
-    """The convex mixture of product pure states |a_n> x |b_n>, separable by
-    construction, of (n,) weights and (n, 4) angles, or of each row of
-    (..., n) weights and (..., n, 4) angles: (..., 4, 4).
+    """The convex mixtures of product pure states |a_n> x |b_n>, separable by
+    construction, of (N, n) weight rows and (N, n, 4) angles: (N, 4, 4).
 
     An angle row (theta_a, phi_a, theta_b, phi_b) gives the single-qubit
     factors cos(theta/2)|u> + e^{i phi} sin(theta/2)|d>.  The weights are
@@ -73,8 +72,8 @@ def _product_mixtures(weights: np.ndarray, bloch_angles: np.ndarray) -> np.ndarr
     tha, pha, thb, phb = np.moveaxis(bloch_angles, -1, 0)
     a = np.stack([np.cos(tha / 2.0), np.exp(1j * pha) * np.sin(tha / 2.0)], axis=-1)
     b = np.stack([np.cos(thb / 2.0), np.exp(1j * phb) * np.sin(thb / 2.0)], axis=-1)
-    kets = (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (4,))
-    return np.einsum("...n,...ni,...nj->...ij", weights, kets, kets.conj())
+    kets = (a[:, :, :, None] * b[:, :, None, :]).reshape(*weights.shape, 4)
+    return np.einsum("mn,mni,mnj->mij", weights, kets, kets.conj())
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Two-qubit density matrices: data model, spin-flip algebra, constructors, I/O.
 
+The helpers here take stacks: (N, 4, 4) matrices, (N, 4) weights, one
+generator per entry.  Single-state calls (``DensityMatrix``, ``BellWeights``,
+``sample_state``) are their N = 1 calls.
+
 The computational basis is fixed as |uu>, |ud>, |du>, |dd> (first arrow is
 qubit A, second is qubit B).  In this ordering sigma_y x sigma_y is the
 antidiagonal matrix (-1, 1, 1, -1) read from the top-right corner, and the
@@ -47,49 +51,46 @@ _ENSEMBLES = ("ginibre", "bures", "bell_diagonal", "coset")
 
 
 def _first_failure(checks):
-    """The first entry, in flat order, that fails any of ``checks``, as
-    ``(index, message)``, or None.  Each check pairs a boolean mask over the
-    entries (an array, or one flag for a single entry) with a function that
-    words its failure at a flat index; an entry that fails several checks
-    gets the message of the first."""
+    """The first entry that fails any of ``checks``, as ``(index, message)``,
+    or None.  Each check pairs a boolean (N,) mask over the entries with a
+    function that words its failure at an index; an entry that fails several
+    checks gets the message of the first."""
     bad = checks[0][0]
     for mask, _ in checks[1:]:
         bad = bad | mask
     if not np.count_nonzero(bad):
         return None
     i = int(np.flatnonzero(bad)[0])
-    return next((i, message(i)) for mask, message in checks if mask.flat[i])
+    return next((i, message(i)) for mask, message in checks if mask[i])
 
 
 def _density_failure(m: np.ndarray, tol: Tolerances):
-    """``_first_failure`` of a 4x4 matrix or an (N, 4, 4) stack under the
-    density-matrix checks: Hermiticity, unit trace, then the smallest
-    eigenvalue."""
+    """``_first_failure`` of an (N, 4, 4) stack under the density-matrix
+    checks: Hermiticity, unit trace, then the smallest eigenvalue."""
     # entries near the float limit overflow to inf here, which fails the checks
     with np.errstate(over="ignore", invalid="ignore"):
         asym = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         tr = m.trace(axis1=-2, axis2=-1).real
-    min_eig = np.linalg.eigvalsh(m).T[0]
+    min_eig = np.linalg.eigvalsh(m)[:, 0]
     return _first_failure([
         (asym > tol.hermiticity,
-         lambda i: f"not Hermitian: max |rho - rho^dag| = {asym.flat[i]:.3e} exceeds {tol.hermiticity:.3e}"),
+         lambda i: f"not Hermitian: max |rho - rho^dag| = {asym[i]:.3e} exceeds {tol.hermiticity:.3e}"),
         (abs(tr - 1.0) > tol.trace,
-         lambda i: f"trace deviates from 1: tr(rho) - 1 = {tr.flat[i] - 1.0:.3e} exceeds {tol.trace:.3e}"),
+         lambda i: f"trace deviates from 1: tr(rho) - 1 = {tr[i] - 1.0:.3e} exceeds {tol.trace:.3e}"),
         (min_eig < -tol.psd,
-         lambda i: f"not positive semidefinite: min eigenvalue {min_eig.flat[i]:.3e} below {-tol.psd:.3e}"),
+         lambda i: f"not positive semidefinite: min eigenvalue {min_eig[i]:.3e} below {-tol.psd:.3e}"),
     ])
 
 
 def _weight_failure(p: np.ndarray, tol: Tolerances):
-    """``_first_failure`` of four probabilities or an (N, 4) array of them:
-    nonnegative, summing to 1, then descending."""
+    """``_first_failure`` of (N, 4) probabilities: nonnegative, summing to 1,
+    then descending."""
     total = p.sum(axis=-1)
-    rows = p.reshape(-1, 4)
     return _first_failure([
-        (p.min(axis=-1) < 0.0, lambda i: f"negative weight: min = {rows[i].min():.3e}"),
+        (p.min(axis=-1) < 0.0, lambda i: f"negative weight: min = {p[i].min():.3e}"),
         (abs(total - 1.0) > tol.unit_weight,
-         lambda i: f"weights do not sum to 1: sum - 1 = {total.flat[i] - 1.0:.3e} exceeds {tol.unit_weight:.3e}"),
-        ((p[..., 1:] > p[..., :-1]).any(axis=-1), lambda i: "weights must be sorted in descending order"),
+         lambda i: f"weights do not sum to 1: sum - 1 = {total[i] - 1.0:.3e} exceeds {tol.unit_weight:.3e}"),
+        ((p[:, 1:] > p[:, :-1]).any(axis=-1), lambda i: "weights must be sorted in descending order"),
     ])
 
 
@@ -107,7 +108,7 @@ class DensityMatrix:
             raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValidationError("matrix entries must be finite")
-        failure = _density_failure(m, tol)
+        failure = _density_failure(m[None], tol)
         if failure is not None:
             raise ValidationError(failure[1])
         m.setflags(write=False)
@@ -145,7 +146,7 @@ class BellWeights:
         p = np.array(self.p, dtype=float)
         if p.shape != (4,):
             raise ValidationError("BellWeights needs exactly four probabilities")
-        failure = _weight_failure(p, DEFAULT)
+        failure = _weight_failure(p[None], DEFAULT)
         if failure is not None:
             raise ValidationError(failure[1])
         p.setflags(write=False)
@@ -208,14 +209,14 @@ def werner(singlet_weight: float) -> DensityMatrix:
     return DensityMatrix(singlet_weight * singlet + (1.0 - singlet_weight) * np.eye(4) / 4.0)
 
 
-def _complex_normals(rngs, shape: tuple, count: int) -> np.ndarray:
+def _complex_normals(rngs, count: int) -> np.ndarray:
     """``count`` complex Gaussian 4x4 matrices from each generator, each drawn
-    as its real block then its imaginary block: shape + (count, 4, 4)."""
-    z = np.empty(shape + (count, 2, 4, 4))
-    for rng, out in zip(rngs, z.reshape(-1, count * 32)):
+    as its real block then its imaginary block: (len(rngs), count, 4, 4)."""
+    z = np.empty((len(rngs), count, 2, 4, 4))
+    for rng, out in zip(rngs, z):
         rng.standard_normal(out=out)
-    g = np.empty(shape + (count, 4, 4), dtype=complex)
-    g.real, g.imag = z[..., 0, :, :], z[..., 1, :, :]
+    g = np.empty((len(rngs), count, 4, 4), dtype=complex)
+    g.real, g.imag = z[:, :, 0], z[:, :, 1]
     return g
 
 
@@ -231,53 +232,16 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _ginibre_stack(rngs, shape: tuple) -> np.ndarray:
-    g = _complex_normals(rngs, shape, 1)[..., 0, :, :]
+def _ginibre_stack(rngs) -> np.ndarray:
+    g = _complex_normals(rngs, 1)[:, 0]
     return _unit_trace(g @ g.conj().swapaxes(-1, -2))
 
 
-def _bures_stack(rngs, shape: tuple) -> np.ndarray:
-    normals = _complex_normals(rngs, shape, 2)
-    g, u = normals[..., 0, :, :], _haar(normals[..., 1, :, :])
+def _bures_stack(rngs) -> np.ndarray:
+    normals = _complex_normals(rngs, 2)
+    g, u = normals[:, 0], _haar(normals[:, 1])
     eye = np.eye(4)
     return _unit_trace((eye + u) @ (g @ g.conj().swapaxes(-1, -2)) @ (eye + u.conj().swapaxes(-1, -2)))
-
-
-def _draw(ensemble: str, seeds: np.ndarray, tol: Tolerances):
-    """States from a single seed (a 0-d array) or a 1-d array of seeds, each
-    drawn from its own generator, then built and checked together.
-
-    Returns ``(matrices, failure, coset)``: the (4, 4) or (N, 4, 4)
-    matrices; the ``_first_failure`` of the checks of the draw (the weights
-    of the Bell-diagonal and coset draws) and the density-matrix checks, or
-    None; and for the coset ensemble the closed-form K and the basis X of
-    each state (None otherwise).
-    """
-    if ensemble not in _ENSEMBLES:
-        raise UnknownEnsemble(f"unknown ensemble {ensemble!r}; choose from {', '.join(_ENSEMBLES)}")
-    shape = seeds.shape
-    rngs = [np.random.default_rng(seed) for seed in seeds.reshape(-1).tolist()]
-    failure = built = None
-    if ensemble == "ginibre":
-        matrices = _ginibre_stack(rngs, shape)
-    elif ensemble == "bures":
-        matrices = _bures_stack(rngs, shape)
-    elif ensemble == "bell_diagonal":
-        p = np.array([rng.dirichlet(np.ones(4)) for rng in rngs]).reshape(shape + (4,))
-        p = np.sort(p, axis=-1)[..., ::-1]
-        failure = _weight_failure(p, tol)
-        matrices = _bell_mixture(p)
-    else:
-        from . import coset
-
-        angles, lam = coset.draw_params(rngs, shape)
-        failure = coset.params_failure(angles, lam)
-        matrices, k, x = coset.density_stack(angles, lam)
-        built = k, x
-    invalid = _density_failure(matrices, tol)
-    if invalid is not None and (failure is None or invalid[0] < failure[0]):
-        failure = invalid
-    return matrices, failure, built
 
 
 class SampleStack(NamedTuple):
@@ -299,32 +263,49 @@ def sample_stack(ensemble: str, seeds, tol: Tolerances = DEFAULT) -> SampleStack
 
     Entry i is drawn from its own generator, ``default_rng(seeds[i])``, so it
     depends on its seed alone; everything after the draws runs on the whole
-    stack, and entry i gets the bits ``sample_state(ensemble, seeds[i])``
-    gets.  The sum check of the drawn Bell weights and the density-matrix
-    checks read ``tol``.
+    stack, and entry i gets the bits of its N = 1 call,
+    ``sample_state(ensemble, seeds[i])``.  The sum check of the drawn Bell
+    weights and the density-matrix checks read ``tol``.
 
     Ensembles: ``ginibre`` (Hilbert-Schmidt), ``bures``, ``bell_diagonal``
     (Dirichlet Bell weights), ``coset`` (random orbit parameters).  All are
     full rank almost surely.
     """
-    # object arrays keep the seeds Python ints of any size, as default_rng takes them
-    matrices, failure, built = _draw(ensemble, np.asarray(seeds, dtype=object).reshape(-1), tol)
-    k_agreement = None
-    if built is not None:
-        k, x = built
+    if ensemble not in _ENSEMBLES:
+        raise UnknownEnsemble(f"unknown ensemble {ensemble!r}; choose from {', '.join(_ENSEMBLES)}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    failure = k_agreement = None
+    if ensemble == "ginibre":
+        matrices = _ginibre_stack(rngs)
+    elif ensemble == "bures":
+        matrices = _bures_stack(rngs)
+    elif ensemble == "bell_diagonal":
+        p = np.array([rng.dirichlet(np.ones(4)) for rng in rngs]).reshape(-1, 4)   # (0, 4) for no seeds
+        p = np.sort(p, axis=-1)[:, ::-1]
+        failure = _weight_failure(p, tol)
+        matrices = _bell_mixture(p)
+    else:
+        from . import coset
+
+        angles, lam = coset.draw_params(rngs)
+        failure = coset.params_failure(angles, lam)
+        matrices, k, x = coset.density_stack(angles, lam)
         k_agreement = np.abs(k - np.sum(np.abs(x) ** 2, axis=-2)).max(axis=-1)
+    invalid = _density_failure(matrices, tol)
+    if invalid is not None and (failure is None or invalid[0] < failure[0]):
+        failure = invalid
     if failure is None:
         return SampleStack(matrices, None, k_agreement)
     return SampleStack(matrices[:failure[0]], ValidationError(failure[1]), k_agreement)
 
 
 def sample_state(ensemble: str, seed: int, tol: Tolerances = DEFAULT) -> DensityMatrix:
-    """Deterministic random state from the named ensemble: the single-seed
-    call of the draw behind :func:`sample_stack`, with the same bits."""
-    matrix, failure, _ = _draw(ensemble, np.asarray(seed, dtype=object), tol)
-    if failure is not None:
-        raise ValidationError(failure[1])
-    return DensityMatrix._by_construction(matrix)
+    """Deterministic random state from the named ensemble:
+    ``sample_stack(ensemble, [seed], tol)``'s entry."""
+    drawn = sample_stack(ensemble, [seed], tol)
+    if drawn.error is not None:
+        raise drawn.error
+    return DensityMatrix._by_construction(drawn.matrices[0])
 
 
 def _su2_pairs(rng: np.random.Generator, count: int) -> np.ndarray:

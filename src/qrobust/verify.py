@@ -159,7 +159,7 @@ def _result(name: str, checks: list, entry, detail: str = "") -> PropertyResult:
 
 def _check_eig(corpus: Corpus) -> PropertyResult:
     tol, entry = corpus.tol, corpus.draws(0)
-    g = states._complex_normals([corpus.rng(0)], (), corpus.size)
+    g = states._complex_normals([corpus.rng(0)], corpus.size)[0]
     h = g + _adjoint(g)
     evals, vecs, errors = hermitian_eig_stack(h, tol)
     _raise_first(errors, entry)
@@ -175,7 +175,7 @@ def _check_eig(corpus: Corpus) -> PropertyResult:
 
 def _check_takagi(corpus: Corpus) -> PropertyResult:
     tol, entry = corpus.tol, corpus.draws(1)
-    g = states._complex_normals([corpus.rng(1)], (), corpus.size)
+    g = states._complex_normals([corpus.rng(1)], corpus.size)[0]
     s = g + g.swapaxes(-1, -2)
     w, d, errors = takagi_stack(s, tol)
     _raise_first(errors, entry)
@@ -251,7 +251,7 @@ def _check_local_unitary(corpus: Corpus) -> PropertyResult:
     rng = corpus.rng(2)
     pairs = states._su2_pairs(rng, n)
     u = np.einsum("nij,nkl->nikjl", pairs[:, 0], pairs[:, 1]).reshape(n, 4, 4)   # U1 x U2
-    g = states._complex_normals([rng], (), n)
+    g = states._complex_normals([rng], n)[0]
     h = g + _adjoint(g)
     rho = corpus.ginibre[:n]
     other = states.sample_state("ginibre", corpus.seed + 90_000, tol).matrix
@@ -274,10 +274,8 @@ def _check_local_unitary(corpus: Corpus) -> PropertyResult:
 
 def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances, *, with_sdp: bool = False):
     """Every check of the certificates ``certs`` of the states ``rho`` (N, 4, 4):
-    ``(checks, s_bisection, results, errors)``.  Every entry of ``certs`` must be
-    free of errors, as ``_check_certificates``, ``verify_certificate`` and ``analyze``
-    ensure: a rank-deficient entry's s is NaN, which passes as entangled, and its
-    NaN mixtures stop the whole run in the eigensolver without naming the entry.
+    ``(checks, s_bisection, results, errors)``.  Raises the first error of
+    ``certs``, if any, before any work.
 
     ``checks`` maps each check's name to its residuals, one per entry, and its
     bound; ``s_bisection``, ``results`` and ``errors`` are the ``oracle.oracle_pass``
@@ -288,6 +286,9 @@ def certificate_checks(rho: np.ndarray, certs: CertificateStack, tol: Tolerances
     certificate (s = 0, rho' = rho), and the checks of the entanglement a
     certificate removes read 0 on it.
     """
+    first = next(filter(None, certs.errors), None)
+    if first is not None:
+        raise first
     s, rho_p, rho_pp, lam_p = certs.s, certs.rho_p, certs.rho_pp, certs.rho_p_coords
     k, c = certs.decomposition.k_norm, certs.decomposition.concurrence
     n, ent = len(s), np.flatnonzero(s != 0.0)

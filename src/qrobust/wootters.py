@@ -220,8 +220,7 @@ def decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> WoottersDecompos
 
 
 def _tilde_norms(m: np.ndarray) -> np.ndarray:
-    """sqrt |tr(M M~)| of a Hermitian 4x4 matrix M or of each matrix of an
-    (..., 4, 4) stack.
+    """sqrt |tr(M M~)| of each Hermitian matrix M of an (N, 4, 4) stack.
 
     Invariant under simultaneous local-unitary conjugation of M.  The
     absolute value keeps the result real for indefinite M.  Of a difference

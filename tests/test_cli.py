@@ -869,8 +869,8 @@ def test_sample_generation_failure_keeps_the_earlier_rows(tmp_path, monkeypatch,
     target = sample_state("ginibre", failing_index).matrix
     real = states._ginibre_stack
 
-    def injected(rngs, shape):
-        matrices = real(rngs, shape)
+    def injected(rngs):
+        matrices = real(rngs)
         for m in matrices:
             if np.array_equal(m, target):
                 m[0, 1] += 1e-3

@@ -6,10 +6,14 @@ from qrobust.coset import (
     DegenerateInput,
     _X_FROM_Y,
     _closed_form_x_stack,
+    _draw_rows,
     _k_stack,
+    _x_stack,
+    _y_stack,
     build_X,
     build_Y,
     density_from_params,
+    density_stack,
 )
 from qrobust.states import BELL_STATES, SIGMA_YY, BellWeights, bell_diagonal
 
@@ -67,22 +71,22 @@ class TestBuildX:
 
 class TestClosedForms:
     def test_zero_angles_vectors(self):
-        vectors = _closed_form_x_stack(np.zeros(6), np.array([0.7, 0.1, 0.1, 0.1])).T
+        vectors = _closed_form_x_stack(np.zeros((1, 6)), np.array([[0.7, 0.1, 0.1, 0.1]]))[0].T
         phases = (-1j, 1.0, -1j, 1.0)
         for i, (vec, phase) in enumerate(zip(vectors, phases)):
             expected = np.sqrt([0.7, 0.1, 0.1, 0.1][i]) * phase * BELL_STATES[:, i]
             assert np.max(np.abs(vec - expected)) <= 1e-15
 
     def test_zero_weight_gives_zero_vector(self):
-        angles = np.array([0.7, 0.0, 0.0, 0.4, 0.0, 0.0])              # theta1 = 0.7, xi2 = 0.4
-        vectors = _closed_form_x_stack(angles, np.array([1.0, 0.0, 0.0, 0.0])).T
+        angles = np.array([[0.7, 0.0, 0.0, 0.4, 0.0, 0.0]])            # theta1 = 0.7, xi2 = 0.4
+        vectors = _closed_form_x_stack(angles, np.array([[1.0, 0.0, 0.0, 0.0]]))[0].T
         assert np.array_equal(vectors[1], np.zeros(4))
 
     def test_k_zero_angles(self):
-        assert np.array_equal(_k_stack(np.zeros(6)), np.ones(4))
+        assert np.array_equal(_k_stack(np.zeros((1, 6)))[0], np.ones(4))
 
     def test_k_single_phi(self):
-        k = _k_stack(np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0]))
+        k = _k_stack(np.array([[0.0, 0.0, 0.0, 0.0, 0.5, 0.0]]))[0]
         assert abs(k[0] - np.cosh(1.0)) <= 1e-15
         assert abs(k[1] - np.cosh(1.0)) <= 1e-15
         assert np.allclose(k[2:], 1.0, atol=0)
@@ -107,6 +111,17 @@ class TestDensityFromParams:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(DegenerateInput):
             density_from_params(params_with(lam=(0.0, 0.0, 0.0, 0.0)))
+
+    def test_single_parameter_calls_match_the_stacked_rows(self):
+        # each single-state call is its N = 1 stack call, with the bits its
+        # row of a 200-row stack gets
+        angles, lam = _draw_rows(np.random.default_rng(0), 200, 2.0, 0.0)
+        rho, x, y = density_stack(angles, lam)[0], _x_stack(angles), _y_stack(angles)
+        for i, (row, weights) in enumerate(zip(angles, lam)):
+            params = CosetParams(*row, lam=weights)
+            assert np.array_equal(density_from_params(params).matrix, rho[i]), i
+            assert np.array_equal(build_X(params), x[i]), i
+            assert np.array_equal(build_Y(params), y[i]), i
 
 
 class TestParamValidation:

@@ -71,10 +71,10 @@ def record_fallbacks(monkeypatch):
 
 
 def random_mixture(rng, n=8):
-    """Weights (n,) and Bloch angles (n, 4) of a random mixture of n product states."""
-    return (rng.dirichlet(np.ones(n)),
+    """Weights (1, n) and Bloch angles (1, n, 4) of a random mixture of n product states."""
+    return (rng.dirichlet(np.ones(n))[None],
             np.stack([np.arccos(rng.uniform(-1, 1, n)), rng.uniform(0, 2 * np.pi, n),
-                      np.arccos(rng.uniform(-1, 1, n)), rng.uniform(0, 2 * np.pi, n)], axis=1))
+                      np.arccos(rng.uniform(-1, 1, n)), rng.uniform(0, 2 * np.pi, n)], axis=1)[None])
 
 
 class TestBisection:
@@ -103,7 +103,7 @@ class TestBisection:
         rng = np.random.default_rng(17)
         pairs = [(rho, direction) for rho in ginibre_states(15)
                  for direction in (robustness(rho).rho_pp,
-                                   DensityMatrix(_product_mixtures(*random_mixture(rng))), MIXED)]
+                                   DensityMatrix(_product_mixtures(*random_mixture(rng))[0]), MIXED)]
         entangled = sum(assert_post_conditions(rho, direction) > 0.0 for rho, direction in pairs)
         assert entangled >= 20
 
@@ -145,7 +145,7 @@ class TestBisection:
                  (werner(1.0 - 1e-3), UP_UP), (werner(1.0 - 2e-5), UP_UP), (SINGLET, UP_UP)]
         for rho in ginibre_states(12):
             if not is_separable_ppt(rho)[0]:
-                pairs += [(rho, MIXED), (rho, DensityMatrix(_product_mixtures(*random_mixture(rng))))]
+                pairs += [(rho, MIXED), (rho, DensityMatrix(_product_mixtures(*random_mixture(rng))[0]))]
         rho, sigma = (np.array([pair[k].matrix for pair in pairs]) for k in (0, 1))
         reference = np.array([bisect_from_cap(r, d) for r, d in zip(rho, sigma)])
         alone = np.array([bisect_stack(rho[i:i + 1], sigma[i:i + 1])[0] for i in range(len(pairs))])
@@ -215,7 +215,7 @@ class TestProductMixture:
     def test_assembled_state_is_separable(self):
         rng = np.random.default_rng(0)
         weights, angles = zip(*(random_mixture(rng) for _ in range(20)))
-        for matrix in _product_mixtures(np.array(weights), np.array(angles)):
+        for matrix in _product_mixtures(np.concatenate(weights), np.concatenate(angles)):
             rho = DensityMatrix(matrix)
             flag, _ = is_separable_ppt(rho)
             assert flag

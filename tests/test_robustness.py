@@ -159,7 +159,7 @@ class TestRobustnessCertificate:
             assert cert.s > 0.0
             ratios.append(cert.s / decompose(density_from_params(params)).concurrence)
         assert abs(ratios[0] - ratios[1]) <= 1e-9
-        k = _k_stack(np.array(list(angles.values())))
+        k = _k_stack(np.array([list(angles.values())]))[0]
         expected = 0.5 * min(k[1] + k[2], k[1] + k[3], k[2] + k[3])
         assert abs(ratios[0] - expected) <= 1e-8
 

@@ -131,6 +131,18 @@ def test_raised_s_fails_npt_before_s_at_any_tolerance_scale(scale):
     assert np.sum(entangled) >= 10 and np.all(residual[entangled] == 1.0) and bound == 0.0
 
 
+def test_certificate_checks_raise_the_first_error_of_the_certificates():
+    # a rank-deficient entry's s is NaN, which passes as entangled: the checks
+    # raise its RankDeficient before any work, not the eigensolver's
+    # LinAlgError on its NaN mixtures
+    bell = states.bell_diagonal(states.BellWeights(np.array([0.6, 0.2, 0.2, 0.0])))
+    matrices = np.array([states.werner(0.8).matrix, bell.matrix, sample_state("ginibre", 0).matrix])
+    certs = robustness_stack(matrices)
+    with pytest.raises(RankDeficient) as raised:
+        verify.certificate_checks(matrices, certs, DEFAULT)
+    assert raised.value is certs.errors[1]
+
+
 def _failed_audit(matrices, certs):
     """Entry errors and names of failed checks of one ``certificate_checks`` run on a stack."""
     checks, _, _, errors = verify.certificate_checks(matrices, certs, DEFAULT)
